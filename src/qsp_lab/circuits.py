@@ -13,6 +13,18 @@ expands into the native set.
 Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
 state by I/4.  Single-qubit gates are noiseless.
+
+apply_statevector, circuit_unitary (apply_statevector on the identity)
+and apply_density share one walk over the gate list.  It does not apply
+single-qubit gates one at a time: each qubit keeps a pending 2x2
+product, which is multiplied into the 4x4 of the next RZZ/CZ on that
+qubit, applied just before a structural gate on that qubit, or applied
+at the end; scalar phases are carried and applied once.  The folding is
+exact, with or without noise: a pending unitary on qubit c commutes with
+every gate and every channel on other qubits, and the channel after an
+RZZ/CZ on c comes after the gate the pending unitary was folded into.
+A density matrix is conjugated as one (2,)*2w tensor, on its row and
+column indices, with no transpose of rho.
 """
 from __future__ import annotations
 
@@ -21,13 +33,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DecompositionRequiredError, DimensionError
-from .operators import PAULI_1Q, PauliString
+from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("MCPAULI", "APHASE")
 
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
+_I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -146,17 +159,42 @@ class NoiseModel:
 # Dense application helpers
 # ---------------------------------------------------------------------------
 
-def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], width: int) -> np.ndarray:
-    """Apply a 2^k x 2^k operator to the given qubit axes of a flat (2^w,) or
-    (2^w, B) array."""
-    shape = vec.shape
-    batched = vec.ndim == 2
-    t = vec.reshape([2] * width + ([shape[1]] if batched else []))
+def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], work: np.ndarray | None = None) -> np.ndarray:
+    """Apply a 2^k x 2^k operator to the given qubit axes of a (2^w,) or
+    (2^w, B) array; local's first index belongs to axes[0].
+
+    Axes count qubits from the most significant bit of the C-order index,
+    so on a (2^w, 2^w) density matrix axes w..2w-1 are its column qubits.
+
+    The untouched qubits are grouped into at most k+1 blocks, so the
+    transposes have at most 2k+1 axes; the contraction is one matrix
+    product.  Without work the result is a new array.  With work, a flat
+    complex buffer of twice vec's size, the result is written back into vec
+    (then a C-contiguous complex array) and nothing is allocated: on
+    density-matrix sized arrays, fresh temporaries per gate cost more in
+    page faults than the product itself.
+    """
+    dims, pos = [], {}
+    prev = 0
+    for q in sorted(axes):
+        dims += [2 ** (q - prev), 2]
+        pos[q] = len(dims) - 1
+        prev = q + 1
+    dims.append(vec.size >> prev)
     k = len(axes)
-    lm = local.reshape([2] * (2 * k))
-    t = np.tensordot(lm, t, axes=(list(range(k, 2 * k)), list(axes)))
-    t = np.moveaxis(t, list(range(k)), list(axes))
-    return t.reshape(shape)
+    src = [pos[q] for q in axes]
+    order = src + [i for i in range(len(dims)) if i not in src]
+    moved = vec.reshape(dims).transpose(order)
+    cols = vec.size >> k
+    if work is None:
+        res = np.dot(local, moved.reshape(2**k, cols)).reshape(moved.shape)
+        return np.moveaxis(res, list(range(k)), src).reshape(vec.shape)
+    gathered = work[: vec.size].reshape(moved.shape)
+    np.copyto(gathered, moved)
+    res = work[vec.size:].reshape(2**k, cols)
+    np.dot(local, gathered.reshape(2**k, cols), out=res)
+    np.copyto(moved, res.reshape(moved.shape))
+    return vec
 
 
 def _gate_local(gate: Gate, circuit: Circuit) -> tuple[np.ndarray | None, tuple[int, ...], complex]:
@@ -210,55 +248,97 @@ def _gate_local(gate: Gate, circuit: Circuit) -> tuple[np.ndarray | None, tuple[
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
+def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: float = 0.0) -> np.ndarray:
+    """The one gate-application walk behind every simulator (see the module
+    docstring for the folding rule).
+
+    initial is a (2^w,) state, a (2^w, B) batch of columns, or with
+    density=True a (2^w, 2^w) density matrix, which is conjugated and on
+    which scalar phases cancel.  p_pair > 0 attaches the two-qubit
+    depolarizing channel after every RZZ/CZ, applied in place on the
+    walk's own buffer.
+    """
+    w = circuit.width
+    out = np.array(initial, dtype=complex, order="C")
+    work = np.empty(2 * out.size, dtype=complex)
+
+    def apply(local: np.ndarray, axes: tuple[int, ...]) -> None:
+        _tensor_apply(out, local, axes, work)
+        if density:
+            _tensor_apply(out, local.conj(), tuple(w + q for q in axes), work)
+
+    pending: dict[int, np.ndarray] = {}
+    phase = 1.0
+    for g in circuit.gates:
+        local, axes, scalar = _gate_local(g, circuit)
+        phase *= scalar
+        if local is None:
+            continue
+        if len(axes) == 1:
+            q = axes[0]
+            pending[q] = local @ pending[q] if q in pending else local
+            continue
+        if g.kind in ("RZZ", "CZ"):
+            a, b = pending.pop(axes[0], _I2), pending.pop(axes[1], _I2)
+            local = local @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)  # kron(a, b)
+        else:
+            for q in axes:
+                if q in pending:
+                    apply(pending.pop(q), (q,))
+        apply(local, axes)
+        if p_pair and g.kind in ("RZZ", "CZ"):
+            _depolarize_pair_inplace(out.reshape((2,) * (2 * w)), axes[0], axes[1], p_pair, w)
+    for q, m in pending.items():
+        apply(m, (q,))
+    if density or phase == 1.0:
+        return out
+    return phase * out
+
+
 def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Noiseless statevector evolution."""
+    """Noiseless statevector evolution of a (2^w,) state or (2^w, B) batch."""
     if state.shape[0] != 2**circuit.width:
         raise ValueError("statevector width does not match circuit")
-    out = state.astype(complex)
-    for g in circuit.gates:
-        local, axes, phase = _gate_local(g, circuit)
-        if local is not None:
-            out = _tensor_apply(out, local, axes, circuit.width)
-        if phase != 1.0:
-            out = phase * out
-    return out
+    return _walk(circuit, state)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (desk-scale oracle)."""
-    if circuit.width > 12:
-        raise DimensionError(f"width {circuit.width} exceeds the dense cap")
-    dim = 2**circuit.width
-    u = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        local, axes, phase = _gate_local(g, circuit)
-        if local is not None:
-            u = _tensor_apply(u, local, axes, circuit.width)
-        if phase != 1.0:
-            u = phase * u
-    return u
+    if circuit.width > MAX_DENSE_QUBITS:
+        raise DimensionError(f"width {circuit.width} exceeds the dense cap of {MAX_DENSE_QUBITS}")
+    return apply_statevector(circuit, np.eye(2**circuit.width, dtype=complex))
 
 
-def _conjugate_density(rho: np.ndarray, local: np.ndarray, axes: tuple[int, ...], width: int) -> np.ndarray:
-    rho = _tensor_apply(rho, local, axes, width)
-    rho = _tensor_apply(rho.T, local.conj(), axes, width).T
-    return rho
+def _depolarize_pair_inplace(t: np.ndarray, q0: int, q1: int, p: float, width: int) -> None:
+    """rho <- (1-p) rho + p (I/4 on the pair) (x) Tr_pair rho, on the (2,)*2w tensor t.
+
+    Tr_pair rho is the sum of the four pair-diagonal slices; the I/4 term
+    adds p/4 of it back onto each of them.  At width 2 a slice is a
+    scalar, so every update goes through item assignment on t.
+    """
+    sites = []
+    for a in (0, 1):
+        for b in (0, 1):
+            idx = [slice(None)] * (2 * width)
+            idx[q0] = idx[width + q0] = a
+            idx[q1] = idx[width + q1] = b
+            sites.append(tuple(idx))
+    traced = sum(t[s] for s in sites)
+    t *= 1.0 - p
+    for s in sites:
+        t[s] += (p / 4.0) * traced
 
 
 def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> np.ndarray:
-    """Two-qubit depolarizing channel: keep with 1-p, else I/4 on the pair."""
+    """Two-qubit depolarizing channel: keep with 1-p, else I/4 on the pair.
+
+    Returns a new array; rho is left unchanged.
+    """
     if p == 0.0:
         return rho
-    rest = [q for q in range(width) if q not in (q0, q1)]
-    perm_half = [q0, q1] + rest
-    perm = perm_half + [width + q for q in perm_half]
-    inv = np.argsort(perm)
-    r = 2 ** (width - 2)
-    t = rho.reshape([2] * (2 * width)).transpose(perm).reshape(4, r, 4, r)
-    traced = np.einsum("aras->rs", t)
-    mixed = np.einsum("ab,rs->arbs", np.eye(4, dtype=complex) / 4.0, traced)
-    out = (1.0 - p) * t + p * mixed
-    return out.reshape([2] * (2 * width)).transpose(inv).reshape(rho.shape)
+    out = rho.astype(complex)
+    _depolarize_pair_inplace(out.reshape((2,) * (2 * width)), q0, q1, p, width)
+    return out
 
 
 def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
@@ -275,6 +355,14 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = 
     per_gate_depolarizing attaches a two-qubit depolarizing channel after
     every RZZ and CZ; global_depolarizing applies one channel at the end
     with p = 1-(1-p_tq)^N_TQ; none is exact conjugation.
+
+    Single-qubit gates are not applied one by one: each run of them on a
+    qubit is multiplied into the next RZZ/CZ on that qubit (or applied once
+    at the end), so rho is conjugated once per two-qubit gate.  This is
+    exact under every noise model here, because a single-qubit unitary on
+    qubit c commutes with a depolarizing channel on any pair without c,
+    and the channel on a pair containing c comes after the gate it is
+    folded into.
     """
     if rho.shape[0] != 2**circuit.width:
         raise ValueError("density matrix width does not match circuit")
@@ -282,13 +370,8 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = 
     noisy = noise.mode != "none" and noise.p_tq > 0.0
     if noisy and any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         raise DecompositionRequiredError("noisy simulation needs a decomposed circuit")
-    out = rho.astype(complex)
-    for g in circuit.gates:
-        local, axes, _ = _gate_local(g, circuit)  # scalar phases cancel on rho
-        if local is not None:
-            out = _conjugate_density(out, local, axes, circuit.width)
-        if noisy and noise.mode == "per_gate_depolarizing" and g.kind in ("RZZ", "CZ"):
-            out = depolarize_pair(out, g.qubits[0], g.qubits[1], noise.p_tq, circuit.width)
+    per_gate = noisy and noise.mode == "per_gate_depolarizing"
+    out = _walk(circuit, rho, density=True, p_pair=noise.p_tq if per_gate else 0.0)
     if noisy and noise.mode == "global_depolarizing":
         n_tq = count_two_qubit_gates(circuit)
         out = global_depolarize(out, 1.0 - (1.0 - noise.p_tq) ** n_tq)
@@ -522,14 +605,22 @@ def to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TEXT_FIELDS = {"CIRCUIT": 3, "RX": 3, "RZ": 3, "RZZ": 4, "CZ": 3, "HAD": 2, "GPHASE": 2, "APHASE": 2, "MCPAULI": 4}
+
+
 def from_text(text: str) -> Circuit:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "CIRCUIT":
+    """Parse to_text output; malformed text raises ValueError."""
+    lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines or lines[0][0] != "CIRCUIT":
         raise ValueError("missing CIRCUIT header")
+    for parts in lines:
+        if parts[0] not in _TEXT_FIELDS:
+            raise ValueError(f"unknown gate line: {' '.join(parts)!r}")
+        if len(parts) != _TEXT_FIELDS[parts[0]]:
+            raise ValueError(f"{parts[0]} line needs {_TEXT_FIELDS[parts[0]]} fields: {' '.join(parts)!r}")
+    head, *body = lines
     circuit = Circuit(int(head[1]), int(head[2]))
-    for ln in lines[1:]:
-        parts = ln.split()
+    for parts in body:
         kind = parts[0]
         if kind in ("RX", "RZ"):
             circuit.append(Gate(kind, (int(parts[1]),), float(parts[2])))
@@ -547,5 +638,5 @@ def from_text(text: str) -> Circuit:
             pattern = () if parts[1] == "-" else tuple(int(c) for c in parts[1])
             circuit.append(mcpauli(pattern, PauliString(parts[2]), int(parts[3])))
         else:
-            raise ValueError(f"unknown gate line: {ln!r}")
+            raise ValueError(f"CIRCUIT header repeated: {' '.join(parts)!r}")
     return circuit

@@ -1,8 +1,4 @@
-"""Shared exception types.
-
-ConfigError maps to CLI exit code 2, NumericalError subclasses to exit
-code 3; everything else is a plain bug.
-"""
+"""Shared exception types."""
 
 
 class ConfigError(Exception):

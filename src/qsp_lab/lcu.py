@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as cir
-from .circuits import Circuit, Gate, cz, gphase, had, mcpauli, rx, rz
+from .circuits import Circuit, Gate, _cx, gphase, had, mcpauli, rx, rz
 from .operators import PauliString, PauliSum
 
 _ANGLE_TOL = 1e-12
@@ -139,10 +139,6 @@ def _walsh(values: np.ndarray) -> np.ndarray:
         w[:, 0], w[:, 1] = top + bot, top - bot
         w = w.reshape(-1)
     return w / len(values)
-
-
-def _cx(c: int, t: int) -> list[Gate]:
-    return [had(t), cz(c, t), had(t)]
 
 
 def _ry_gates(t: int, angle: float) -> list[Gate]:

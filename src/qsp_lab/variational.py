@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import Circuit, cz, rx, rz, rzz
+from .circuits import Circuit, _tensor_apply, cz, rx, rz, rzz
 from .errors import OptimizationError
 from .lcu import BlockEncoding
 from .operators import PauliSum, to_matrix
@@ -66,6 +66,10 @@ class OptimizerConfig:
             raise ValueError("optimizer thresholds must be positive")
         if self.method not in ("bfgs", "gradient_descent", "newton"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
+        if self.restarts < 0:
+            raise ValueError("restarts must be non-negative")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -149,16 +153,6 @@ def _czbar_diagonal(width: int) -> np.ndarray:
     return d
 
 
-def _apply_local(mat: np.ndarray, local: np.ndarray, qs: tuple[int, ...], width: int) -> np.ndarray:
-    """Left-multiply a full-register matrix by a local gate (batch columns)."""
-    k = len(qs)
-    t = mat.reshape([2] * width + [mat.shape[1]])
-    lm = local.reshape([2] * (2 * k))
-    t = np.tensordot(lm, t, axes=(list(range(k, 2 * k)), list(qs)))
-    t = np.moveaxis(t, list(range(k)), list(qs))
-    return t.reshape(mat.shape)
-
-
 class _AnsatzCache:
     """V(theta), the reflection W, and what the adjoint sweep needs."""
 
@@ -170,7 +164,7 @@ class _AnsatzCache:
         self.locals = [_local_unitary(kind, angle) for kind, _, angle in self.gate_info]
         v = np.eye(self.dim, dtype=complex)
         for (kind, qs, _), loc in zip(self.gate_info, self.locals):
-            v = _apply_local(v, loc, qs, self.width)
+            v = _tensor_apply(v, loc, qs)
         self.v = v
         self.cz_diag = _czbar_diagonal(self.width)
         self.w = self.v @ (self.cz_diag[:, None] * self.v.conj().T)
@@ -207,7 +201,7 @@ def _cost_grad_cached(cache: _AnsatzCache, h: np.ndarray) -> tuple[float, np.nda
     from Q_0 = g_0 (N V) g_0^dag.
     """
     dn = h.shape[0]
-    dim, width = cache.dim, cache.width
+    dim = cache.dim
     blk = cache.w[:dn, :dn]
     f = float(np.linalg.norm(blk) ** 2 - 2.0 * np.real(np.trace(h @ blk)))
     ksym = np.zeros((dim, dim), dtype=complex)
@@ -219,9 +213,9 @@ def _cost_grad_cached(cache: _AnsatzCache, h: np.ndarray) -> tuple[float, np.nda
     for j in range(m):
         kind, qs, _ = cache.gate_info[j]
         loc = cache.locals[j]
-        q = _apply_local(q, loc, qs, width)
-        q = _apply_local(q.conj().T, loc, qs, width).conj().T  # right-multiply by loc^dag
-        traced = np.trace(_apply_local(q, _GENERATORS[kind], qs, width))
+        q = _tensor_apply(q, loc, qs)
+        q = _tensor_apply(q.conj().T, loc, qs).conj().T  # right-multiply by loc^dag
+        traced = np.trace(_tensor_apply(q, _GENERATORS[kind], qs))
         grad[j] = float(np.imag(traced))
     return f, grad
 
@@ -372,6 +366,8 @@ def optimize(
         rng = np.random.default_rng(config.init_seed + r)
         starts.append(rng.uniform(-config.init_scale, config.init_scale, size=spec.n_parameters))
 
+    if not starts:
+        raise ValueError("nothing to optimize: restarts is 0 and no initial_thetas were given")
     best: OptimizeResult | None = None
     for idx, theta0 in enumerate(starts):
         theta0 = np.asarray(theta0, dtype=float)

@@ -30,8 +30,8 @@ from qsp_lab.circuits import (
     with_ancilla_zero,
     zero_state,
 )
-from qsp_lab.errors import DecompositionRequiredError
-from qsp_lab.operators import PauliString
+from qsp_lab.errors import DecompositionRequiredError, DimensionError
+from qsp_lab.operators import MAX_DENSE_QUBITS, PauliString
 
 RNG = np.random.default_rng(20240817)
 
@@ -113,6 +113,18 @@ class TestUnitaryOracle:
         u = circuit_unitary(c)
         v = circuit_unitary(c.inverse())
         assert np.allclose(u @ v, np.eye(8), atol=1e-10)
+
+    def test_dense_cap_checked_before_allocation(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError):
+                circuit_unitary(Circuit(MAX_DENSE_QUBITS + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestStructuralGates:
@@ -352,3 +364,210 @@ class TestSerialization:
         c = Circuit(1).append(rx(0, 0.1 + 0.2))
         c2 = from_text(to_text(c))
         assert c2.gates[0].angle == c.gates[0].angle
+
+    def test_round_trip_random_native(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            c = random_native_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 3)), 12, rng)
+            c.append(gphase(rng.uniform(-np.pi, np.pi)))
+            c2 = from_text(to_text(c))
+            assert (c2.n_system, c2.n_ancilla) == (c.n_system, c.n_ancilla)
+            assert c2.gates == c.gates
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "   \n\n",
+        "RX 0 0.5\n",
+        "CIRCUIT 1\n",
+        "CIRCUIT 1 0\nRX 0",
+        "CIRCUIT 2 0\nRZZ 0 1\n",
+        "CIRCUIT 2 0\nCZ 0\n",
+        "CIRCUIT 1 0\nHAD\n",
+        "CIRCUIT 1 0\nGPHASE\n",
+        "CIRCUIT 1 1\nMCPAULI 1 Z\n",
+        "CIRCUIT 1 0\nRX 0 0.5 0.7\n",
+        "CIRCUIT 1 0\nRX zero 0.5\n",
+        "CIRCUIT 1 0\nCIRCUIT 1 0\n",
+        "CIRCUIT 1 0\nSWAP 0 1\n",
+    ])
+    def test_malformed_text_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: every gate embedded with np.kron, the two-qubit channel
+# through its 16-Pauli Kraus form.  It shares no code with the simulators.
+# ---------------------------------------------------------------------------
+
+_I = np.eye(2, dtype=complex)
+_PAULIS = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+           np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]).astype(complex)]
+
+
+def kron_chain(ops, width):
+    """np.kron over qubits 0..w-1 (qubit 0 most significant); ops maps qubit -> 2x2."""
+    m = np.eye(1, dtype=complex)
+    for q in range(width):
+        m = np.kron(m, ops.get(q, _I))
+    return m
+
+
+def ref_local(gate):
+    if gate.kind == "RX":
+        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if gate.kind == "RZ":
+        return np.diag([np.exp(-1j * gate.angle / 2), np.exp(1j * gate.angle / 2)])
+    if gate.kind == "HAD":
+        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    if gate.kind == "RZZ":
+        return np.diag(np.exp(-1j * gate.angle / 2 * np.array([1, -1, -1, 1])))
+    if gate.kind == "CZ":
+        return np.diag([1, 1, 1, -1]).astype(complex)
+    raise AssertionError(gate.kind)
+
+
+def ref_gate_matrix(gate, circuit):
+    """Full-register matrix of one gate, built from Kronecker products only."""
+    w, a = circuit.width, circuit.n_ancilla
+    if gate.kind == "GPHASE":
+        return np.exp(1j * gate.angle) * np.eye(2**w)
+    if gate.kind == "APHASE":
+        zero = kron_chain({q: np.diag([1.0, 0.0]) for q in range(a)}, w)
+        return np.exp(1j * gate.angle) * zero + np.exp(-1j * gate.angle) * (np.eye(2**w) - zero)
+    if gate.kind == "MCPAULI":
+        proj = kron_chain({q: np.diag([1.0 - b, float(b)]) for q, b in enumerate(gate.pattern)}, a)
+        pauli = gate.sign * gate.pauli.to_matrix()
+        return np.kron(proj, pauli) + np.kron(np.eye(2**a) - proj, np.eye(2**circuit.n_system))
+    local = ref_local(gate)
+    if len(gate.qubits) == 1:
+        return kron_chain({gate.qubits[0]: local}, w)
+    q0, q1 = gate.qubits
+    out = np.zeros((2**w, 2**w), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            e0 = np.zeros((2, 2))
+            e0[i >> 1, j >> 1] = 1.0
+            e1 = np.zeros((2, 2))
+            e1[i & 1, j & 1] = 1.0
+            out += local[i, j] * kron_chain({q0: e0, q1: e1}, w)
+    return out
+
+
+def ref_depolarize(rho, q0, q1, p, width):
+    """(1-p) rho + (p/16) sum over the 16 pair Paulis P of P rho P."""
+    acc = (1.0 - p) * rho
+    for pa in _PAULIS:
+        for pb in _PAULIS:
+            m = kron_chain({q0: pa, q1: pb}, width)
+            acc = acc + (p / 16.0) * (m @ rho @ m.conj().T)
+    return acc
+
+
+def ref_unitary(circuit):
+    u = np.eye(2**circuit.width, dtype=complex)
+    for g in circuit.gates:
+        u = ref_gate_matrix(g, circuit) @ u
+    return u
+
+
+def ref_density(circuit, rho, noise):
+    per_gate = noise.mode == "per_gate_depolarizing"
+    for g in circuit.gates:
+        m = ref_gate_matrix(g, circuit)
+        rho = m @ rho @ m.conj().T
+        if per_gate and g.kind in ("RZZ", "CZ"):
+            rho = ref_depolarize(rho, g.qubits[0], g.qubits[1], noise.p_tq, circuit.width)
+    if noise.mode == "global_depolarizing":
+        n_tq = sum(g.kind in ("RZZ", "CZ") for g in circuit.gates)
+        p = 1.0 - (1.0 - noise.p_tq) ** n_tq
+        rho = (1.0 - p) * rho + p * np.eye(rho.shape[0]) / rho.shape[0]
+    return rho
+
+
+NOISES = [NoiseModel(), NoiseModel(0.07, "per_gate_depolarizing"), NoiseModel(0.03, "global_depolarizing")]
+
+
+def oracle_circuit(n_system, n_ancilla, n_gates, rng):
+    """A random native circuit with global phases mixed in."""
+    c = random_native_circuit(n_system, n_ancilla, n_gates, rng)
+    for _ in range(3):
+        c.gates.insert(int(rng.integers(len(c.gates) + 1)), gphase(rng.uniform(-np.pi, np.pi)))
+    return c
+
+
+def assert_matches_oracle(c, rng):
+    w = c.width
+    u = ref_unitary(c)
+    assert np.abs(circuit_unitary(c) - u).max() < 1e-12
+    psi = random_state(w, rng)
+    assert np.abs(apply_statevector(c, psi) - u @ psi).max() < 1e-12
+    batch = np.stack([random_state(w, rng) for _ in range(3)], axis=1)
+    assert np.abs(apply_statevector(c, batch) - u @ batch).max() < 1e-12
+    rho = random_density(w, rng)
+    structural = any(g.kind in ("MCPAULI", "APHASE") for g in c.gates)
+    for noise in NOISES[:1] if structural else NOISES:
+        out = apply_density(c, rho, noise)
+        assert np.abs(out - ref_density(c, rho, noise)).max() < 1e-12, noise
+
+
+class TestIndependentOracle:
+    @pytest.mark.parametrize("n_system,n_ancilla", [(2, 0), (1, 2), (3, 1), (2, 2)])
+    def test_random_native_circuits(self, n_system, n_ancilla):
+        rng = np.random.default_rng(100 + 10 * n_system + n_ancilla)
+        for _ in range(4):
+            assert_matches_oracle(oracle_circuit(n_system, n_ancilla, 30, rng), rng)
+
+    def test_width_two_pair_is_whole_register(self):
+        rng = np.random.default_rng(110)
+        c = Circuit(2).extend([rx(0, 0.3), rz(1, -0.8), cz(1, 0), had(0), rzz(0, 1, 1.3), rx(1, 2.1)])
+        assert_matches_oracle(c, rng)
+        rho = random_density(2, rng)
+        out = apply_density(Circuit(2).append(cz(0, 1)), rho, NoiseModel(1.0 - 1e-9, "per_gate_depolarizing"))
+        assert np.abs(out - np.eye(4) / 4.0).max() < 1e-8
+
+    def test_idle_qubit_runs_across_noisy_pairs(self):
+        # qubit 2 collects a run of single-qubit gates on either side of
+        # channels on (0, 1) before its own two-qubit gate
+        rng = np.random.default_rng(111)
+        c = Circuit(3).extend([
+            rx(2, 0.4), had(2), rz(2, -1.2), rzz(0, 1, 0.9), rx(2, 2.2), had(0),
+            cz(0, 1), rz(2, 0.3), rx(2, -0.6), rzz(1, 2, -0.4), had(2), rx(2, 1.7),
+        ])
+        assert_matches_oracle(c, rng)
+
+    def test_non_adjacent_pairs(self):
+        rng = np.random.default_rng(112)
+        c = Circuit(4).extend([
+            had(0), rx(3, 0.7), cz(3, 0), rz(0, 0.2), rzz(0, 2, 1.1), rx(1, -0.5),
+            rzz(3, 1, -0.9), had(2), cz(2, 0), rz(3, 1.4),
+        ])
+        assert_matches_oracle(c, rng)
+
+    def test_noiseless_structural_gates(self):
+        rng = np.random.default_rng(113)
+        for a in (1, 2):
+            c = oracle_circuit(2, a, 12, rng)
+            pattern = tuple(int(b) for b in rng.integers(0, 2, size=a))
+            c.gates.insert(4, mcpauli(pattern, PauliString("XY"), -1))
+            c.gates.insert(8, aphase(0.61))
+            c.append(mcpauli(pattern, PauliString("ZI"), 1))
+            assert_matches_oracle(c, rng)
+
+    def test_global_phase_is_kept(self):
+        c = Circuit(2).extend([had(0), gphase(0.9), rzz(0, 1, 0.4), gphase(-0.2)])
+        u = circuit_unitary(c)
+        assert np.abs(u - ref_unitary(c)).max() < 1e-12
+        assert abs(np.angle(u[0, 0] / ref_unitary(Circuit(2).extend(c.gates[::2]))[0, 0]) - 0.7) < 1e-12
+        psi = zero_state(2)
+        assert np.abs(apply_statevector(c, psi) - ref_unitary(c) @ psi).max() < 1e-12
+
+    def test_depolarize_pair_leaves_input_unchanged(self):
+        rng = np.random.default_rng(114)
+        for width, pair in ((2, (0, 1)), (3, (2, 0)), (4, (1, 3))):
+            rho = random_density(width, rng)
+            before = rho.copy()
+            out = depolarize_pair(rho, pair[0], pair[1], 0.3, width)
+            assert np.array_equal(rho, before)
+            assert np.abs(out - ref_depolarize(rho, pair[0], pair[1], 0.3, width)).max() < 1e-12

@@ -203,3 +203,22 @@ class TestLayerSweep:
         eps = [results[layer].epsilon_be for layer in range(1, 5)]
         for lo, hi in zip(eps[1:], eps[:-1]):
             assert lo <= hi + 1e-3
+
+
+class TestConfigValidation:
+    def test_negative_restarts_rejected(self):
+        with pytest.raises(ValueError):
+            OptimizerConfig(restarts=-1)
+
+    def test_max_iters_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            OptimizerConfig(max_iters=0)
+
+    def test_no_starting_point_raises(self):
+        with pytest.raises(ValueError):
+            optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=0))
+
+    def test_zero_restarts_with_warm_start(self):
+        theta0 = np.zeros(SMALL.n_parameters)
+        res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=0, max_iters=5), [theta0])
+        assert res is not None and res.restart_index == 0
