@@ -103,6 +103,10 @@ class Circuit:
     n_ancilla: int = 0
     gates: list[Gate] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.n_system < 0 or self.n_ancilla < 0:
+            raise ValueError(f"register sizes must be non-negative, got {self.n_system} and {self.n_ancilla}")
+
     @property
     def width(self) -> int:
         return self.n_system + self.n_ancilla

@@ -1,10 +1,6 @@
 """Shared exception types."""
 
 
-class ConfigError(Exception):
-    """Invalid manifest or configuration input."""
-
-
 class DimensionError(Exception):
     """Problem too large for the dense desk-scale backends."""
 
@@ -19,14 +15,6 @@ class DegenerateSpectrumError(NumericalError):
 
 class DecompositionRequiredError(Exception):
     """Operation needs a circuit decomposed into native gates."""
-
-
-class PostSelectionError(NumericalError):
-    """Ancilla post-selection probability is numerically zero."""
-
-
-class OverMitigationError(NumericalError):
-    """Depolarizing mitigation produced a non-positive denominator."""
 
 
 class OptimizationError(NumericalError):

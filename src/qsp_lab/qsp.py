@@ -10,11 +10,10 @@ reported error is the max deviation on a ten-times finer uniform grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.special
 
 
 @dataclass
@@ -26,7 +25,6 @@ class QSPPhases:
     t_tilde: float
     interval: tuple[float, float]
     epsilon_poly: float
-    converged: bool = True
 
     def __post_init__(self):
         if self.degree % 2 != 0 or self.degree < 0:
@@ -35,121 +33,54 @@ class QSPPhases:
             raise ValueError("phase count must equal the degree")
 
 
-@dataclass
-class ChebyshevSeries:
-    """Truncated Chebyshev expansion of exp(-i x t) with Bessel coefficients.
+def _signal(xs: np.ndarray) -> np.ndarray:
+    """W(x) stacked over a grid of signal values, shape (g, 2, 2)."""
+    s = np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
+    w = np.empty((len(xs), 2, 2), dtype=complex)
+    w[:, 0, 0], w[:, 0, 1] = xs, s
+    w[:, 1, 0], w[:, 1, 1] = s, -xs
+    return w
 
-    cosine_coeffs[k] multiplies T_{2k}(x) in cos(xt); sine_coeffs[k]
-    multiplies T_{2k+1}(x) in sin(xt); evaluation returns cos - i sin.
+
+def _prefix_products(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """P_j = prod_{k<j} S(phi_k) W(x) for j = 0..d, stacked over the grid of w.
+
+    Shape (d+1, g, 2, 2); P_d is the processed unitary and P_0 = I.
     """
-
-    cosine_coeffs: np.ndarray
-    sine_coeffs: np.ndarray
-    degree: int
-    time: float
-    grid_error: float = 0.0
-
-    def coefficient_vector(self) -> np.ndarray:
-        coeffs = np.zeros(self.degree + 1, dtype=complex)
-        for k, c in enumerate(self.cosine_coeffs):
-            if 2 * k <= self.degree:
-                coeffs[2 * k] += c
-        for k, s in enumerate(self.sine_coeffs):
-            if 2 * k + 1 <= self.degree:
-                coeffs[2 * k + 1] += -1j * s
-        return coeffs
-
-    def evaluate(self, x) -> np.ndarray:
-        return np.polynomial.chebyshev.chebval(x, self.coefficient_vector())
+    out = np.empty((len(phi) + 1,) + w.shape, dtype=complex)
+    out[0] = np.eye(2)
+    for k, p in enumerate(phi):
+        sp = np.array([np.exp(1j * p), np.exp(-1j * p)])
+        out[k + 1] = (out[k] * sp[None, None, :]) @ w
+    return out
 
 
 def qsp_scalar_unitary(x: float, phases: QSPPhases | np.ndarray) -> np.ndarray:
     """Product over k of S(phi_k) W(x); f(x) is the [0, 0] entry."""
     phi = phases.phases if isinstance(phases, QSPPhases) else np.asarray(phases)
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError("signal value must lie in [-1, 1]")
+    if not abs(x) <= 1.0 + 1e-12:
+        raise ValueError("signal value must be a finite number in [-1, 1]")
     xc = float(np.clip(x, -1.0, 1.0))
-    s = np.sqrt(max(1.0 - xc * xc, 0.0))
-    w = np.array([[xc, s], [s, -xc]], dtype=complex)
-    u = np.eye(2, dtype=complex)
-    for p in phi:
-        u = u @ np.diag([np.exp(1j * p), np.exp(-1j * p)]) @ w
-    return u
+    return _prefix_products(phi, _signal(np.array([xc])))[-1, 0]
 
 
 def _f_values(phi: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Vectorized f(x) over a grid."""
-    g = len(xs)
-    s = np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
-    w = np.empty((g, 2, 2), dtype=complex)
-    w[:, 0, 0], w[:, 0, 1] = xs, s
-    w[:, 1, 0], w[:, 1, 1] = s, -xs
-    u = np.broadcast_to(np.eye(2, dtype=complex), (g, 2, 2)).copy()
-    for p in phi:
-        sp = np.array([np.exp(1j * p), np.exp(-1j * p)])
-        u = (u * sp[None, None, :]) @ w
-    return u[:, 0, 0]
+    return _prefix_products(phi, _signal(xs))[-1, :, 0, 0]
 
 
 def _f_and_jacobian(phi: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(x) and df/dphi_k over the grid via prefix/suffix 2x2 products."""
-    g, d = len(xs), len(phi)
-    s = np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
-    w = np.empty((g, 2, 2), dtype=complex)
-    w[:, 0, 0], w[:, 0, 1] = xs, s
-    w[:, 1, 0], w[:, 1, 1] = s, -xs
-    m = np.empty((d, g, 2, 2), dtype=complex)
-    for k, p in enumerate(phi):
-        sp = np.array([np.exp(1j * p), np.exp(-1j * p)])
-        m[k] = sp[None, :, None] * w
-    prefix = np.empty((d + 1, g, 2, 2), dtype=complex)
-    prefix[0] = np.eye(2)
-    for k in range(d):
-        prefix[k + 1] = prefix[k] @ m[k]
-    suffix = np.empty((d + 1, g, 2, 2), dtype=complex)
-    suffix[d] = np.eye(2)
-    for k in range(d - 1, -1, -1):
-        suffix[k] = m[k] @ suffix[k + 1]
-    f = prefix[d][:, 0, 0]
-    jac = np.empty((g, d), dtype=complex)
-    zdiag = np.array([1j, -1j])
-    for k in range(d):
-        dm = zdiag[None, :, None] * m[k]
-        jac[:, k] = (prefix[k] @ dm @ suffix[k + 1])[:, 0, 0]
-    return f, jac
+    """f(x) and df/dphi_k over the grid.
 
-
-def jacobi_anger(t: float, epsilon: float) -> ChebyshevSeries:
-    """Minimal-degree truncation with tail bound <= epsilon, grid-verified."""
-    if t < 0 or epsilon <= 0:
-        raise ValueError("need t >= 0 and epsilon > 0")
-    cap = max(24, int(np.ceil(1.5 * t + 50)))
-    orders = np.arange(cap + 1)
-    bessel = scipy.special.jv(orders, t)
-    tails = 2.0 * np.abs(bessel)
-    tails[0] = 0.0  # J_0 is never in the tail
-    suffix_tail = np.cumsum(tails[::-1])[::-1]
-    degree = cap
-    for d in range(cap + 1):
-        tail = suffix_tail[d + 1] if d + 1 <= cap else 0.0
-        if tail <= epsilon:
-            degree = d
-            break
-    cos_coeffs = [bessel[0]]
-    for k in range(1, degree // 2 + 1):
-        cos_coeffs.append(2.0 * (-1) ** k * bessel[2 * k])
-    sin_coeffs = []
-    for k in range((degree + 1) // 2):
-        sin_coeffs.append(2.0 * (-1) ** k * bessel[2 * k + 1])
-    series = ChebyshevSeries(
-        cosine_coeffs=np.array(cos_coeffs),
-        sine_coeffs=np.array(sin_coeffs),
-        degree=degree,
-        time=t,
-    )
-    xs = np.linspace(-1.0, 1.0, 10001)
-    series.grid_error = float(np.max(np.abs(series.evaluate(xs) - np.exp(-1j * xs * t))))
-    return series
+    dS(phi)/dphi = iZ S(phi), and the product after step k is P_{k+1}^dag P_d
+    (the factors are unitary), so df/dphi_k = [P_k iZ P_k^dag P_d]_00.
+    """
+    pre = _prefix_products(phi, _signal(xs))
+    top = pre[:-1, :, 0, :]  # (d, g, 2): row 0 of each P_k
+    zrow = top * np.array([1j, -1j])  # row 0 of P_k iZ
+    last = pre[-1, :, :, 0]  # (g, 2): column 0 of P_d
+    jac = np.einsum("kgc,kgbc,gb->gk", zrow, pre[:-1].conj(), last)
+    return pre[-1, :, 0, 0], jac
 
 
 def _chebyshev_nodes(a: float, b: float, m: int) -> np.ndarray:
@@ -179,6 +110,8 @@ def optimize_phases(
     uniform grid.  Best candidate wins by (epsilon, phase norm).
     """
     a, b = interval
+    if not np.isfinite(t_tilde):
+        raise ValueError("t_tilde must be finite")
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("interval must satisfy 0 <= a < b <= 1")
     if d % 2 != 0 or d < 0:
@@ -240,8 +173,7 @@ def validate_qsp_polynomial(phases: QSPPhases, n_points: int = 1000) -> dict:
     phi = phases.phases
     f_pos = _f_values(phi, xs)
     f_neg = _f_values(phi, -xs)
-    parity_sign = 1.0 if phases.degree % 2 == 0 else -1.0
-    parity_err = float(np.max(np.abs(f_neg - parity_sign * f_pos)))
+    parity_err = float(np.max(np.abs(f_neg - f_pos)))
     xs_full = np.linspace(-1.0, 1.0, n_points)
     max_abs = float(np.max(np.abs(_f_values(phi, xs_full))))
     return {
@@ -252,25 +184,3 @@ def validate_qsp_polynomial(phases: QSPPhases, n_points: int = 1000) -> dict:
         "bounded_ok": max_abs <= 1.0 + 1e-9,
         "epsilon_poly": phases.epsilon_poly,
     }
-
-
-@dataclass
-class PhaseSolver:
-    """Caches phase solutions per (degree, time) cell of a sweep grid."""
-
-    interval: tuple[float, float] = (0.0, 1.0)
-    grid_size: int | None = None
-    seed: int = 0
-    restarts: int = 6
-    _cache: dict = field(default_factory=dict)
-
-    def solve(self, d: int, t_tilde: float) -> QSPPhases:
-        key = (d, float(t_tilde), self.interval, self.grid_size, self.seed)
-        if key not in self._cache:
-            self._cache[key] = optimize_phases(
-                d, t_tilde, self.interval, self.grid_size, self.seed, self.restarts
-            )
-        return self._cache[key]
-
-    def epsilon_poly(self, d: int, t_tilde: float) -> float:
-        return self.solve(d, t_tilde).epsilon_poly

@@ -8,10 +8,19 @@ and each application of W contains (a+n-1)(2L+1) two-qubit gates.
 
 The cost of encoding a target H is F(theta) = ||Wblk||_F^2
 - 2 Re Tr(H Wblk) with Wblk the ancilla-zero block, so that
-epsilon_BE^2 = F(theta) + Tr(H^2).  Gradients and Hessians are exact
-(generator-insertion rule); optimizers: BFGS (default), gradient
-descent with backtracking, and Newton with an eigenvalue-cutoff
-pseudo-inverse.
+epsilon_BE^2 = F(theta) + Tr(H^2).
+
+Every parameter is the angle of one gate exp(-i theta_j g_j / 2) of V,
+with generator g_j = X, Z or ZZ.  Derivatives are exact: the gradient is
+one adjoint sweep over the gates; the Hessian is closed form in
+A_j = P_j^dag g_j P_j (P_j the gates before j), since
+dV_j = -i/2 V A_j and d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k),
+lo = min(j, k)), so dW_j = -i/2 V [A_j, Z] V^dag and
+d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag
+with Z the CZ-ladder diagonal.  The gate matrices come from the circuit
+module's gate table and are applied with its one apply kernel.
+Optimizers: BFGS (default), gradient descent with backtracking, and
+Newton with an eigenvalue-cutoff pseudo-inverse.
 """
 from __future__ import annotations
 
@@ -20,14 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import Circuit, _tensor_apply, cz, rx, rz, rzz
+from .circuits import Circuit, Gate, _gate_local, _tensor_apply, cz, rx, rz, rzz
 from .errors import OptimizationError
 from .lcu import BlockEncoding
 from .operators import PauliSum, to_matrix
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -81,20 +86,19 @@ class OptimizeResult:
     restart_index: int = 0
 
 
-def _v_gate_sequence(spec: AnsatzSpec, theta: np.ndarray):
-    """Yield (kind, qubits, angle) for V(theta) in application order."""
+def _v_gate_sequence(spec: AnsatzSpec, theta: np.ndarray) -> list[Gate]:
+    """The gates of V(theta) in application order, one per parameter."""
     w = spec.width
     if len(theta) != spec.n_parameters:
         raise ValueError(f"expected {spec.n_parameters} parameters, got {len(theta)}")
     it = iter(theta)
+    gates: list[Gate] = []
     for layer in range(spec.layers + 1):
         for q in range(w):
-            yield ("RX", (q,), next(it))
-            yield ("RZ", (q,), next(it))
-            yield ("RX", (q,), next(it))
+            gates += [rx(q, next(it)), rz(q, next(it)), rx(q, next(it))]
         if layer < spec.layers:
-            for q in range(w - 1):
-                yield ("RZZ", (q, q + 1), next(it))
+            gates += [rzz(q, q + 1, next(it)) for q in range(w - 1)]
+    return gates
 
 
 def build_ansatz(n: int, a: int, layers: int, theta: np.ndarray) -> Circuit:
@@ -103,13 +107,9 @@ def build_ansatz(n: int, a: int, layers: int, theta: np.ndarray) -> Circuit:
     As a circuit this applies V^dag first, then the CZ ladder, then V.
     """
     spec = AnsatzSpec(n, a, layers)
-    v = Circuit(n, a)
-    for kind, qs, angle in _v_gate_sequence(spec, np.asarray(theta, dtype=float)):
-        v.append(rx(qs[0], angle) if kind == "RX" else rz(qs[0], angle) if kind == "RZ"
-                 else rzz(qs[0], qs[1], angle))
+    v = Circuit(n, a).extend(_v_gate_sequence(spec, np.asarray(theta, dtype=float)))
     circuit = v.inverse()
-    for q in range(spec.width - 1):
-        circuit.append(cz(q, q + 1))
+    circuit.extend(cz(q, q + 1) for q in range(spec.width - 1))
     circuit.extend(v.gates)
     return circuit
 
@@ -118,60 +118,55 @@ def build_ansatz(n: int, a: int, layers: int, theta: np.ndarray) -> Circuit:
 # Dense evaluation of W, its block, and parameter derivatives
 # ---------------------------------------------------------------------------
 
-def _local_unitary(kind: str, angle: float) -> np.ndarray:
-    if kind == "RX":
-        c, s = np.cos(angle / 2), np.sin(angle / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "RZ":
-        return np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
-    e = np.exp(1j * angle / 2)
-    return np.diag([e.conjugate(), e, e, e.conjugate()])
-
-
-def _embed(local: np.ndarray, qs: tuple[int, ...], width: int) -> np.ndarray:
-    """Dense full-register embedding of a local operator."""
-    k = len(qs)
-    dim = 2**width
-    m = local.reshape([2] * (2 * k))
-    eye = np.eye(dim, dtype=complex).reshape([2] * width + [dim])
-    out = np.tensordot(m, eye, axes=(list(range(k, 2 * k)), list(qs)))
-    out = np.moveaxis(out, list(range(k)), list(qs))
-    return out.reshape(dim, dim)
-
-
-_GENERATORS = {"RX": _X, "RZ": _Z, "RZZ": _ZZ}
+_GENERATORS = {
+    "RX": np.array([[0, 1], [1, 0]], dtype=complex),
+    "RZ": np.diag([1.0, -1.0]).astype(complex),
+    "RZZ": np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex),
+}
 
 
 def _czbar_diagonal(width: int) -> np.ndarray:
-    """Diagonal of the nearest-neighbour CZ ladder."""
-    d = np.ones(2**width)
-    for x in range(2**width):
-        bits = [(x >> (width - 1 - q)) & 1 for q in range(width)]
-        for q in range(width - 1):
-            if bits[q] and bits[q + 1]:
-                d[x] = -d[x]
-    return d
+    """Diagonal of the nearest-neighbour CZ ladder: -1 to the number of
+    adjacent pairs of set bits in the basis index."""
+    x = np.arange(2**width)
+    return 1.0 - 2.0 * (np.bitwise_count(x & (x >> 1)) % 2)
+
+
+def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr(X_j Y_k) for every pair of matrices in two (m, D, D) stacks."""
+    m = len(x)
+    return x.reshape(m, -1) @ y.transpose(0, 2, 1).reshape(m, -1).T
 
 
 class _AnsatzCache:
-    """V(theta), the reflection W, and what the adjoint sweep needs."""
+    """V(theta), the reflection W, and what the derivatives need."""
 
     def __init__(self, spec: AnsatzSpec, theta: np.ndarray):
         self.spec = spec
-        self.width = spec.width
-        self.dim = 2**self.width
-        self.gate_info = list(_v_gate_sequence(spec, theta))
-        self.locals = [_local_unitary(kind, angle) for kind, _, angle in self.gate_info]
+        self.dim = 2**spec.width
+        v_circuit = Circuit(spec.n, spec.a, _v_gate_sequence(spec, theta))
+        self.gates = v_circuit.gates
+        self.locals = [_gate_local(g, v_circuit)[0] for g in self.gates]
         v = np.eye(self.dim, dtype=complex)
-        for (kind, qs, _), loc in zip(self.gate_info, self.locals):
-            v = _tensor_apply(v, loc, qs)
+        for g, loc in zip(self.gates, self.locals):
+            v = _tensor_apply(v, loc, g.qubits)
         self.v = v
-        self.cz_diag = _czbar_diagonal(self.width)
+        self.cz_diag = _czbar_diagonal(spec.width)
         self.w = self.v @ (self.cz_diag[:, None] * self.v.conj().T)
 
     def block(self) -> np.ndarray:
         dn = 2**self.spec.n
         return self.w[:dn, :dn]
+
+    def conjugated_generators(self) -> np.ndarray:
+        """A_j = P_j^dag g_j P_j stacked over the gates, with g_j the
+        generator of gate j and P_j the product of the gates before it."""
+        a = np.empty((len(self.gates), self.dim, self.dim), dtype=complex)
+        p = np.eye(self.dim, dtype=complex)
+        for j, (g, loc) in enumerate(zip(self.gates, self.locals)):
+            a[j] = p.conj().T @ _tensor_apply(p, _GENERATORS[g.kind], g.qubits)
+            p = _tensor_apply(p, loc, g.qubits)
+        return a
 
 
 def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
@@ -208,14 +203,11 @@ def _cost_grad_cached(cache: _AnsatzCache, h: np.ndarray) -> tuple[float, np.nda
     ksym[:dn, :dn] = blk + blk.conj().T - 2.0 * h
     n_mat = cache.cz_diag[:, None] * (cache.v.conj().T @ ksym)
     q = n_mat @ cache.v
-    m = len(cache.gate_info)
-    grad = np.empty(m)
-    for j in range(m):
-        kind, qs, _ = cache.gate_info[j]
-        loc = cache.locals[j]
-        q = _tensor_apply(q, loc, qs)
-        q = _tensor_apply(q.conj().T, loc, qs).conj().T  # right-multiply by loc^dag
-        traced = np.trace(_tensor_apply(q, _GENERATORS[kind], qs))
+    grad = np.empty(len(cache.gates))
+    for j, (g, loc) in enumerate(zip(cache.gates, cache.locals)):
+        q = _tensor_apply(q, loc, g.qubits)
+        q = _tensor_apply(q.conj().T, loc, g.qubits).conj().T  # right-multiply by loc^dag
+        traced = np.trace(_tensor_apply(q, _GENERATORS[g.kind], g.qubits))
         grad[j] = float(np.imag(traced))
     return f, grad
 
@@ -230,77 +222,35 @@ def gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec
     return cost_and_gradient(theta, h_tilde, spec)[1]
 
 
-class _AnsatzDenseFull:
-    """Prefix/suffix products for second derivatives (small instances)."""
-
-    def __init__(self, spec: AnsatzSpec, theta: np.ndarray):
-        self.spec = spec
-        self.width = spec.width
-        dim = 2**self.width
-        self.gate_info = list(_v_gate_sequence(spec, theta))
-        self.gate_mats = [
-            _embed(_local_unitary(kind, angle), qs, self.width)
-            for kind, qs, angle in self.gate_info
-        ]
-        self.czbar = np.diag(_czbar_diagonal(self.width)).astype(complex)
-        m = len(self.gate_mats)
-        self.prefix = [np.eye(dim, dtype=complex)]
-        for j in range(m):
-            self.prefix.append(self.gate_mats[j] @ self.prefix[j])
-        self.suffix = [None] * (m + 1)
-        self.suffix[m] = np.eye(dim, dtype=complex)
-        for j in range(m - 1, -1, -1):
-            self.suffix[j] = self.suffix[j + 1] @ self.gate_mats[j]
-        self.v = self.prefix[m]
-        self.w = self.v @ self.czbar @ self.v.conj().T
-
-    def dv(self, j: int) -> np.ndarray:
-        kind, qs, _ = self.gate_info[j]
-        gen = _embed(_GENERATORS[kind], qs, self.width)
-        return self.suffix[j + 1] @ ((-0.5j) * gen @ self.prefix[j + 1])
-
-    def d2v(self, j: int, k: int) -> np.ndarray:
-        if j == k:
-            kind, qs, _ = self.gate_info[j]
-            gen = _embed(_GENERATORS[kind], qs, self.width)
-            return self.suffix[j + 1] @ ((-0.25) * (gen @ gen) @ self.prefix[j + 1])
-        lo, hi = (j, k) if j < k else (k, j)
-        kind_lo, qs_lo, _ = self.gate_info[lo]
-        kind_hi, qs_hi, _ = self.gate_info[hi]
-        gen_lo = _embed(_GENERATORS[kind_lo], qs_lo, self.width)
-        gen_hi = _embed(_GENERATORS[kind_hi], qs_hi, self.width)
-        mid = self.prefix[hi + 1] @ self.prefix[lo + 1].conj().T  # unitary inverse
-        return self.suffix[hi + 1] @ ((-0.5j) * gen_hi) @ mid @ ((-0.5j) * gen_lo) @ self.prefix[lo + 1]
-
-
 def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """Exact Hessian: second-insertion term, first-order cross term, and
-    the target coupling, mirroring the gradient's trace structure."""
+    """Exact Hessian of F in closed form.
+
+    dW_j and d2W_jk are the module docstring's, in the stacked
+    A_j = P_j^dag g_j P_j of _AnsatzCache.conjugated_generators.  With U
+    the top rows of V (so Wblk = U Z U^dag), E_j = U [A_j, Z] U^dag and
+    M = U^dag (Wblk - H) U,
+
+        d2F_jk = 2 Re <dWblk_j, dWblk_k> + 2 Re Tr[(Wblk - H) d2Wblk_jk]
+               = 1/2 Re Tr(E_j^dag E_k) + Re Tr(M A_j Z A_k) - Re Tr(Z M A_hi A_lo),
+
+    each an m x m matrix of pair traces over the stacked A.  The lower
+    triangle (j >= k, so hi = j) is kept and mirrored, which makes the
+    result exactly symmetric.
+    """
     h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
-    dense = _AnsatzDenseFull(spec, np.asarray(theta, dtype=float))
-    dn = h.shape[0]
-    blk = dense.w[:dn, :dn]
-    m = len(dense.gate_mats)
-    cv = dense.czbar @ dense.v.conj().T
-    dvs = [dense.dv(j) for j in range(m)]
-    dblks = []
-    for j in range(m):
-        dwj = dvs[j] @ cv + (dvs[j] @ cv).conj().T
-        dblks.append(dwj[:dn, :dn])
-    hess = np.empty((m, m))
-    for j in range(m):
-        for k in range(j, m):
-            d2v = dense.d2v(j, k)
-            term = d2v @ cv + dvs[j] @ dense.czbar @ dvs[k].conj().T
-            d2w = term + term.conj().T
-            d2blk = d2w[:dn, :dn]
-            val = (
-                2.0 * np.real(np.einsum("ij,ij->", blk.conj(), d2blk))
-                + 2.0 * np.real(np.einsum("ij,ij->", dblks[j].conj(), dblks[k]))
-                - 2.0 * np.real(np.einsum("ij,ji->", h, d2blk))
-            )
-            hess[j, k] = hess[k, j] = val
-    return hess
+    cache = _AnsatzCache(spec, np.asarray(theta, dtype=float))
+    a = cache.conjugated_generators()
+    z = cache.cz_diag
+    u = cache.v[: h.shape[0]]
+    m_mat = u.conj().T @ (cache.block() - h) @ u
+    e = (u @ (a * (z[None, :] - z[:, None])) @ u.conj().T).reshape(len(a), -1)
+    ma = m_mat @ a
+    hess = (
+        0.5 * np.real(e.conj() @ e.T)
+        + np.real(_pair_traces(ma, z[:, None] * a))
+        - np.real(_pair_traces(z[:, None] * ma, a))
+    )
+    return np.tril(hess) + np.tril(hess, -1).T
 
 
 # ---------------------------------------------------------------------------

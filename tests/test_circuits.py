@@ -394,6 +394,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_text(text)
 
+    def test_negative_register_size_rejected(self):
+        for build in (lambda: Circuit(-1), lambda: Circuit(1, -1),
+                      lambda: from_text("CIRCUIT -1 0\n"), lambda: from_text("CIRCUIT 1 -2\n")):
+            with pytest.raises(ValueError):
+                build()
+
 
 # ---------------------------------------------------------------------------
 # Independent oracle: every gate embedded with np.kron, the two-qubit channel

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -46,3 +47,29 @@ def test_optimized_phases_pass_validation():
     assert report["parity_ok"]
     assert report["bounded_ok"]
     assert phases.degree == 2 and len(phases.phases) == 2
+
+
+even_phase_vectors = st.integers(0, 5).flatmap(
+    lambda half: arrays(np.float64, 2 * half, elements=st.floats(-np.pi, np.pi))
+)
+
+
+@FEW
+@given(phi=even_phase_vectors, xs=arrays(np.float64, 7, elements=st.floats(-1.0, 1.0)))
+def test_even_protocol_properties(phi, xs):
+    f = _f_values(phi, xs)
+    assert np.allclose(_f_values(phi, -xs), f, atol=1e-12)  # parity
+    assert np.all(np.abs(f) <= 1.0 + 1e-12)
+    assert np.allclose(np.abs(_f_values(phi, np.array([-1.0, 1.0]))), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_scalar_unitary_rejects_non_finite_signal(x):
+    with pytest.raises(ValueError):
+        qsp_scalar_unitary(x, np.zeros(2))
+
+
+@pytest.mark.parametrize("d, t", [(0, np.nan), (2, np.inf), (2, -np.inf)])
+def test_optimize_phases_rejects_non_finite_time(d, t):
+    with pytest.raises(ValueError):
+        optimize_phases(d, t)

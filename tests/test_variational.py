@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from qsp_lab.circuits import circuit_unitary, count_two_qubit_gates
+from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, cz
 from qsp_lab.lcu import encoded_block
 from qsp_lab.operators import build_ising_chain, rescale, to_matrix, triangle_bounds
 from qsp_lab.variational import (
     AnsatzSpec,
     OptimizerConfig,
+    _czbar_diagonal,
     ansatz_block,
     build_ansatz,
     cost,
@@ -222,3 +223,35 @@ class TestConfigValidation:
         theta0 = np.zeros(SMALL.n_parameters)
         res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=0, max_iters=5), [theta0])
         assert res is not None and res.restart_index == 0
+
+
+def shift_rule_hessian(theta, h, spec):
+    """Independent Hessian oracle: each gradient entry is a trig polynomial of
+    frequency <= 2 in every angle, so the four-point shift rule with shifts
+    (2mu-1)pi/4 differentiates it exactly."""
+    shifts = (2 * np.arange(1, 5) - 1) * np.pi / 4
+    coeffs = (-1.0) ** np.arange(4) / (8 * np.sin(shifts / 2) ** 2)
+    out = np.zeros((spec.n_parameters, spec.n_parameters))
+    for k in range(spec.n_parameters):
+        for s, c in zip(shifts, coeffs):
+            step = np.zeros(spec.n_parameters)
+            step[k] = s
+            out[:, k] += c * gradient(theta + step, h, spec)
+    return out
+
+
+class TestHessianOracle:
+    @pytest.mark.parametrize("n, a, layers", [(2, 1, 1), (3, 2, 1)])
+    def test_matches_shift_rule(self, n, a, layers):
+        spec = AnsatzSpec(n, a, layers)
+        h = to_matrix(ising3_rescaled()) if n == 3 else to_matrix(build_ising_chain(2, 0.3, [0.2, -0.1], 0.15))
+        theta = np.random.default_rng(30 + n).uniform(-np.pi, np.pi, spec.n_parameters)
+        hm = hessian(theta, h, spec)
+        assert np.array_equal(hm, hm.T)
+        assert np.abs(hm - shift_rule_hessian(theta, h, spec)).max() < 1e-10
+
+
+def test_czbar_diagonal_matches_cz_ladder():
+    for width in range(1, 6):
+        ladder = Circuit(width).extend(cz(q, q + 1) for q in range(width - 1))
+        assert np.array_equal(_czbar_diagonal(width), np.diag(circuit_unitary(ladder)).real)
