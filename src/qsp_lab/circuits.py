@@ -37,6 +37,7 @@ from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("MCPAULI", "APHASE")
+_KINDS = frozenset(NATIVE_KINDS + STRUCTURAL_KINDS)
 
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -53,7 +54,7 @@ class Gate:
     sign: int = 1
 
     def __post_init__(self):
-        if self.kind not in NATIVE_KINDS + STRUCTURAL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
@@ -338,6 +339,10 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
 
     Returns a new array; rho is left unchanged.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if q0 == q1 or not (0 <= q0 < width and 0 <= q1 < width):
+        raise ValueError(f"qubits ({q0}, {q1}) are not a distinct pair of a width-{width} register")
     if p == 0.0:
         return rho
     out = rho.astype(complex)
@@ -574,6 +579,8 @@ def sample_pauli_measurement(
         probs[b, 0] = (tr + ev) / 2.0  # outcome +1
         probs[b, 1] = (tr - ev) / 2.0  # outcome -1
     flat = np.clip(probs.reshape(-1), 0.0, None)
+    if not flat.sum() > 0.0:
+        raise ValueError("density matrix has no positive probability to sample")
     flat = flat / flat.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, flat)

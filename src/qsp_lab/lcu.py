@@ -71,9 +71,6 @@ class BlockEncoding:
     def block(self) -> np.ndarray:
         return encoded_block(self.circuit)
 
-    def n_two_qubit(self) -> int:
-        return cir.count_two_qubit_gates(cir.decompose(self.circuit))
-
 
 def encoded_block(circuit: Circuit) -> np.ndarray:
     """(<0^a| x I) U (|0^a> x I) as a dense matrix."""
@@ -355,14 +352,14 @@ def prep_gates(plan: LCUPlan, ancillas: tuple[int, ...]) -> list[Gate]:
     return gates
 
 
-def build_lcu_circuit(plan: LCUPlan, compiled: bool = True) -> BlockEncoding:
+def build_lcu_circuit(plan: LCUPlan) -> BlockEncoding:
     """Assemble W = A_dag B A and verify its block against the plan's target.
 
     The ancilla-zero block equals the plan's Pauli sum divided by the
     one-norm c; scale records that divisor when it is not 1.
     """
     n, a = plan.n_system, plan.a
-    select = multiplexor_compile(plan) if compiled else naive_select_circuit(plan)
+    select = multiplexor_compile(plan)
     circuit = Circuit(n, a)
     prep = prep_gates(plan, circuit.ancilla_qubits)
     prep_circuit = Circuit(n, a, list(prep))

@@ -233,10 +233,5 @@ def to_matrix(h: PauliSum) -> np.ndarray:
 
 def exact_propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition; ground truth everywhere."""
-    return matrix_propagator(to_matrix(h), t)
-
-
-def matrix_propagator(hmat: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i A t) for Hermitian A."""
-    eigvals, eigvecs = np.linalg.eigh(hmat)
+    eigvals, eigvecs = np.linalg.eigh(to_matrix(h))
     return (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T

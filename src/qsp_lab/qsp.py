@@ -15,6 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+# optimize_phases fits on _GRID_PER_DEGREE * (d + 1) Chebyshev nodes from
+# _RESTARTS starts (zero phases, then seeded random ones), each polished by
+# up to _LAWSON_ROUNDS Lawson reweightings
+_GRID_PER_DEGREE = 4
+_RESTARTS = 6
+_RESTART_SEED = 0
+_LAWSON_ROUNDS = 8
+
 
 @dataclass
 class QSPPhases:
@@ -97,10 +105,6 @@ def optimize_phases(
     d: int,
     t_tilde: float,
     interval: tuple[float, float] = (0.0, 1.0),
-    grid_size: int | None = None,
-    seed: int = 0,
-    restarts: int = 6,
-    lawson_rounds: int = 8,
 ) -> QSPPhases:
     """Fit phase factors to exp(-i x t_tilde) on [a, b].
 
@@ -116,14 +120,14 @@ def optimize_phases(
         raise ValueError("interval must satisfy 0 <= a < b <= 1")
     if d % 2 != 0 or d < 0:
         raise ValueError("degree must be a nonnegative even integer")
-    m = grid_size or 4 * (d + 1)
+    m = _GRID_PER_DEGREE * (d + 1)
     n_validate = 10 * m
     if d == 0:
         eps = _max_error(np.zeros(0), t_tilde, a, b, n_validate)
         return QSPPhases(np.zeros(0), 0, t_tilde, (a, b), eps)
     xs = _chebyshev_nodes(a, b, m)
     target = np.exp(-1j * xs * t_tilde)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RESTART_SEED)
 
     def solve(phi0: np.ndarray, weights: np.ndarray) -> np.ndarray:
         sw = np.sqrt(weights)
@@ -142,7 +146,7 @@ def optimize_phases(
         return res.x
 
     starts = [np.zeros(d)]
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(_RESTARTS - 1):
         starts.append(rng.uniform(-0.3, 0.3, size=d))
     best_phi, best_eps = None, np.inf
     for phi0 in starts:
@@ -154,7 +158,7 @@ def optimize_phases(
         ):
             best_phi, best_eps = phi, eps
         # Lawson polish: push the residual profile toward equioscillation
-        for _ in range(lawson_rounds):
+        for _ in range(_LAWSON_ROUNDS):
             r = np.abs(_f_values(phi, xs) - target)
             if r.max() <= 1e-15:
                 break

@@ -11,14 +11,18 @@ The cost of encoding a target H is F(theta) = ||Wblk||_F^2
 epsilon_BE^2 = F(theta) + Tr(H^2).
 
 Every parameter is the angle of one gate exp(-i theta_j g_j / 2) of V,
-with generator g_j = X, Z or ZZ.  Derivatives are exact: the gradient is
-one adjoint sweep over the gates; the Hessian is closed form in
-A_j = P_j^dag g_j P_j (P_j the gates before j), since
-dV_j = -i/2 V A_j and d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k),
-lo = min(j, k)), so dW_j = -i/2 V [A_j, Z] V^dag and
-d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag
-with Z the CZ-ladder diagonal.  The gate matrices come from the circuit
-module's gate table and are applied with its one apply kernel.
+with generator g_j = X, Z or ZZ.  Derivatives are exact and come from
+one walk over V's gates (matrices from the circuit module's gate table,
+applied with its one apply kernel) that builds the prefixes P_j, the
+gates before j, and the stack A_j = P_j^dag g_j P_j; V is the last
+prefix.  With Z the CZ-ladder diagonal, dV_j = -i/2 V A_j and
+d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k), lo = min(j, k)), so
+dW_j = -i/2 V [A_j, Z] V^dag and
+d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag.
+The gradient is one contraction against the stack,
+dF/dtheta_j = Im Tr[N V A_j] with N = Z V^dag (K + K^dag) and
+K = Wblk^dag - H on the ancilla-zero block; the Hessian is pair traces
+over it.  The stack holds m * 4^w complex numbers (m parameters, width w).
 Optimizers: BFGS (default), gradient descent with backtracking, and
 Newton with an eigenvalue-cutoff pseudo-inverse.
 """
@@ -55,20 +59,22 @@ class AnsatzSpec:
         return (self.width - 1) * (2 * self.layers + 1)
 
 
+_GRAD_NORM_THRESHOLD = 1e-5  # converged below this gradient norm
+_HESSIAN_EIGEN_CUTOFF = 1e-5  # Newton inverts only curvature at or above this
+_INIT_SCALE = 0.1  # half-width of the uniform draw of a random restart
+
+
 @dataclass
 class OptimizerConfig:
     method: str = "bfgs"  # bfgs | gradient_descent | newton
     learning_rate: float = 0.05
-    grad_norm_threshold: float = 1e-5
-    hessian_eigen_cutoff: float = 1e-5
     max_iters: int = 2000
     init_seed: int = 0
     restarts: int = 10
-    init_scale: float = 0.1
 
     def __post_init__(self):
-        if min(self.learning_rate, self.grad_norm_threshold, self.hessian_eigen_cutoff) <= 0:
-            raise ValueError("optimizer thresholds must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.method not in ("bfgs", "gradient_descent", "newton"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
         if self.restarts < 0:
@@ -139,45 +145,31 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _AnsatzCache:
-    """V(theta), the reflection W, and what the derivatives need."""
+    """One walk over V's gates: the stack A_j = P_j^dag g_j P_j (P_j the
+    gates before j), V as the last prefix, its top rows U and the block of
+    W.  The stack holds m * 4^w complex numbers: 1.2 MB at
+    (n, a, L) = (3, 2, 3), about 120 MB at width 8 with L = 3."""
 
     def __init__(self, spec: AnsatzSpec, theta: np.ndarray):
-        self.spec = spec
-        self.dim = 2**spec.width
+        dim, dn = 2**spec.width, 2**spec.n
         v_circuit = Circuit(spec.n, spec.a, _v_gate_sequence(spec, theta))
-        self.gates = v_circuit.gates
-        self.locals = [_gate_local(g, v_circuit)[0] for g in self.gates]
-        v = np.eye(self.dim, dtype=complex)
-        for g, loc in zip(self.gates, self.locals):
-            v = _tensor_apply(v, loc, g.qubits)
-        self.v = v
-        self.cz_diag = _czbar_diagonal(spec.width)
-        self.w = self.v @ (self.cz_diag[:, None] * self.v.conj().T)
-
-    def block(self) -> np.ndarray:
-        dn = 2**self.spec.n
-        return self.w[:dn, :dn]
-
-    def conjugated_generators(self) -> np.ndarray:
-        """A_j = P_j^dag g_j P_j stacked over the gates, with g_j the
-        generator of gate j and P_j the product of the gates before it."""
-        a = np.empty((len(self.gates), self.dim, self.dim), dtype=complex)
-        p = np.eye(self.dim, dtype=complex)
-        for j, (g, loc) in enumerate(zip(self.gates, self.locals)):
-            a[j] = p.conj().T @ _tensor_apply(p, _GENERATORS[g.kind], g.qubits)
-            p = _tensor_apply(p, loc, g.qubits)
-        return a
+        self.a = np.empty((len(v_circuit.gates), dim, dim), dtype=complex)
+        v = np.eye(dim, dtype=complex)
+        for j, g in enumerate(v_circuit.gates):
+            self.a[j] = v.conj().T @ _tensor_apply(v, _GENERATORS[g.kind], g.qubits)
+            v = _tensor_apply(v, _gate_local(g, v_circuit)[0], g.qubits)
+        self.z = _czbar_diagonal(spec.width)
+        self.u = v[:dn]
+        self.block = (v @ (self.z[:, None] * v.conj().T))[:dn, :dn]
 
 
 def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    return _AnsatzCache(spec, np.asarray(theta, dtype=float)).block()
+    return _AnsatzCache(spec, np.asarray(theta, dtype=float)).block
 
 
 def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> float:
     """F(theta) = ||Wblk||_F^2 - 2 Re Tr(H Wblk)."""
-    h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
-    blk = ansatz_block(spec, theta)
-    return float(np.linalg.norm(blk) ** 2 - 2.0 * np.real(np.trace(h @ blk)))
+    return cost_and_gradient(theta, h_tilde, spec)[0]
 
 
 def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> float:
@@ -187,35 +179,14 @@ def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> floa
     return float(np.sqrt(max(f_value + tr_h2, 0.0)))
 
 
-def _cost_grad_cached(cache: _AnsatzCache, h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cost and exact gradient in one adjoint sweep over the gate list.
-
-    With K = blk^dag - H embedded in the ancilla-zero block,
-    dF/dtheta_j = 2 Re Tr[N dV_j] for N = CZbar V^dag (K + K^dag), and
-    Tr[N dV_j] telescopes as Q_{j+1} = g_{j+1} Q_j g_{j+1}^dag starting
-    from Q_0 = g_0 (N V) g_0^dag.
-    """
-    dn = h.shape[0]
-    dim = cache.dim
-    blk = cache.w[:dn, :dn]
-    f = float(np.linalg.norm(blk) ** 2 - 2.0 * np.real(np.trace(h @ blk)))
-    ksym = np.zeros((dim, dim), dtype=complex)
-    ksym[:dn, :dn] = blk + blk.conj().T - 2.0 * h
-    n_mat = cache.cz_diag[:, None] * (cache.v.conj().T @ ksym)
-    q = n_mat @ cache.v
-    grad = np.empty(len(cache.gates))
-    for j, (g, loc) in enumerate(zip(cache.gates, cache.locals)):
-        q = _tensor_apply(q, loc, g.qubits)
-        q = _tensor_apply(q.conj().T, loc, g.qubits).conj().T  # right-multiply by loc^dag
-        traced = np.trace(_tensor_apply(q, _GENERATORS[g.kind], g.qubits))
-        grad[j] = float(np.imag(traced))
-    return f, grad
-
-
 def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> tuple[float, np.ndarray]:
+    """F and its gradient dF/dtheta_j = Im Tr[N V A_j] (module docstring);
+    K lives on the top rows U of V, so N V = Z U^dag (K + K^dag) U."""
     h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
-    cache = _AnsatzCache(spec, np.asarray(theta, dtype=float))
-    return _cost_grad_cached(cache, h)
+    c = _AnsatzCache(spec, np.asarray(theta, dtype=float))
+    f = float(np.linalg.norm(c.block) ** 2 - 2.0 * np.real(np.trace(h @ c.block)))
+    nv = c.z[:, None] * (c.u.conj().T @ (c.block + c.block.conj().T - 2.0 * h) @ c.u)
+    return f, np.imag(c.a.reshape(len(c.a), -1) @ nv.T.reshape(-1))
 
 
 def gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> np.ndarray:
@@ -226,8 +197,8 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
     """Exact Hessian of F in closed form.
 
     dW_j and d2W_jk are the module docstring's, in the stacked
-    A_j = P_j^dag g_j P_j of _AnsatzCache.conjugated_generators.  With U
-    the top rows of V (so Wblk = U Z U^dag), E_j = U [A_j, Z] U^dag and
+    A_j = P_j^dag g_j P_j of _AnsatzCache.  With U the top rows of V
+    (so Wblk = U Z U^dag), E_j = U [A_j, Z] U^dag and
     M = U^dag (Wblk - H) U,
 
         d2F_jk = 2 Re <dWblk_j, dWblk_k> + 2 Re Tr[(Wblk - H) d2Wblk_jk]
@@ -238,11 +209,9 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
     result exactly symmetric.
     """
     h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
-    cache = _AnsatzCache(spec, np.asarray(theta, dtype=float))
-    a = cache.conjugated_generators()
-    z = cache.cz_diag
-    u = cache.v[: h.shape[0]]
-    m_mat = u.conj().T @ (cache.block() - h) @ u
+    c = _AnsatzCache(spec, np.asarray(theta, dtype=float))
+    a, z, u = c.a, c.z, c.u
+    m_mat = u.conj().T @ (c.block - h) @ u
     e = (u @ (a * (z[None, :] - z[:, None])) @ u.conj().T).reshape(len(a), -1)
     ma = m_mat @ a
     hess = (
@@ -260,7 +229,7 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
 def _gradient_descent(fun_grad, theta, config):
     f, g = fun_grad(theta)
     for _ in range(config.max_iters):
-        if float(np.linalg.norm(g)) < config.grad_norm_threshold:
+        if float(np.linalg.norm(g)) < _GRAD_NORM_THRESHOLD:
             return theta, f, True
         step = config.learning_rate
         while step > 1e-12:  # backtracking keeps the cost non-increasing
@@ -278,12 +247,12 @@ def _gradient_descent(fun_grad, theta, config):
 def _newton(fun_grad, hess_fun, theta, config):
     f, g = fun_grad(theta)
     for _ in range(config.max_iters):
-        if float(np.linalg.norm(g)) < config.grad_norm_threshold:
+        if float(np.linalg.norm(g)) < _GRAD_NORM_THRESHOLD:
             return theta, f, True
         hmat = hess_fun(theta)
         mu, vecs = np.linalg.eigh(hmat)
         inv = np.zeros_like(mu)
-        keep = mu >= config.hessian_eigen_cutoff
+        keep = mu >= _HESSIAN_EIGEN_CUTOFF
         inv[keep] = 1.0 / mu[keep]
         step = vecs @ (inv * (vecs.T @ g))
         if not np.any(keep):  # no usable curvature; fall back to a gradient step
@@ -314,7 +283,7 @@ def optimize(
     starts: list[np.ndarray] = list(initial_thetas or [])
     for r in range(config.restarts):
         rng = np.random.default_rng(config.init_seed + r)
-        starts.append(rng.uniform(-config.init_scale, config.init_scale, size=spec.n_parameters))
+        starts.append(rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=spec.n_parameters))
 
     if not starts:
         raise ValueError("nothing to optimize: restarts is 0 and no initial_thetas were given")
@@ -326,7 +295,7 @@ def optimize(
         trace: list[dict] = []
 
         def fun_grad(theta):
-            f, g = _cost_grad_cached(_AnsatzCache(spec, theta), h)
+            f, g = cost_and_gradient(theta, h, spec)
             if not np.isfinite(f):
                 raise OptimizationError("non-finite cost encountered")
             trace.append({"iter": len(trace), "cost": f, "grad_norm": float(np.linalg.norm(g))})
@@ -344,10 +313,10 @@ def optimize(
                 theta0,
                 jac=True,
                 method="BFGS",
-                options={"gtol": config.grad_norm_threshold, "maxiter": config.max_iters},
+                options={"gtol": _GRAD_NORM_THRESHOLD, "maxiter": config.max_iters},
             )
             theta, f = res.x, float(res.fun)
-            ok = bool(res.success) or float(np.linalg.norm(res.jac)) < 10 * config.grad_norm_threshold
+            ok = bool(res.success) or float(np.linalg.norm(res.jac)) < 10 * _GRAD_NORM_THRESHOLD
         eps = float(np.sqrt(max(f + tr_h2, 0.0)))
         for row in trace:
             row["epsilon_be"] = float(np.sqrt(max(row["cost"] + tr_h2, 0.0)))

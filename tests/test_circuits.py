@@ -577,3 +577,25 @@ class TestIndependentOracle:
             out = depolarize_pair(rho, pair[0], pair[1], 0.3, width)
             assert np.array_equal(rho, before)
             assert np.abs(out - ref_depolarize(rho, pair[0], pair[1], 0.3, width)).max() < 1e-12
+
+
+class TestChannelAndReadoutInput:
+    RHO = np.eye(4, dtype=complex) / 4.0
+
+    def test_depolarize_pair_rejects_repeated_qubit(self):
+        with pytest.raises(ValueError):
+            depolarize_pair(self.RHO, 0, 0, 0.5, 2)
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_depolarize_pair_rejects_probability_outside_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            depolarize_pair(self.RHO, 0, 1, p, 2)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0)])
+    def test_depolarize_pair_rejects_qubit_out_of_range(self, pair):
+        with pytest.raises(ValueError):
+            depolarize_pair(self.RHO, *pair, 0.5, 2)
+
+    def test_sampling_rejects_zero_trace(self):
+        with pytest.raises(ValueError):
+            sample_pauli_measurement(np.zeros((4, 4), dtype=complex), PauliString("Z"), 10, 0, 1)

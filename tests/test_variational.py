@@ -255,3 +255,28 @@ def test_czbar_diagonal_matches_cz_ladder():
     for width in range(1, 6):
         ladder = Circuit(width).extend(cz(q, q + 1) for q in range(width - 1))
         assert np.array_equal(_czbar_diagonal(width), np.diag(circuit_unitary(ladder)).real)
+
+
+def shift_rule_gradient(theta, h, spec):
+    """Independent gradient oracle: F is a trig polynomial of frequency <= 2
+    in every angle, so the four-point shift rule on the cost with shifts
+    (2mu-1)pi/4 differentiates it exactly."""
+    shifts = (2 * np.arange(1, 5) - 1) * np.pi / 4
+    coeffs = (-1.0) ** np.arange(4) / (8 * np.sin(shifts / 2) ** 2)
+    out = np.zeros(spec.n_parameters)
+    for k in range(spec.n_parameters):
+        for s, c in zip(shifts, coeffs):
+            step = np.zeros(spec.n_parameters)
+            step[k] = s
+            out[k] += c * cost(theta + step, h, spec)
+    return out
+
+
+class TestGradientOracle:
+    @pytest.mark.parametrize("n, a, layers", [(2, 1, 1), (3, 2, 2)])
+    def test_matches_shift_rule(self, n, a, layers):
+        spec = AnsatzSpec(n, a, layers)
+        h = to_matrix(ising3_rescaled()) if n == 3 else to_matrix(build_ising_chain(2, 0.3, [0.2, -0.1], 0.15))
+        theta = np.random.default_rng(40 + n).uniform(-np.pi, np.pi, spec.n_parameters)
+        _, g = cost_and_gradient(theta, h, spec)
+        assert np.abs(g - shift_rule_gradient(theta, h, spec)).max() < 1e-10
