@@ -107,6 +107,8 @@ class Circuit:
     def __post_init__(self):
         if self.n_system < 0 or self.n_ancilla < 0:
             raise ValueError(f"register sizes must be non-negative, got {self.n_system} and {self.n_ancilla}")
+        for g in self.gates:
+            self._check_qubits(g)
 
     @property
     def width(self) -> int:
@@ -119,10 +121,13 @@ class Circuit:
     def system_qubit(self, i: int) -> int:
         return self.n_ancilla + i
 
-    def append(self, gate: Gate) -> "Circuit":
+    def _check_qubits(self, gate: Gate) -> None:
         for q in gate.qubits:
             if not 0 <= q < self.width:
                 raise ValueError(f"qubit {q} out of range for width {self.width}")
+
+    def append(self, gate: Gate) -> "Circuit":
+        self._check_qubits(gate)
         self.gates.append(gate)
         return self
 
@@ -164,20 +169,21 @@ class NoiseModel:
 # Dense application helpers
 # ---------------------------------------------------------------------------
 
-def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], work: np.ndarray | None = None) -> np.ndarray:
-    """Apply a 2^k x 2^k operator to the given qubit axes of a (2^w,) or
-    (2^w, B) array; local's first index belongs to axes[0].
+def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], work: np.ndarray) -> None:
+    """Apply a 2^k x 2^k operator in place to the given qubit axes of a
+    C-contiguous complex (2^w,) or (2^w, B) array; local's first index
+    belongs to axes[0].
 
     Axes count qubits from the most significant bit of the C-order index,
     so on a (2^w, 2^w) density matrix axes w..2w-1 are its column qubits.
 
     The untouched qubits are grouped into at most k+1 blocks, so the
     transposes have at most 2k+1 axes; the contraction is one matrix
-    product.  Without work the result is a new array.  With work, a flat
-    complex buffer of twice vec's size, the result is written back into vec
-    (then a C-contiguous complex array) and nothing is allocated: on
-    density-matrix sized arrays, fresh temporaries per gate cost more in
-    page faults than the product itself.
+    product.  work is a flat complex buffer of twice vec's size; the
+    operand is gathered into it, multiplied into its second half and
+    scattered back into vec, and nothing is allocated: on density-matrix
+    sized arrays, fresh temporaries per gate cost more in page faults than
+    the product itself.
     """
     dims, pos = [], {}
     prev = 0
@@ -191,15 +197,11 @@ def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], wor
     order = src + [i for i in range(len(dims)) if i not in src]
     moved = vec.reshape(dims).transpose(order)
     cols = vec.size >> k
-    if work is None:
-        res = np.dot(local, moved.reshape(2**k, cols)).reshape(moved.shape)
-        return np.moveaxis(res, list(range(k)), src).reshape(vec.shape)
     gathered = work[: vec.size].reshape(moved.shape)
     np.copyto(gathered, moved)
     res = work[vec.size:].reshape(2**k, cols)
     np.dot(local, gathered.reshape(2**k, cols), out=res)
     np.copyto(moved, res.reshape(moved.shape))
-    return vec
 
 
 def _gate_local(gate: Gate, circuit: Circuit) -> tuple[np.ndarray | None, tuple[int, ...], complex]:

@@ -74,13 +74,18 @@ class PauliSum:
 
     def __post_init__(self):
         for coeff, ps in self.terms:
-            if ps.n != self.n:
-                raise ValueError(f"term {ps} does not act on {self.n} qubits")
-            if not np.isfinite(coeff):
-                raise ValueError("coefficients must be finite reals")
+            self._check_term(coeff, ps)
+
+    def _check_term(self, coeff: float, ps: PauliString) -> None:
+        if ps.n != self.n:
+            raise ValueError(f"term {ps} does not act on {self.n} qubits")
+        if not np.isfinite(coeff):
+            raise ValueError("coefficients must be finite reals")
 
     def add(self, coeff: float, letters: str) -> "PauliSum":
-        self.terms.append((float(coeff), PauliString(letters)))
+        term = (float(coeff), PauliString(letters))
+        self._check_term(*term)
+        self.terms.append(term)
         return self
 
     def canonicalize(self, drop_zero: bool = True, tol: float = 0.0) -> "PauliSum":
@@ -151,9 +156,9 @@ def build_ising_chain(n: int, coupling: float, fields_x: list[float], field_z: f
         letters[i] = letters[i + 1] = "Z"
         h.add(-coupling, "".join(letters))
     for i in range(n):
-        h.terms.append((-float(fields_x[i]), PauliString.single(n, i, "X")))
+        h.add(-float(fields_x[i]), PauliString.single(n, i, "X").letters)
     for i in range(n):
-        h.terms.append((-float(field_z), PauliString.single(n, i, "Z")))
+        h.add(-float(field_z), PauliString.single(n, i, "Z").letters)
     return h
 
 

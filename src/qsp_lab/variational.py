@@ -12,10 +12,14 @@ epsilon_BE^2 = F(theta) + Tr(H^2).
 
 Every parameter is the angle of one gate exp(-i theta_j g_j / 2) of V,
 with generator g_j = X, Z or ZZ.  Derivatives are exact and come from
-one walk over V's gates (matrices from the circuit module's gate table,
-applied with its one apply kernel) that builds the prefixes P_j, the
-gates before j, and the stack A_j = P_j^dag g_j P_j; V is the last
-prefix.  With Z the CZ-ladder diagonal, dV_j = -i/2 V A_j and
+one walk over V's gates that builds the prefixes P_j, the gates before
+j, and the stack A_j = P_j^dag g_j P_j; V is the last prefix.  Each
+generator squares to I, so the gate is
+cos(theta_j/2) I - i sin(theta_j/2) g_j, and one call of the circuit
+module's apply kernel per parameter, G_j = g_j P_j, gives both
+A_j = P_j^dag G_j and the next prefix
+P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j.
+With Z the CZ-ladder diagonal, dV_j = -i/2 V A_j and
 d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k), lo = min(j, k)), so
 dW_j = -i/2 V [A_j, Z] V^dag and
 d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag.
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import Circuit, Gate, _gate_local, _tensor_apply, cz, rx, rz, rzz
+from .circuits import Circuit, Gate, _tensor_apply, cz, rx, rz, rzz
 from .errors import OptimizationError
 from .lcu import BlockEncoding
 from .operators import PauliSum, to_matrix
@@ -44,6 +48,10 @@ class AnsatzSpec:
     n: int
     a: int
     layers: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.a < 0 or self.layers < 0:
+            raise ValueError(f"need n >= 1, a >= 0 and layers >= 0, got ({self.n}, {self.a}, {self.layers})")
 
     @property
     def width(self) -> int:
@@ -73,7 +81,7 @@ class OptimizerConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.method not in ("bfgs", "gradient_descent", "newton"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
@@ -147,17 +155,24 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _AnsatzCache:
     """One walk over V's gates: the stack A_j = P_j^dag g_j P_j (P_j the
     gates before j), V as the last prefix, its top rows U and the block of
-    W.  The stack holds m * 4^w complex numbers: 1.2 MB at
-    (n, a, L) = (3, 2, 3), about 120 MB at width 8 with L = 3."""
+    W.  Per gate, one in-place kernel call gives G_j = g_j P_j, then
+    A_j = P_j^dag G_j and P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j
+    (the rotation identity, as g_j^2 = I).  The stack holds m * 4^w
+    complex numbers: 1.2 MB at (n, a, L) = (3, 2, 3), about 120 MB at
+    width 8 with L = 3."""
 
     def __init__(self, spec: AnsatzSpec, theta: np.ndarray):
         dim, dn = 2**spec.width, 2**spec.n
-        v_circuit = Circuit(spec.n, spec.a, _v_gate_sequence(spec, theta))
-        self.a = np.empty((len(v_circuit.gates), dim, dim), dtype=complex)
+        gates = _v_gate_sequence(spec, theta)
+        self.a = np.empty((len(gates), dim, dim), dtype=complex)
         v = np.eye(dim, dtype=complex)
-        for j, g in enumerate(v_circuit.gates):
-            self.a[j] = v.conj().T @ _tensor_apply(v, _GENERATORS[g.kind], g.qubits)
-            v = _tensor_apply(v, _gate_local(g, v_circuit)[0], g.qubits)
+        gv = np.empty_like(v)
+        work = np.empty(2 * v.size, dtype=complex)
+        for j, g in enumerate(gates):
+            np.copyto(gv, v)
+            _tensor_apply(gv, _GENERATORS[g.kind], g.qubits, work)
+            self.a[j] = v.conj().T @ gv
+            v = np.cos(g.angle / 2) * v - 1j * np.sin(g.angle / 2) * gv
         self.z = _czbar_diagonal(spec.width)
         self.u = v[:dn]
         self.block = (v @ (self.z[:, None] * v.conj().T))[:dn, :dn]

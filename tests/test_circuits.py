@@ -400,6 +400,10 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 build()
 
+    def test_initial_gates_range_checked(self):
+        with pytest.raises(ValueError):
+            Circuit(2, 0, [rx(5, 0.1)])
+
 
 # ---------------------------------------------------------------------------
 # Independent oracle: every gate embedded with np.kron, the two-qubit channel

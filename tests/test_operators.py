@@ -51,6 +51,20 @@ class TestBuildIsingChain:
         with pytest.raises(ValueError):
             build_ising_chain(3, 1.0, [1.0, 2.0], 0.0)
 
+    def test_non_finite_coupling_rejected(self):
+        with pytest.raises(ValueError):
+            build_ising_chain(2, float("nan"), [1.0, 1.0], 0.0)
+
+
+class TestPauliSumAdd:
+    def test_add_rejects_wrong_width(self):
+        with pytest.raises(ValueError):
+            PauliSum(2).add(1.0, "XYZ")
+
+    def test_add_rejects_non_finite_coefficient(self):
+        with pytest.raises(ValueError):
+            PauliSum(1).add(float("nan"), "X")
+
 
 class TestBounds:
     def test_triangle_three_site(self):

@@ -57,11 +57,13 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             build_ansatz(2, 1, 1, np.zeros(5))
 
-    def test_circuit_matches_dense_block(self):
-        spec = AnsatzSpec(2, 2, 2)
-        theta = np.random.default_rng(3).uniform(-1, 1, spec.n_parameters)
+    @pytest.mark.parametrize("n, a, layers", [(1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)])
+    def test_circuit_matches_dense_block(self, n, a, layers):
+        # the dense walk's rotation identity against the circuit gate table
+        spec = AnsatzSpec(n, a, layers)
+        theta = np.random.default_rng(3).uniform(-np.pi, np.pi, spec.n_parameters)
         blk_dense = ansatz_block(spec, theta)
-        blk_circ = encoded_block(build_ansatz(2, 2, 2, theta))
+        blk_circ = encoded_block(build_ansatz(n, a, layers, theta))
         assert np.abs(blk_dense - blk_circ).max() < 1e-10
 
 
@@ -214,6 +216,19 @@ class TestConfigValidation:
     def test_max_iters_below_one_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
+
+    def test_nan_learning_rate_rejected(self):
+        with pytest.raises(ValueError):
+            OptimizerConfig(learning_rate=float("nan"))
+
+    @pytest.mark.parametrize("shape", [(1, 1, -1), (0, 0, 1), (1, -1, 1)])
+    def test_impossible_ansatz_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            AnsatzSpec(*shape)
+
+    def test_negative_layers_rejected_by_optimize(self):
+        with pytest.raises(ValueError, match="layers"):
+            optimize(SMALL_H, SMALL.n, SMALL.a, -1, OptimizerConfig(restarts=1))
 
     def test_no_starting_point_raises(self):
         with pytest.raises(ValueError):
