@@ -26,7 +26,8 @@ d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag.
 The gradient is one contraction against the stack,
 dF/dtheta_j = Im Tr[N V A_j] with N = Z V^dag (K + K^dag) and
 K = Wblk^dag - H on the ancilla-zero block; the Hessian is pair traces
-over it.  The stack holds m * 4^w complex numbers (m parameters, width w).
+over it.  The stack holds m * 4^w complex numbers (m parameters, width w);
+cost and ansatz_block run the same walk and keep none of it.
 Optimizers: BFGS (default), gradient descent with backtracking, and
 Newton with an eigenvalue-cutoff pseudo-inverse.
 """
@@ -152,39 +153,61 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.reshape(m, -1) @ y.transpose(0, 2, 1).reshape(m, -1).T
 
 
+def _v_walk(spec: AnsatzSpec, theta: np.ndarray):
+    """Walk V's gates with one in-place kernel call each, yielding
+    (P_j, G_j, P_{j+1}) for gate j: P_j the gates before j, G_j = g_j P_j
+    and P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j (the rotation
+    identity, as g_j^2 = I).  The last P_{j+1} is V; G_j's buffer is
+    reused, so a caller keeps only what it computes from it."""
+    dim = 2**spec.width
+    v = np.eye(dim, dtype=complex)
+    gv = np.empty_like(v)
+    work = np.empty(2 * v.size, dtype=complex)
+    for g in _v_gate_sequence(spec, theta):
+        np.copyto(gv, v)
+        _tensor_apply(gv, _GENERATORS[g.kind], g.qubits, work)
+        nxt = np.cos(g.angle / 2) * v - 1j * np.sin(g.angle / 2) * gv
+        yield v, gv, nxt
+        v = nxt
+
+
+def _reflection_block(spec: AnsatzSpec, v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The ancilla-zero block of W = V Z V^dag."""
+    dn = 2**spec.n
+    return (v @ (z[:, None] * v.conj().T))[:dn, :dn]
+
+
+def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
+    return float(np.linalg.norm(block) ** 2 - 2.0 * np.real(np.trace(h @ block)))
+
+
 class _AnsatzCache:
-    """One walk over V's gates: the stack A_j = P_j^dag g_j P_j (P_j the
-    gates before j), V as the last prefix, its top rows U and the block of
-    W.  Per gate, one in-place kernel call gives G_j = g_j P_j, then
-    A_j = P_j^dag G_j and P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j
-    (the rotation identity, as g_j^2 = I).  The stack holds m * 4^w
-    complex numbers: 1.2 MB at (n, a, L) = (3, 2, 3), about 120 MB at
-    width 8 with L = 3."""
+    """The V walk with the stack A_j = P_j^dag G_j = P_j^dag g_j P_j kept,
+    V's top rows U, the CZ-ladder diagonal and the block of W.  The stack
+    holds m * 4^w complex numbers: 1.2 MB at (n, a, L) = (3, 2, 3), about
+    120 MB at width 8 with L = 3."""
 
     def __init__(self, spec: AnsatzSpec, theta: np.ndarray):
-        dim, dn = 2**spec.width, 2**spec.n
-        gates = _v_gate_sequence(spec, theta)
-        self.a = np.empty((len(gates), dim, dim), dtype=complex)
-        v = np.eye(dim, dtype=complex)
-        gv = np.empty_like(v)
-        work = np.empty(2 * v.size, dtype=complex)
-        for j, g in enumerate(gates):
-            np.copyto(gv, v)
-            _tensor_apply(gv, _GENERATORS[g.kind], g.qubits, work)
-            self.a[j] = v.conj().T @ gv
-            v = np.cos(g.angle / 2) * v - 1j * np.sin(g.angle / 2) * gv
+        dim = 2**spec.width
+        self.a = np.empty((spec.n_parameters, dim, dim), dtype=complex)
+        for j, (p, gp, v) in enumerate(_v_walk(spec, theta)):
+            self.a[j] = p.conj().T @ gp
         self.z = _czbar_diagonal(spec.width)
-        self.u = v[:dn]
-        self.block = (v @ (self.z[:, None] * v.conj().T))[:dn, :dn]
+        self.u = v[: 2**spec.n]
+        self.block = _reflection_block(spec, v, self.z)
 
 
 def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    return _AnsatzCache(spec, np.asarray(theta, dtype=float)).block
+    """The block of W from the V walk, storing no stack."""
+    for _, _, v in _v_walk(spec, np.asarray(theta, dtype=float)):
+        pass
+    return _reflection_block(spec, v, _czbar_diagonal(spec.width))
 
 
 def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> float:
     """F(theta) = ||Wblk||_F^2 - 2 Re Tr(H Wblk)."""
-    return cost_and_gradient(theta, h_tilde, spec)[0]
+    h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
+    return _block_cost(ansatz_block(spec, theta), h)
 
 
 def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> float:
@@ -199,7 +222,7 @@ def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: A
     K lives on the top rows U of V, so N V = Z U^dag (K + K^dag) U."""
     h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
     c = _AnsatzCache(spec, np.asarray(theta, dtype=float))
-    f = float(np.linalg.norm(c.block) ** 2 - 2.0 * np.real(np.trace(h @ c.block)))
+    f = _block_cost(c.block, h)
     nv = c.z[:, None] * (c.u.conj().T @ (c.block + c.block.conj().T - 2.0 * h) @ c.u)
     return f, np.imag(c.a.reshape(len(c.a), -1) @ nv.T.reshape(-1))
 
