@@ -53,6 +53,8 @@ class PauliString:
 
     @staticmethod
     def single(n: int, qubit: int, letter: str) -> "PauliString":
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} outside [0, {n})")
         letters = ["I"] * n
         letters[qubit] = letter
         return PauliString("".join(letters))

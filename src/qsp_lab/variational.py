@@ -15,10 +15,16 @@ with generator g_j = X, Z or ZZ.  Derivatives are exact and come from
 one walk over V's gates that builds the prefixes P_j, the gates before
 j, and the stack A_j = P_j^dag g_j P_j; V is the last prefix.  Each
 generator squares to I, so the gate is
-cos(theta_j/2) I - i sin(theta_j/2) g_j, and one call of the circuit
-module's apply kernel per parameter, G_j = g_j P_j, gives both
+cos(theta_j/2) I - i sin(theta_j/2) g_j, and G_j = g_j P_j gives both
 A_j = P_j^dag G_j and the next prefix
-P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j.
+P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j.  Each generator is
+a signed permutation of the basis: Z_q and Z_q Z_{q+1} are diagonal,
+row i multiplied by -1 to the parity of i's bits at those qubits, and
+X_q swaps the rows whose indices differ in bit q.  So G_j is P_j with
+its rows sign-flipped or permuted, from a table built once per
+AnsatzSpec; every entry is a copy of an entry of P_j or its negation,
+which is exactly what a matrix product with g_j's 0 and +-1 entries
+gives, so the numbers are the same bit for bit.
 With Z the CZ-ladder diagonal, dV_j = -i/2 V A_j and
 d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k), lo = min(j, k)), so
 dW_j = -i/2 V [A_j, Z] V^dag and
@@ -33,12 +39,13 @@ Newton with an eigenvalue-cutoff pseudo-inverse.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 
-from .circuits import Circuit, Gate, _tensor_apply, cz, rx, rz, rzz
+from .circuits import Circuit, Gate, cz, rx, rz, rzz
 from .errors import OptimizationError
 from .lcu import BlockEncoding
 from .operators import PauliSum, to_matrix
@@ -133,13 +140,6 @@ def build_ansatz(n: int, a: int, layers: int, theta: np.ndarray) -> Circuit:
 # Dense evaluation of W, its block, and parameter derivatives
 # ---------------------------------------------------------------------------
 
-_GENERATORS = {
-    "RX": np.array([[0, 1], [1, 0]], dtype=complex),
-    "RZ": np.diag([1.0, -1.0]).astype(complex),
-    "RZZ": np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex),
-}
-
-
 def _czbar_diagonal(width: int) -> np.ndarray:
     """Diagonal of the nearest-neighbour CZ ladder: -1 to the number of
     adjacent pairs of set bits in the basis index."""
@@ -153,22 +153,54 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.reshape(m, -1) @ y.transpose(0, 2, 1).reshape(m, -1).T
 
 
+@functools.lru_cache(maxsize=16)
+def _generator_table(spec: AnsatzSpec) -> tuple[tuple[bool, np.ndarray], ...]:
+    """How each generator g_j of _v_gate_sequence acts on the rows of P_j,
+    as (flips, action).  For X_q, flips is True and row i of g_j P_j is
+    row action[i] = i ^ 2^(w-1-q) of P_j.  For Z_q and Z_q Z_{q+1}, flips
+    is False and row i of g_j P_j is row i of P_j times action[i], -1 to
+    the parity of i's bits at the gate's qubits.  Qubit q is bit w-1-q of
+    the row index, as in circuits (ancilla first, most significant first)."""
+    w = spec.width
+    rows = np.arange(2**w)
+    table = []
+    for g in _v_gate_sequence(spec, np.zeros(spec.n_parameters)):
+        mask = sum(1 << (w - 1 - q) for q in g.qubits)
+        if g.kind == "RX":
+            action = rows ^ mask
+        else:
+            action = (1.0 - 2.0 * (np.bitwise_count(rows & mask) % 2)).astype(complex)[:, None]
+        action.flags.writeable = False
+        table.append((g.kind == "RX", action))
+    return tuple(table)
+
+
 def _v_walk(spec: AnsatzSpec, theta: np.ndarray):
-    """Walk V's gates with one in-place kernel call each, yielding
-    (P_j, G_j, P_{j+1}) for gate j: P_j the gates before j, G_j = g_j P_j
-    and P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j (the rotation
-    identity, as g_j^2 = I).  The last P_{j+1} is V; G_j's buffer is
-    reused, so a caller keeps only what it computes from it."""
+    """Walk V's gates, yielding (P_j, G_j, P_{j+1}) for gate j: P_j the
+    gates before j, G_j = g_j P_j (P_j's rows permuted or sign-flipped by
+    _generator_table) and P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j
+    (the rotation identity, as g_j^2 = I), updated in place.  The last
+    P_{j+1} is V.  The P_j and G_j buffers are reused from gate to gate
+    (P_{j+1} is written into the buffer of P_{j-1}), so a caller keeps
+    only what it computes from them before asking for the next gate."""
+    table = _generator_table(spec)
+    if len(theta) != len(table):  # zip below would truncate silently
+        raise ValueError(f"expected {len(table)} parameters, got {len(theta)}")
     dim = 2**spec.width
-    v = np.eye(dim, dtype=complex)
-    gv = np.empty_like(v)
-    work = np.empty(2 * v.size, dtype=complex)
-    for g in _v_gate_sequence(spec, theta):
-        np.copyto(gv, v)
-        _tensor_apply(gv, _GENERATORS[g.kind], g.qubits, work)
-        nxt = np.cos(g.angle / 2) * v - 1j * np.sin(g.angle / 2) * gv
-        yield v, gv, nxt
-        v = nxt
+    p = np.eye(dim, dtype=complex)
+    gp = np.empty_like(p)
+    nxt = np.empty_like(p)
+    rot = np.empty_like(p)
+    for angle, (flips, action) in zip(theta, table):
+        if flips:  # action is in range; the default mode="raise" copies out= through a buffer
+            p.take(action, axis=0, out=gp, mode="clip")
+        else:
+            np.multiply(action, p, out=gp)
+        np.multiply(np.cos(angle / 2), p, out=nxt)
+        np.multiply(1j * np.sin(angle / 2), gp, out=rot)
+        np.subtract(nxt, rot, out=nxt)
+        yield p, gp, nxt
+        p, nxt = nxt, p
 
 
 def _reflection_block(spec: AnsatzSpec, v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -191,7 +223,7 @@ class _AnsatzCache:
         dim = 2**spec.width
         self.a = np.empty((spec.n_parameters, dim, dim), dtype=complex)
         for j, (p, gp, v) in enumerate(_v_walk(spec, theta)):
-            self.a[j] = p.conj().T @ gp
+            np.matmul(p.conj().T, gp, out=self.a[j])
         self.z = _czbar_diagonal(spec.width)
         self.u = v[: 2**spec.n]
         self.block = _reflection_block(spec, v, self.z)

@@ -56,6 +56,16 @@ class TestBuildIsingChain:
             build_ising_chain(2, float("nan"), [1.0, 1.0], 0.0)
 
 
+class TestPauliStringSingle:
+    def test_qubit_past_end_rejected(self):
+        with pytest.raises(ValueError):
+            PauliString.single(3, 3, "X")
+
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ValueError):
+            PauliString.single(3, -1, "Z")
+
+
 class TestPauliSumAdd:
     def test_add_rejects_wrong_width(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,13 @@ import pytest
 
 from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, cz
 from qsp_lab.lcu import encoded_block
-from qsp_lab.operators import build_ising_chain, rescale, to_matrix, triangle_bounds
+from qsp_lab.operators import PauliString, build_ising_chain, rescale, to_matrix, triangle_bounds
 from qsp_lab.variational import (
     AnsatzSpec,
     OptimizerConfig,
     _czbar_diagonal,
+    _generator_table,
+    _v_gate_sequence,
     ansatz_block,
     build_ansatz,
     cost,
@@ -56,6 +58,21 @@ class TestAnsatz:
     def test_parameter_count_mismatch(self):
         with pytest.raises(ValueError):
             build_ansatz(2, 1, 1, np.zeros(5))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda th: cost(th, SMALL_H, SMALL),
+            lambda th: cost_and_gradient(th, SMALL_H, SMALL),
+            lambda th: hessian(th, SMALL_H, SMALL),
+            lambda th: ansatz_block(SMALL, th),
+        ],
+        ids=["cost", "cost_and_gradient", "hessian", "ansatz_block"],
+    )
+    def test_parameter_count_mismatch_every_entry_point(self, call, extra):
+        with pytest.raises(ValueError):
+            call(np.zeros(SMALL.n_parameters + extra))
 
     @pytest.mark.parametrize("n, a, layers", [(1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)])
     def test_circuit_matches_dense_block(self, n, a, layers):
@@ -295,3 +312,22 @@ class TestGradientOracle:
         theta = np.random.default_rng(40 + n).uniform(-np.pi, np.pi, spec.n_parameters)
         _, g = cost_and_gradient(theta, h, spec)
         assert np.abs(g - shift_rule_gradient(theta, h, spec)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n, a", [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2)])
+def test_generator_table_matches_pauli_matrices(n, a):
+    # every table row, applied as the walk applies it, against the dense
+    # Pauli string of that gate's generator times M; both are exact
+    spec = AnsatzSpec(n, a, 1)
+    w = spec.width
+    rng = np.random.default_rng(50 + w)
+    m = rng.normal(size=(2**w, 2**w)) + 1j * rng.normal(size=(2**w, 2**w))
+    gates = _v_gate_sequence(spec, np.zeros(spec.n_parameters))
+    table = _generator_table(spec)
+    assert len(table) == len(gates)
+    for g, (flips, action) in zip(gates, table):
+        letters = ["I"] * w
+        for q in g.qubits:
+            letters[q] = "X" if g.kind == "RX" else "Z"
+        expect = PauliString("".join(letters)).to_matrix() @ m
+        assert np.array_equal(m[action] if flips else action * m, expect)
