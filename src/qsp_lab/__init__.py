@@ -6,8 +6,7 @@ Everything is dense and exactly verifiable.  The modules are:
   rescaling into [0, 1], and dense propagators.
 - circuits: the gate-level circuit IR, decomposition into the native
   gate set, statevector, unitary and density-matrix simulation under a
-  two-qubit depolarizing noise model, Pauli measurement sampling, and
-  text serialization.
+  two-qubit depolarizing noise model, and Pauli measurement sampling.
 - lcu: block encoding by linear combination of unitaries, with a
   Gray-code compressed select oracle.
 - variational: block encoding by a variationally optimized reflection

@@ -62,6 +62,15 @@ class Gate:
             raise ValueError(f"{self.kind} acts on exactly 2 qubits")
         if self.kind in ("RX", "RZ", "HAD") and len(self.qubits) != 1:
             raise ValueError(f"{self.kind} acts on exactly 1 qubit")
+        if self.kind in ("GPHASE", "APHASE", "MCPAULI") and self.qubits:
+            raise ValueError(f"{self.kind} takes its qubits from the registers, not a qubit list")
+        if self.kind == "MCPAULI":
+            if not isinstance(self.pauli, PauliString):
+                raise ValueError("MCPAULI needs a system PauliString")
+            if self.sign not in (1, -1):
+                raise ValueError("sign must be +1 or -1")
+            if any(b not in (0, 1) for b in self.pattern):
+                raise ValueError(f"pattern entries must be 0 or 1, got {self.pattern}")
 
 
 def rx(q: int, angle: float) -> Gate:
@@ -93,8 +102,6 @@ def aphase(angle: float) -> Gate:
 
 
 def mcpauli(pattern: tuple[int, ...], pauli: PauliString, sign: int = 1) -> Gate:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     return Gate("MCPAULI", (), 0.0, tuple(pattern), pauli, sign)
 
 
@@ -108,7 +115,7 @@ class Circuit:
         if self.n_system < 0 or self.n_ancilla < 0:
             raise ValueError(f"register sizes must be non-negative, got {self.n_system} and {self.n_ancilla}")
         for g in self.gates:
-            self._check_qubits(g)
+            self._check_gate(g)
 
     @property
     def width(self) -> int:
@@ -121,13 +128,18 @@ class Circuit:
     def system_qubit(self, i: int) -> int:
         return self.n_ancilla + i
 
-    def _check_qubits(self, gate: Gate) -> None:
+    def _check_gate(self, gate: Gate) -> None:
         for q in gate.qubits:
             if not 0 <= q < self.width:
                 raise ValueError(f"qubit {q} out of range for width {self.width}")
+        if gate.kind == "MCPAULI":
+            if len(gate.pattern) != self.n_ancilla:
+                raise ValueError("MCPAULI pattern length must equal the ancilla count")
+            if gate.pauli.n != self.n_system:
+                raise ValueError("MCPAULI Pauli must act on the system register")
 
     def append(self, gate: Gate) -> "Circuit":
-        self._check_qubits(gate)
+        self._check_gate(gate)
         self.gates.append(gate)
         return self
 
@@ -138,9 +150,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def copy(self) -> "Circuit":
-        return Circuit(self.n_system, self.n_ancilla, list(self.gates))
 
     def inverse(self) -> "Circuit":
         """Exact gate-list inversion: reversed order, negated angles."""
@@ -230,10 +239,6 @@ def _gate_local(gate: Gate, circuit: Circuit) -> tuple[np.ndarray | None, tuple[
         return np.diag(d), circuit.ancilla_qubits, 1.0
     if kind == "MCPAULI":
         a = circuit.n_ancilla
-        if len(gate.pattern) != a:
-            raise ValueError("MCPAULI pattern length must equal the ancilla count")
-        if gate.pauli.n != circuit.n_system:
-            raise ValueError("MCPAULI Pauli must act on the system register")
         support = gate.pauli.support
         idx = 0
         for b in gate.pattern:
@@ -345,8 +350,6 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
         raise ValueError("p must lie in [0, 1]")
     if q0 == q1 or not (0 <= q0 < width and 0 <= q1 < width):
         raise ValueError(f"qubits ({q0}, {q1}) are not a distinct pair of a width-{width} register")
-    if p == 0.0:
-        return rho
     out = rho.astype(complex)
     _depolarize_pair_inplace(out.reshape((2,) * (2 * width)), q0, q1, p, width)
     return out
@@ -375,8 +378,8 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = 
     and the channel on a pair containing c comes after the gate it is
     folded into.
     """
-    if rho.shape[0] != 2**circuit.width:
-        raise ValueError("density matrix width does not match circuit")
+    if rho.shape != (2**circuit.width, 2**circuit.width):
+        raise ValueError(f"density matrix of shape {rho.shape} does not match width {circuit.width}")
     noise = noise or NoiseModel()
     noisy = noise.mode != "none" and noise.p_tq > 0.0
     if noisy and any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
@@ -520,7 +523,7 @@ def decompose(circuit: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# States, measurement sampling, serialization
+# States and measurement sampling
 # ---------------------------------------------------------------------------
 
 def zero_state(width: int) -> np.ndarray:
@@ -570,8 +573,8 @@ def sample_pauli_measurement(
         raise ValueError("need at least one shot")
     n_system = observable.n
     dim_a, dim_s = 2**n_ancilla, 2**n_system
-    if rho.shape[0] != dim_a * dim_s:
-        raise ValueError("density matrix width does not match registers")
+    if rho.shape != (dim_a * dim_s, dim_a * dim_s):
+        raise ValueError(f"density matrix of shape {rho.shape} does not match the registers")
     pmat = observable.to_matrix()
     probs = np.empty((dim_a, 2))
     for b in range(dim_a):
@@ -594,62 +597,3 @@ def sample_pauli_measurement(
         key = (format(b, f"0{n_ancilla}b") if n_ancilla else "", 1 if o == 0 else -1)
         counts[key] = int(c)
     return counts
-
-
-def to_text(circuit: Circuit) -> str:
-    """Line-oriented serialization; floats via repr for bit-exact round-trips."""
-    lines = [f"CIRCUIT {circuit.n_system} {circuit.n_ancilla}"]
-    for g in circuit.gates:
-        if g.kind in ("RX", "RZ"):
-            lines.append(f"{g.kind} {g.qubits[0]} {g.angle!r}")
-        elif g.kind == "RZZ":
-            lines.append(f"RZZ {g.qubits[0]} {g.qubits[1]} {g.angle!r}")
-        elif g.kind == "CZ":
-            lines.append(f"CZ {g.qubits[0]} {g.qubits[1]}")
-        elif g.kind == "HAD":
-            lines.append(f"HAD {g.qubits[0]}")
-        elif g.kind == "GPHASE":
-            lines.append(f"GPHASE {g.angle!r}")
-        elif g.kind == "APHASE":
-            lines.append(f"APHASE {g.angle!r}")
-        else:
-            pat = "".join(str(b) for b in g.pattern) or "-"
-            lines.append(f"MCPAULI {pat} {g.pauli.letters} {g.sign:+d}")
-    return "\n".join(lines) + "\n"
-
-
-_TEXT_FIELDS = {"CIRCUIT": 3, "RX": 3, "RZ": 3, "RZZ": 4, "CZ": 3, "HAD": 2, "GPHASE": 2, "APHASE": 2, "MCPAULI": 4}
-
-
-def from_text(text: str) -> Circuit:
-    """Parse to_text output; malformed text raises ValueError."""
-    lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "CIRCUIT":
-        raise ValueError("missing CIRCUIT header")
-    for parts in lines:
-        if parts[0] not in _TEXT_FIELDS:
-            raise ValueError(f"unknown gate line: {' '.join(parts)!r}")
-        if len(parts) != _TEXT_FIELDS[parts[0]]:
-            raise ValueError(f"{parts[0]} line needs {_TEXT_FIELDS[parts[0]]} fields: {' '.join(parts)!r}")
-    head, *body = lines
-    circuit = Circuit(int(head[1]), int(head[2]))
-    for parts in body:
-        kind = parts[0]
-        if kind in ("RX", "RZ"):
-            circuit.append(Gate(kind, (int(parts[1]),), float(parts[2])))
-        elif kind == "RZZ":
-            circuit.append(rzz(int(parts[1]), int(parts[2]), float(parts[3])))
-        elif kind == "CZ":
-            circuit.append(cz(int(parts[1]), int(parts[2])))
-        elif kind == "HAD":
-            circuit.append(had(int(parts[1])))
-        elif kind == "GPHASE":
-            circuit.append(gphase(float(parts[1])))
-        elif kind == "APHASE":
-            circuit.append(aphase(float(parts[1])))
-        elif kind == "MCPAULI":
-            pattern = () if parts[1] == "-" else tuple(int(c) for c in parts[1])
-            circuit.append(mcpauli(pattern, PauliString(parts[2]), int(parts[3])))
-        else:
-            raise ValueError(f"CIRCUIT header repeated: {' '.join(parts)!r}")
-    return circuit

@@ -61,7 +61,6 @@ class BlockEncoding:
     circuit: Circuit
     a: int
     epsilon_be: float
-    is_reflection: bool
     scale: float = 1.0
 
     @property
@@ -369,17 +368,4 @@ def build_lcu_circuit(plan: LCUPlan) -> BlockEncoding:
     scale = 1.0 if abs(plan.c - 1.0) <= 1e-9 else plan.c
     target = plan.encoded_operator().to_matrix() * (plan.c / scale)
     eps = float(np.linalg.norm(encoded_block(circuit) - target))
-    return BlockEncoding(circuit=circuit, a=a, epsilon_be=eps, is_reflection=True, scale=scale)
-
-
-def gate_count_row(plan_id: str, plan: LCUPlan) -> dict:
-    """One row of the compression report: naive vs compiled two-qubit counts."""
-    naive = naive_select_gate_count(plan)
-    compiled = cir.count_two_qubit_gates(multiplexor_compile(plan))
-    reduction = 0.0 if naive == 0 else 100.0 * (1.0 - compiled / naive)
-    return {
-        "plan": plan_id,
-        "naive_two_qubit": naive,
-        "compiled_two_qubit": compiled,
-        "reduction_percent": reduction,
-    }
+    return BlockEncoding(circuit=circuit, a=a, epsilon_be=eps, scale=scale)

@@ -211,22 +211,6 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
     )
 
 
-def effective_time_overhead(
-    t: float, r: float, bounds_exact: SpectralBounds, a: float = 0.0, b: float = 1.0
-) -> tuple[float, float]:
-    """Effective time when the bounds are 100r% looser than the true extremes.
-
-    Returns (t_tilde, overhead) where overhead is the contribution of the
-    bound slack alone and t_tilde includes it.
-    """
-    if t < 0 or r < 0:
-        raise ValueError("t and r must be nonnegative")
-    lo, hi = bounds_exact.lambda_minus, bounds_exact.lambda_plus
-    base = t * (hi - lo) / (b - a)
-    overhead = r * t * (abs(hi) + abs(lo)) / (b - a)
-    return base + overhead, overhead
-
-
 def to_matrix(h: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of the Pauli sum."""
     if h.n > MAX_DENSE_QUBITS:

@@ -34,8 +34,8 @@ dF/dtheta_j = Im Tr[N V A_j] with N = Z V^dag (K + K^dag) and
 K = Wblk^dag - H on the ancilla-zero block; the Hessian is pair traces
 over it.  The stack holds m * 4^w complex numbers (m parameters, width w);
 cost and ansatz_block run the same walk and keep none of it.
-Optimizers: BFGS (default), gradient descent with backtracking, and
-Newton with an eigenvalue-cutoff pseudo-inverse.
+Optimizers: BFGS (default) and Newton with an eigenvalue-cutoff
+pseudo-inverse.
 """
 from __future__ import annotations
 
@@ -77,21 +77,19 @@ class AnsatzSpec:
 
 _GRAD_NORM_THRESHOLD = 1e-5  # converged below this gradient norm
 _HESSIAN_EIGEN_CUTOFF = 1e-5  # Newton inverts only curvature at or above this
+_NEWTON_FALLBACK_STEP = 0.05  # gradient step size when Newton finds no usable curvature
 _INIT_SCALE = 0.1  # half-width of the uniform draw of a random restart
 
 
 @dataclass
 class OptimizerConfig:
-    method: str = "bfgs"  # bfgs | gradient_descent | newton
-    learning_rate: float = 0.05
+    method: str = "bfgs"  # bfgs | newton
     max_iters: int = 2000
     init_seed: int = 0
     restarts: int = 10
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.method not in ("bfgs", "gradient_descent", "newton"):
+        if self.method not in ("bfgs", "newton"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
@@ -296,24 +294,6 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
 # Optimizers
 # ---------------------------------------------------------------------------
 
-def _gradient_descent(fun_grad, theta, config):
-    f, g = fun_grad(theta)
-    for _ in range(config.max_iters):
-        if float(np.linalg.norm(g)) < _GRAD_NORM_THRESHOLD:
-            return theta, f, True
-        step = config.learning_rate
-        while step > 1e-12:  # backtracking keeps the cost non-increasing
-            cand = theta - step * g
-            f_new, g_new = fun_grad(cand)
-            if f_new <= f:
-                theta, f, g = cand, f_new, g_new
-                break
-            step /= 2.0
-        else:
-            return theta, f, False
-    return theta, f, False
-
-
 def _newton(fun_grad, hess_fun, theta, config):
     f, g = fun_grad(theta)
     for _ in range(config.max_iters):
@@ -326,7 +306,7 @@ def _newton(fun_grad, hess_fun, theta, config):
         inv[keep] = 1.0 / mu[keep]
         step = vecs @ (inv * (vecs.T @ g))
         if not np.any(keep):  # no usable curvature; fall back to a gradient step
-            step = config.learning_rate * g
+            step = _NEWTON_FALLBACK_STEP * g
         theta = theta - step
         f, g = fun_grad(theta)
     return theta, f, False
@@ -371,9 +351,7 @@ def optimize(
             trace.append({"iter": len(trace), "cost": f, "grad_norm": float(np.linalg.norm(g))})
             return f, g
 
-        if config.method == "gradient_descent":
-            theta, f, ok = _gradient_descent(fun_grad, theta0, config)
-        elif config.method == "newton":
+        if config.method == "newton":
             theta, f, ok = _newton(
                 fun_grad, lambda th: hessian(th, h, spec), theta0, config
             )
@@ -407,10 +385,7 @@ def variational_block_encoding(
     n = h_tilde.n
     result = optimize(h_tilde, n, a, layers, config, initial_thetas)
     circuit = build_ansatz(n, a, layers, result.theta)
-    enc = BlockEncoding(
-        circuit=circuit, a=a, epsilon_be=result.epsilon_be, is_reflection=True, scale=1.0
-    )
-    return enc, result
+    return BlockEncoding(circuit=circuit, a=a, epsilon_be=result.epsilon_be, scale=1.0), result
 
 
 def layer_sweep(

@@ -3,6 +3,7 @@ import pytest
 
 from qsp_lab.circuits import (
     Circuit,
+    Gate,
     NoiseModel,
     aphase,
     apply_density,
@@ -13,7 +14,6 @@ from qsp_lab.circuits import (
     decompose,
     density_from_state,
     depolarize_pair,
-    from_text,
     global_depolarize,
     gphase,
     had,
@@ -26,7 +26,6 @@ from qsp_lab.circuits import (
     rz,
     rzz,
     sample_pauli_measurement,
-    to_text,
     with_ancilla_zero,
     zero_state,
 )
@@ -152,6 +151,11 @@ class TestStructuralGates:
             dec = decompose(c)
             assert all(g.kind not in ("MCPAULI", "APHASE") for g in dec.gates)
             assert np.allclose(circuit_unitary(c), circuit_unitary(dec), atol=1e-10)
+
+    @pytest.mark.parametrize("pattern, letters", [((2,), "I"), ((1, 2), "Z"), ((-1,), "X")])
+    def test_mcpauli_rejects_pattern_entry_outside_bits(self, pattern, letters):
+        with pytest.raises(ValueError):
+            mcpauli(pattern, PauliString(letters))
 
     def test_mcpauli_identity_sign(self):
         for a in (1, 2, 3):
@@ -348,61 +352,55 @@ class TestSampling:
                 assert abs(freq - prob) <= 5 * se + 1e-12
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(21)
-        c = random_native_circuit(2, 2, 18, rng)
-        c.append(aphase(0.123456789123456789))
-        c.append(mcpauli((0, 1), PauliString("XY"), -1))
-        c.append(gphase(-np.pi / 3))
-        text = to_text(c)
-        c2 = from_text(text)
-        assert to_text(c2) == text
-        assert c2.gates == c.gates
-
-    def test_angle_repr_exact(self):
-        c = Circuit(1).append(rx(0, 0.1 + 0.2))
-        c2 = from_text(to_text(c))
-        assert c2.gates[0].angle == c.gates[0].angle
-
-    def test_round_trip_random_native(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            c = random_native_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 3)), 12, rng)
-            c.append(gphase(rng.uniform(-np.pi, np.pi)))
-            c2 = from_text(to_text(c))
-            assert (c2.n_system, c2.n_ancilla) == (c.n_system, c.n_ancilla)
-            assert c2.gates == c.gates
-
-    @pytest.mark.parametrize("text", [
-        "",
-        "   \n\n",
-        "RX 0 0.5\n",
-        "CIRCUIT 1\n",
-        "CIRCUIT 1 0\nRX 0",
-        "CIRCUIT 2 0\nRZZ 0 1\n",
-        "CIRCUIT 2 0\nCZ 0\n",
-        "CIRCUIT 1 0\nHAD\n",
-        "CIRCUIT 1 0\nGPHASE\n",
-        "CIRCUIT 1 1\nMCPAULI 1 Z\n",
-        "CIRCUIT 1 0\nRX 0 0.5 0.7\n",
-        "CIRCUIT 1 0\nRX zero 0.5\n",
-        "CIRCUIT 1 0\nCIRCUIT 1 0\n",
-        "CIRCUIT 1 0\nSWAP 0 1\n",
-    ])
-    def test_malformed_text_raises_value_error(self, text):
-        with pytest.raises(ValueError):
-            from_text(text)
-
+class TestRegisterInput:
     def test_negative_register_size_rejected(self):
-        for build in (lambda: Circuit(-1), lambda: Circuit(1, -1),
-                      lambda: from_text("CIRCUIT -1 0\n"), lambda: from_text("CIRCUIT 1 -2\n")):
+        for build in (lambda: Circuit(-1), lambda: Circuit(1, -1)):
             with pytest.raises(ValueError):
                 build()
 
     def test_initial_gates_range_checked(self):
         with pytest.raises(ValueError):
             Circuit(2, 0, [rx(5, 0.1)])
+
+    @pytest.mark.parametrize("kind, qubits", [
+        ("SWAP", (0, 1)),
+        ("CZ", (0,)),
+        ("RZZ", (0, 0)),
+        ("RX", (0, 1)),
+        ("HAD", ()),
+        ("GPHASE", (0,)),
+        ("APHASE", (0,)),
+    ])
+    def test_malformed_gate_rejected(self, kind, qubits):
+        with pytest.raises(ValueError):
+            Gate(kind, qubits, 0.5)
+
+    @pytest.mark.parametrize("pattern, pauli, sign", [
+        ((2,), PauliString("I"), 1),
+        ((1, 2), PauliString("Z"), 1),
+        ((-1,), PauliString("X"), 1),
+        ((1,), PauliString("Z"), 0),
+        ((1,), None, 1),
+    ])
+    def test_mcpauli_gate_checked_without_factory(self, pattern, pauli, sign):
+        with pytest.raises(ValueError):
+            Gate("MCPAULI", (), 0.0, pattern, pauli, sign)
+
+    def test_mcpauli_rejects_qubit_list(self):
+        with pytest.raises(ValueError):
+            Gate("MCPAULI", (0,), 0.0, (1,), PauliString("Z"))
+
+    @pytest.mark.parametrize("registers, pattern, letters", [
+        ((1, 2), (1,), "Z"),
+        ((1, 1), (1,), "ZZ"),
+        ((2, 0), (1,), "ZZ"),
+    ])
+    def test_mcpauli_register_mismatch_rejected_at_append(self, registers, pattern, letters):
+        gate = mcpauli(pattern, PauliString(letters))
+        with pytest.raises(ValueError):
+            Circuit(*registers).append(gate)
+        with pytest.raises(ValueError):
+            Circuit(*registers, [gate])
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +576,11 @@ class TestIndependentOracle:
         for width, pair in ((2, (0, 1)), (3, (2, 0)), (4, (1, 3))):
             rho = random_density(width, rng)
             before = rho.copy()
-            out = depolarize_pair(rho, pair[0], pair[1], 0.3, width)
-            assert np.array_equal(rho, before)
-            assert np.abs(out - ref_depolarize(rho, pair[0], pair[1], 0.3, width)).max() < 1e-12
+            for p in (0.0, 0.3):
+                out = depolarize_pair(rho, pair[0], pair[1], p, width)
+                assert not np.shares_memory(out, rho)
+                assert np.array_equal(rho, before)
+                assert np.abs(out - ref_depolarize(rho, pair[0], pair[1], p, width)).max() < 1e-12
 
 
 class TestChannelAndReadoutInput:
@@ -599,6 +599,17 @@ class TestChannelAndReadoutInput:
     def test_depolarize_pair_rejects_qubit_out_of_range(self, pair):
         with pytest.raises(ValueError):
             depolarize_pair(self.RHO, *pair, 0.5, 2)
+
+    @pytest.mark.parametrize("shape", [(4, 16), (4, 4, 4)])
+    def test_apply_density_rejects_non_square_rho(self, shape):
+        c = Circuit(2).extend([had(0), cz(0, 1)])
+        with pytest.raises(ValueError):
+            apply_density(c, np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(4, 16), (4, 4, 4), (4, 2)])
+    def test_sampling_rejects_non_square_rho(self, shape):
+        with pytest.raises(ValueError):
+            sample_pauli_measurement(np.full(shape, 0.25, dtype=complex), PauliString("Z"), 10, 0, 1)
 
     def test_sampling_rejects_zero_trace(self):
         with pytest.raises(ValueError):

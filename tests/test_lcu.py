@@ -8,7 +8,6 @@ from qsp_lab.lcu import (
     build_lcu_circuit,
     diagonal_gates,
     encoded_block,
-    gate_count_row,
     lcu_plan,
     multiplexor_compile,
     naive_select_circuit,
@@ -195,10 +194,11 @@ class TestBlockEncoding:
 
     def test_four_site_compression_targets(self):
         plan = lcu_plan(ising4_rescaled(), pad_equal_weights=True)
-        row = gate_count_row("ising4", plan)
-        assert row["compiled_two_qubit"] <= 44
-        assert row["reduction_percent"] >= 60.0
-        assert row["naive_two_qubit"] >= 100  # documented baseline near 125
+        naive = naive_select_gate_count(plan)
+        compiled = count_two_qubit_gates(multiplexor_compile(plan))
+        assert compiled <= 44
+        assert 100.0 * (1.0 - compiled / naive) >= 60.0
+        assert naive >= 100  # documented baseline near 125
 
     def test_single_pauli_trivial(self):
         plan = lcu_plan(PauliSum(2).add(1.0, "XZ"))
@@ -225,7 +225,6 @@ class TestBlockEncoding:
         plan = lcu_plan(ising4_rescaled(), pad_equal_weights=True)
         enc = build_lcu_circuit(plan)
         u = circuit_unitary(enc.circuit)
-        assert enc.is_reflection
         assert np.allclose(u @ u, np.eye(u.shape[0]), atol=1e-10)
         v = circuit_unitary(enc.circuit.inverse())
         assert np.allclose(u @ v, np.eye(u.shape[0]), atol=1e-10)

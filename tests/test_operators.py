@@ -8,7 +8,6 @@ from qsp_lab.operators import (
     PauliSum,
     SpectralBounds,
     build_ising_chain,
-    effective_time_overhead,
     exact_extremes,
     exact_propagator,
     rescale,
@@ -146,23 +145,6 @@ class TestRescale:
         h = PauliSum(1).add(1.0, "I")
         with pytest.raises(DegenerateSpectrumError):
             rescale(h, SpectralBounds(1.0, 1.0, "exact"), 0.0, 1.0)
-
-
-class TestEffectiveTime:
-    def test_zero_slack(self):
-        b = SpectralBounds(-4.0, 4.0, "exact")
-        t_eff, overhead = effective_time_overhead(1.0, 0.0, b, 0.0, 1.0)
-        assert overhead == 0.0 and t_eff == pytest.approx(8.0)
-
-    def test_ten_percent_slack(self):
-        b = SpectralBounds(-4.0, 4.0, "exact")
-        t_eff, overhead = effective_time_overhead(1.0, 0.1, b, 0.0, 1.0)
-        assert overhead == pytest.approx(0.8)
-        assert t_eff == pytest.approx(8.8)
-
-    def test_zero_time(self):
-        b = SpectralBounds(-4.0, 4.0, "exact")
-        assert effective_time_overhead(0.0, 0.3, b)[0] == 0.0
 
 
 class TestDenseOracles:
