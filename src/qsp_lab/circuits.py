@@ -8,7 +8,8 @@ Native gate set: RX, RZ, RZZ, CZ, HAD, plus a bookkeeping GPHASE that
 carries the global phase exact synthesis requires.  MCPAULI (an
 ancilla-pattern-controlled Pauli) and APHASE (the ancilla-register phase
 exp(i*phi*(2|0..0><0..0| - 1))) are structural gates that decompose()
-expands into the native set.
+expands into the native set; decompose() is their only definition, and
+the simulators run a circuit holding them through it.
 
 Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
@@ -18,13 +19,12 @@ apply_statevector, circuit_unitary (apply_statevector on the identity)
 and apply_density share one walk over the gate list.  It does not apply
 single-qubit gates one at a time: each qubit keeps a pending 2x2
 product, which is multiplied into the 4x4 of the next RZZ/CZ on that
-qubit, applied just before a structural gate on that qubit, or applied
-at the end; scalar phases are carried and applied once.  The folding is
-exact, with or without noise: a pending unitary on qubit c commutes with
-every gate and every channel on other qubits, and the channel after an
-RZZ/CZ on c comes after the gate the pending unitary was folded into.
-A density matrix is conjugated as one (2,)*2w tensor, on its row and
-column indices, with no transpose of rho.
+qubit or applied at the end; scalar phases are carried and applied once.
+The folding is exact, with or without noise: a pending unitary on qubit c
+commutes with every gate and every channel on other qubits, and the
+channel after an RZZ/CZ on c comes after the gate the pending unitary
+was folded into.  A density matrix is conjugated as one (2,)*2w tensor,
+on its row and column indices, with no transpose of rho.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DecompositionRequiredError, DimensionError
-from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString
+from .operators import MAX_DENSE_QUBITS, PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("MCPAULI", "APHASE")
@@ -56,6 +56,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not all(isinstance(q, (int, np.integer)) for q in self.qubits):
+            raise ValueError(f"qubit indices must be integers, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
         if self.kind in ("RZZ", "CZ") and len(self.qubits) != 2:
@@ -213,8 +215,8 @@ def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], wor
     np.copyto(moved, res.reshape(moved.shape))
 
 
-def _gate_local(gate: Gate, circuit: Circuit) -> tuple[np.ndarray | None, tuple[int, ...], complex]:
-    """Return (local unitary, target axes, scalar phase) for a gate."""
+def _gate_local(gate: Gate) -> tuple[np.ndarray | None, tuple[int, ...], complex]:
+    """Return (local unitary, target axes, scalar phase) for a native gate."""
     kind = gate.kind
     if kind == "RX":
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
@@ -230,34 +232,7 @@ def _gate_local(gate: Gate, circuit: Circuit) -> tuple[np.ndarray | None, tuple[
         return _CZ, gate.qubits, 1.0
     if kind == "GPHASE":
         return None, (), np.exp(1j * gate.angle)
-    if kind == "APHASE":
-        a = circuit.n_ancilla
-        if a == 0:
-            return None, (), np.exp(1j * gate.angle)
-        d = np.full(2**a, np.exp(-1j * gate.angle), dtype=complex)
-        d[0] = np.exp(1j * gate.angle)
-        return np.diag(d), circuit.ancilla_qubits, 1.0
-    if kind == "MCPAULI":
-        a = circuit.n_ancilla
-        support = gate.pauli.support
-        idx = 0
-        for b in gate.pattern:
-            idx = (idx << 1) | b
-        if not support:  # controlled (sign * identity)
-            if a == 0:
-                return None, (), complex(gate.sign)
-            d = np.ones(2**a, dtype=complex)
-            d[idx] = gate.sign
-            return np.diag(d), circuit.ancilla_qubits, 1.0
-        block = PAULI_1Q[gate.pauli.letters[support[0]]]
-        for q in support[1:]:
-            block = np.kron(block, PAULI_1Q[gate.pauli.letters[q]])
-        sdim = 2 ** len(support)
-        m = np.eye(2**a * sdim, dtype=complex)
-        m[idx * sdim: (idx + 1) * sdim, idx * sdim: (idx + 1) * sdim] = gate.sign * block
-        axes = circuit.ancilla_qubits + tuple(circuit.system_qubit(q) for q in support)
-        return m, axes, 1.0
-    raise ValueError(f"unknown gate kind {kind!r}")
+    raise DecompositionRequiredError(f"{kind} is not a native gate; decompose the circuit first")
 
 
 def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: float = 0.0) -> np.ndarray:
@@ -268,8 +243,11 @@ def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: 
     density=True a (2^w, 2^w) density matrix, which is conjugated and on
     which scalar phases cancel.  p_pair > 0 attaches the two-qubit
     depolarizing channel after every RZZ/CZ, applied in place on the
-    walk's own buffer.
+    walk's own buffer.  A circuit holding a structural gate is walked as
+    decompose(circuit).
     """
+    if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
+        circuit = decompose(circuit)
     w = circuit.width
     out = np.array(initial, dtype=complex, order="C")
     work = np.empty(2 * out.size, dtype=complex)
@@ -282,7 +260,7 @@ def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: 
     pending: dict[int, np.ndarray] = {}
     phase = 1.0
     for g in circuit.gates:
-        local, axes, scalar = _gate_local(g, circuit)
+        local, axes, scalar = _gate_local(g)
         phase *= scalar
         if local is None:
             continue
@@ -290,15 +268,9 @@ def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: 
             q = axes[0]
             pending[q] = local @ pending[q] if q in pending else local
             continue
-        if g.kind in ("RZZ", "CZ"):
-            a, b = pending.pop(axes[0], _I2), pending.pop(axes[1], _I2)
-            local = local @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)  # kron(a, b)
-        else:
-            for q in axes:
-                if q in pending:
-                    apply(pending.pop(q), (q,))
-        apply(local, axes)
-        if p_pair and g.kind in ("RZZ", "CZ"):
+        a, b = pending.pop(axes[0], _I2), pending.pop(axes[1], _I2)
+        apply(local @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4), axes)  # kron(a, b)
+        if p_pair:
             _depolarize_pair_inplace(out.reshape((2,) * (2 * w)), axes[0], axes[1], p_pair, w)
     for q, m in pending.items():
         apply(m, (q,))
@@ -370,13 +342,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = 
     every RZZ and CZ; global_depolarizing applies one channel at the end
     with p = 1-(1-p_tq)^N_TQ; none is exact conjugation.
 
-    Single-qubit gates are not applied one by one: each run of them on a
-    qubit is multiplied into the next RZZ/CZ on that qubit (or applied once
-    at the end), so rho is conjugated once per two-qubit gate.  This is
-    exact under every noise model here, because a single-qubit unitary on
-    qubit c commutes with a depolarizing channel on any pair without c,
-    and the channel on a pair containing c comes after the gate it is
-    folded into.
+    Single-qubit gates are folded into two-qubit ones (module docstring).
     """
     if rho.shape != (2**circuit.width, 2**circuit.width):
         raise ValueError(f"density matrix of shape {rho.shape} does not match width {circuit.width}")
@@ -414,6 +380,18 @@ def _cphase(c: int, t: int, theta: float) -> list[Gate]:
     return [rz(c, theta / 2.0), rz(t, theta / 2.0), rzz(c, t, -theta / 2.0), gphase(theta / 4.0)]
 
 
+def _pauli_x(q: int) -> list[Gate]:
+    return [gphase(np.pi / 2.0), rx(q, np.pi)]
+
+
+# letter -> (gates before, gates after) that turn a Z on qubit t into the letter
+_TO_Z_BASIS = {
+    "X": lambda t: ([had(t)], [had(t)]),
+    "Y": lambda t: ([rx(t, np.pi / 2.0)], [rx(t, -np.pi / 2.0)]),
+    "Z": lambda t: ([], []),
+}
+
+
 def _cx(c: int, t: int) -> list[Gate]:
     return [had(t), cz(c, t), had(t)]
 
@@ -440,53 +418,30 @@ def mcphase(controls: tuple[int, ...], target: int, theta: float) -> list[Gate]:
 
 def mcx(controls: tuple[int, ...], target: int) -> list[Gate]:
     if not controls:
-        return [gphase(np.pi / 2.0), rx(target, np.pi)]
+        return _pauli_x(target)
     if len(controls) == 1:
         return _cx(controls[0], target)
     return [had(target)] + mcphase(controls, target, np.pi) + [had(target)]
 
 
-def _pauli_x(q: int) -> list[Gate]:
-    return [gphase(np.pi / 2.0), rx(q, np.pi)]
-
-
 def _decompose_mcpauli(gate: Gate, circuit: Circuit) -> list[Gate]:
-    a = circuit.n_ancilla
+    """Each support letter is a multi-controlled Z in its own basis; a minus
+    sign conjugates the first letter with a Pauli that anticommutes with it."""
     ancillas = circuit.ancilla_qubits
     gates: list[Gate] = []
     flips = [ancillas[i] for i, b in enumerate(gate.pattern) if b == 0]
     for q in flips:
         gates += _pauli_x(q)
-    support = gate.pauli.support
-    sign_pending = gate.sign == -1
-    for k, q in enumerate(support):
+    for k, q in enumerate(gate.pauli.support):
         letter = gate.pauli.letters[q]
         t = circuit.system_qubit(q)
-        pre: list[Gate] = []
-        post: list[Gate] = []
-        if letter == "X":
-            pre, post = [had(t)], [had(t)]
-            if sign_pending and k == 0:  # -X = Z X Z
-                pre = [gphase(np.pi / 2.0), rz(t, np.pi)] + pre
-                post = post + [gphase(np.pi / 2.0), rz(t, np.pi)]
-        elif letter == "Y":
-            pre, post = [rx(t, np.pi / 2.0)], [rx(t, -np.pi / 2.0)]
-            if sign_pending and k == 0:  # -Y = X Y X
-                pre = _pauli_x(t) + pre
-                post = post + _pauli_x(t)
-        elif sign_pending and k == 0:  # -Z = X Z X
-            pre = _pauli_x(t)
-            post = _pauli_x(t)
+        pre, post = _TO_Z_BASIS[letter](t)
+        if k == 0 and gate.sign == -1:  # -X = Z X Z, -Y = X Y X, -Z = X Z X
+            flip = _phase1q(t, np.pi) if letter == "X" else _pauli_x(t)
+            pre, post = flip + pre, post + flip
         gates += pre + mcphase(ancillas, t, np.pi) + post
-        if k == 0:
-            sign_pending = False
-    if not support and gate.sign == -1:
-        if a == 0:
-            gates.append(gphase(np.pi))
-        elif a == 1:
-            gates += _phase1q(ancillas[0], np.pi)
-        else:
-            gates += mcphase(ancillas[:-1], ancillas[-1], np.pi)
+    if not gate.pauli.support and gate.sign == -1:
+        gates += mcphase(ancillas[:-1], ancillas[-1], np.pi) if ancillas else [gphase(np.pi)]
     for q in flips:
         gates += _pauli_x(q)
     return gates
@@ -569,8 +524,8 @@ def sample_pauli_measurement(
 
     Draws from the exact Born distribution; reproducible under the seed.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     n_system = observable.n
     dim_a, dim_s = 2**n_ancilla, 2**n_system
     if rho.shape != (dim_a * dim_s, dim_a * dim_s):

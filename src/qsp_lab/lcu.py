@@ -59,9 +59,12 @@ class BlockEncoding:
     """
 
     circuit: Circuit
-    a: int
     epsilon_be: float
     scale: float = 1.0
+
+    @property
+    def a(self) -> int:
+        return self.circuit.n_ancilla
 
     @property
     def n_system(self) -> int:
@@ -126,15 +129,17 @@ def lcu_plan(h_tilde: PauliSum, pad_equal_weights: bool = False) -> LCUPlan:
 # ---------------------------------------------------------------------------
 
 def _walsh(values: np.ndarray) -> np.ndarray:
-    """Walsh coefficients w[mask] with parity characters (-1)^{mask & x}."""
+    """Walsh coefficients of values over controls, controls[0] the most
+    significant bit of the index: w[mask] is the weight of the parity
+    character on {controls[i] : bit i of mask set}."""
     m = int(np.log2(len(values)))
-    w = np.asarray(values, dtype=float).copy()
+    w = np.array(values, dtype=float)
     for i in range(m):
         w = w.reshape(-1, 2, 2**i)
-        top, bot = w[:, 0].copy(), w[:, 1].copy()
-        w[:, 0], w[:, 1] = top + bot, top - bot
+        w[:, 0], w[:, 1] = w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]
         w = w.reshape(-1)
-    return w / len(values)
+    # reversing the axes of the (2,)*m tensor reverses the bit order of its index
+    return (w / len(values)).reshape((2,) * m).T.reshape(-1)
 
 
 def _ry_gates(t: int, angle: float) -> list[Gate]:
@@ -193,54 +198,27 @@ def ucrz(controls: tuple[int, ...], target: int, alphas: np.ndarray) -> list[Gat
 
     alphas is indexed so that controls[0] is the most significant bit.
     """
-    w = _bit_reversed_walsh(alphas, len(controls))
-    return _gray_ucr("RZ", controls, target, w)
+    return _gray_ucr("RZ", controls, target, _walsh(alphas))
 
 
 def ucry(controls: tuple[int, ...], target: int, alphas: np.ndarray) -> list[Gate]:
-    w = _bit_reversed_walsh(alphas, len(controls))
-    return _gray_ucr("RY", controls, target, w)
-
-
-def _bit_reversed_walsh(alphas: np.ndarray, m: int) -> np.ndarray:
-    """Walsh coefficients re-indexed so mask bit i refers to controls[i]."""
-    w = _walsh(np.asarray(alphas, dtype=float))
-    if m <= 1:
-        return w
-    out = np.empty_like(w)
-    for mask in range(2**m):
-        rev = int(format(mask, f"0{m}b")[::-1], 2)
-        out[rev] = w[mask]
-    return out
+    return _gray_ucr("RY", controls, target, _walsh(alphas))
 
 
 def diagonal_gates(qubits: tuple[int, ...], phases: np.ndarray) -> list[Gate]:
     """Exact synthesis of diag(exp(i*phases[x])) over the given qubits.
 
-    qubits[0] indexes the most significant bit of x.  The Walsh-constant
-    part is emitted as a GPHASE so the result matches the target with no
-    global-phase slack.
+    qubits[0] indexes the most significant bit of x.  On the last qubit
+    diag(e^{i p0}, e^{i p1}) = e^{i (p0+p1)/2} RZ(p1 - p0), so the rest is
+    a diagonal on the other qubits and one uniformly controlled RZ.  The
+    constant phase is emitted as a GPHASE so the result matches the
+    target with no global-phase slack.
     """
-    m = len(qubits)
-    if m == 0:
+    phases = np.asarray(phases, dtype=float)
+    if not qubits:
         return [gphase(float(phases[0]))] if abs(phases[0]) > _ANGLE_TOL else []
-    w = _bit_reversed_walsh(np.asarray(phases, dtype=float), m)
-    gates: list[Gate] = []
-    if abs(w[0]) > _ANGLE_TOL:
-        gates.append(gphase(float(w[0])))
-    # A Walsh phase weight w_S becomes the rotation angle -2 w_S because
-    # RZ-type rotations realize exp(-i(theta/2) * chi_S).
-    for pos in range(m):
-        # group: masks whose highest set qubit index is pos
-        sub = np.zeros(2**pos if pos else 1)
-        hit = False
-        for mask in range(1, 2**m):
-            if mask.bit_length() - 1 == pos:
-                sub[mask ^ (1 << pos)] = -2.0 * w[mask]
-                hit = hit or abs(w[mask]) > _ANGLE_TOL
-        if hit:
-            gates += _gray_ucr("RZ", tuple(qubits[:pos]), qubits[pos], sub)
-    return gates
+    p0, p1 = phases[0::2], phases[1::2]
+    return diagonal_gates(qubits[:-1], (p0 + p1) / 2.0) + ucrz(qubits[:-1], qubits[-1], p1 - p0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,4 +346,4 @@ def build_lcu_circuit(plan: LCUPlan) -> BlockEncoding:
     scale = 1.0 if abs(plan.c - 1.0) <= 1e-9 else plan.c
     target = plan.encoded_operator().to_matrix() * (plan.c / scale)
     eps = float(np.linalg.norm(encoded_block(circuit) - target))
-    return BlockEncoding(circuit=circuit, a=a, epsilon_be=eps, scale=scale)
+    return BlockEncoding(circuit=circuit, epsilon_be=eps, scale=scale)

@@ -40,16 +40,17 @@ class QSPPhases:
     """Phase factors realizing f(x) ~ exp(-i x t_tilde) on the interval."""
 
     phases: np.ndarray
-    degree: int
     t_tilde: float
     interval: tuple[float, float]
     epsilon_poly: float
 
+    @property
+    def degree(self) -> int:
+        return len(self.phases)
+
     def __post_init__(self):
-        if self.degree % 2 != 0 or self.degree < 0:
+        if self.degree % 2 != 0:
             raise ValueError("the even-parity protocol needs an even degree")
-        if len(self.phases) != self.degree:
-            raise ValueError("phase count must equal the degree")
 
 
 def _sqrt1m(xs: np.ndarray) -> np.ndarray:
@@ -127,7 +128,7 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
         return float(np.max(np.abs(_carry(phi, xv, sv, 1.0, 0.0)[0][-1] - target_v)))
 
     if d == 0:
-        return QSPPhases(np.zeros(0), 0, t_tilde, (a, b), max_error(np.zeros(0)))
+        return QSPPhases(np.zeros(0), t_tilde, (a, b), max_error(np.zeros(0)))
     xs = (a + b) / 2.0 + (b - a) / 2.0 * np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
     s, target = _sqrt1m(xs), np.exp(-1j * xs * t_tilde)
     rng = np.random.default_rng(_RESTART_SEED)
@@ -172,7 +173,7 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
             eps = max_error(phi)
             if eps < best_eps - 1e-15:
                 best_phi, best_eps = phi, eps
-    return QSPPhases(best_phi, d, t_tilde, (a, b), float(best_eps))
+    return QSPPhases(best_phi, t_tilde, (a, b), float(best_eps))
 
 
 def validate_qsp_polynomial(phases: QSPPhases, n_points: int = 1000) -> dict:

@@ -385,7 +385,7 @@ def variational_block_encoding(
     n = h_tilde.n
     result = optimize(h_tilde, n, a, layers, config, initial_thetas)
     circuit = build_ansatz(n, a, layers, result.theta)
-    return BlockEncoding(circuit=circuit, a=a, epsilon_be=result.epsilon_be, scale=1.0), result
+    return BlockEncoding(circuit=circuit, epsilon_be=result.epsilon_be, scale=1.0), result
 
 
 def layer_sweep(

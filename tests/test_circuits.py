@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qsp_lab import circuits as cir
 from qsp_lab.circuits import (
+    NATIVE_KINDS,
     Circuit,
     Gate,
     NoiseModel,
@@ -150,7 +152,7 @@ class TestStructuralGates:
             c = Circuit(n, a).append(mcpauli(pattern, PauliString(letters), sign))
             dec = decompose(c)
             assert all(g.kind not in ("MCPAULI", "APHASE") for g in dec.gates)
-            assert np.allclose(circuit_unitary(c), circuit_unitary(dec), atol=1e-10)
+            assert np.allclose(circuit_unitary(dec), ref_unitary(c), atol=1e-10)
 
     @pytest.mark.parametrize("pattern, letters", [((2,), "I"), ((1, 2), "Z"), ((-1,), "X")])
     def test_mcpauli_rejects_pattern_entry_outside_bits(self, pattern, letters):
@@ -161,7 +163,7 @@ class TestStructuralGates:
         for a in (1, 2, 3):
             c = Circuit(1, a).append(mcpauli((1,) * a, PauliString("I"), -1))
             dec = decompose(c)
-            assert np.allclose(circuit_unitary(c), circuit_unitary(dec), atol=1e-10)
+            assert np.allclose(circuit_unitary(dec), ref_unitary(c), atol=1e-10)
 
     def test_aphase_action(self):
         for a in (0, 1, 2, 3):
@@ -176,7 +178,24 @@ class TestStructuralGates:
         for a in (0, 1, 2, 3):
             c = Circuit(2, a).append(aphase(-0.91))
             dec = decompose(c)
-            assert np.allclose(circuit_unitary(c), circuit_unitary(dec), atol=1e-10)
+            assert np.allclose(circuit_unitary(dec), ref_unitary(c), atol=1e-10)
+
+    def test_simulators_see_only_native_gates(self, monkeypatch):
+        seen = []
+        gate_local = cir._gate_local
+
+        def recording(gate):
+            seen.append(gate.kind)
+            return gate_local(gate)
+
+        monkeypatch.setattr(cir, "_gate_local", recording)
+        c = Circuit(2, 2).extend([had(0), mcpauli((1, 0), PauliString("YX"), -1), aphase(0.3), rzz(1, 2, 0.4)])
+        circuit_unitary(c)
+        apply_statevector(c, zero_state(4))
+        apply_density(c, density_from_state(zero_state(4)))
+        assert seen and set(seen) <= set(NATIVE_KINDS)
+        with pytest.raises(DecompositionRequiredError):
+            gate_local(aphase(0.1))
 
     def test_mcx_and_mcphase(self):
         # CCX truth table
@@ -312,6 +331,17 @@ class TestSampling:
         total = sum(o * c for (_, o), c in counts.items())
         assert abs(total / 20000) < 5.0 / np.sqrt(20000)
 
+    @pytest.mark.parametrize("shots", [2.5, 3.0, "10"])
+    def test_non_integer_shots_rejected(self, shots):
+        rho = np.eye(8, dtype=complex) / 8.0
+        with pytest.raises(ValueError):
+            sample_pauli_measurement(rho, PauliString("Z"), shots, 0, 2)
+
+    def test_numpy_integer_shots_accepted(self):
+        rho = np.eye(8, dtype=complex) / 8.0
+        counts = sample_pauli_measurement(rho, PauliString("Z"), np.int64(40), 0, 2)
+        assert sum(counts.values()) == 40
+
     def test_reproducible(self):
         rho = np.eye(8, dtype=complex) / 8.0
         a = sample_pauli_measurement(rho, PauliString("X"), 500, 42, 2)
@@ -385,6 +415,15 @@ class TestRegisterInput:
     def test_mcpauli_gate_checked_without_factory(self, pattern, pauli, sign):
         with pytest.raises(ValueError):
             Gate("MCPAULI", (), 0.0, pattern, pauli, sign)
+
+    @pytest.mark.parametrize("qubit", [0.1, 1.0, "0", None])
+    def test_non_integer_qubit_rejected(self, qubit):
+        with pytest.raises(ValueError):
+            rx(qubit, 0.5)
+
+    def test_numpy_integer_qubits_accepted(self):
+        c = Circuit(2).extend([rx(np.int64(1), 0.5), cz(np.int32(0), np.int64(1))])
+        assert np.abs(circuit_unitary(c) - ref_unitary(Circuit(2).extend([rx(1, 0.5), cz(0, 1)]))).max() < 1e-12
 
     def test_mcpauli_rejects_qubit_list(self):
         with pytest.raises(ValueError):

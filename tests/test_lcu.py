@@ -144,12 +144,6 @@ class TestSelectOracles:
                 u = circuit_unitary(compiled)
                 assert np.allclose(u, dense_select(plan), atol=1e-10)
 
-    def test_naive_circuit_matches_dense(self):
-        rng = np.random.default_rng(35)
-        plan = random_plan(rng, 4, 2)
-        u = circuit_unitary(naive_select_circuit(plan))
-        assert np.allclose(u, dense_select(plan), atol=1e-10)
-
     def test_naive_decomposition_matches_dense(self):
         rng = np.random.default_rng(36)
         plan = random_plan(rng, 4, 2)
