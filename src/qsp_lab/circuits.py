@@ -23,11 +23,15 @@ qubit or applied at the end; scalar phases are carried and applied once.
 The folding is exact, with or without noise: a pending unitary on qubit c
 commutes with every gate and every channel on other qubits, and the
 channel after an RZZ/CZ on c comes after the gate the pending unitary
-was folded into.  A density matrix is conjugated as one (2,)*2w tensor,
-on its row and column indices, with no transpose of rho.
+was folded into.  A density matrix is walked as the vector of its entries
+(Liouville form, Nielsen & Chuang 8.2): a unitary U on some axes becomes
+the superoperator kron(U, conj(U)) on those axes and their column twins
+w+q, and under per-gate noise the pair channel's superoperator is
+multiplied into that of its RZZ/CZ, so every gate is one kernel call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,6 +64,8 @@ class Gate:
             raise ValueError(f"qubit indices must be integers, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"gate angle must be finite, got {self.angle}")
         if self.kind in ("RZZ", "CZ") and len(self.qubits) != 2:
             raise ValueError(f"{self.kind} acts on exactly 2 qubits")
         if self.kind in ("RX", "RZ", "HAD") and len(self.qubits) != 1:
@@ -235,27 +241,44 @@ def _gate_local(gate: Gate) -> tuple[np.ndarray | None, tuple[int, ...], complex
     raise DecompositionRequiredError(f"{kind} is not a native gate; decompose the circuit first")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, without its per-call overhead."""
+    n = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
+def _depolarizing(p: float) -> np.ndarray:
+    """rho <- (1-p) rho + p (I/4 on the pair) (x) Tr_pair rho as a 16x16 matrix on
+    the pair's (row, row, column, column) axes of vec(rho); e^T vec(rho) is Tr_pair rho."""
+    e = np.eye(4, dtype=complex).reshape(16)
+    return (1.0 - p) * np.eye(16, dtype=complex) + (p / 4.0) * np.outer(e, e)
+
+
 def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: float = 0.0) -> np.ndarray:
     """The one gate-application walk behind every simulator (see the module
     docstring for the folding rule).
 
     initial is a (2^w,) state, a (2^w, B) batch of columns, or with
-    density=True a (2^w, 2^w) density matrix, which is conjugated and on
-    which scalar phases cancel.  p_pair > 0 attaches the two-qubit
-    depolarizing channel after every RZZ/CZ, applied in place on the
-    walk's own buffer.  A circuit holding a structural gate is walked as
-    decompose(circuit).
+    density=True a (2^w, 2^w) density matrix, walked as the vector of its
+    entries: each folded unitary U is one kernel call of kron(U, conj(U))
+    on its row and column axes, and scalar phases cancel.  p_pair > 0
+    multiplies the pair depolarizing channel into every RZZ/CZ's
+    superoperator.  A structural gate is walked as decompose(circuit).
     """
     if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         circuit = decompose(circuit)
     w = circuit.width
     out = np.array(initial, dtype=complex, order="C")
     work = np.empty(2 * out.size, dtype=complex)
+    pair_channel = _depolarizing(p_pair) if p_pair else None
 
-    def apply(local: np.ndarray, axes: tuple[int, ...]) -> None:
-        _tensor_apply(out, local, axes, work)
+    def apply(local: np.ndarray, axes: tuple[int, ...], channel: np.ndarray | None = None) -> None:
         if density:
-            _tensor_apply(out, local.conj(), tuple(w + q for q in axes), work)
+            local = _kron(local, local.conj())
+            if channel is not None:
+                local = channel @ local
+            axes += tuple(w + q for q in axes)
+        _tensor_apply(out, local, axes, work)
 
     pending: dict[int, np.ndarray] = {}
     phase = 1.0
@@ -269,9 +292,7 @@ def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: 
             pending[q] = local @ pending[q] if q in pending else local
             continue
         a, b = pending.pop(axes[0], _I2), pending.pop(axes[1], _I2)
-        apply(local @ (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4), axes)  # kron(a, b)
-        if p_pair:
-            _depolarize_pair_inplace(out.reshape((2,) * (2 * w)), axes[0], axes[1], p_pair, w)
+        apply(local @ _kron(a, b), axes, pair_channel)
     for q, m in pending.items():
         apply(m, (q,))
     if density or phase == 1.0:
@@ -293,26 +314,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return apply_statevector(circuit, np.eye(2**circuit.width, dtype=complex))
 
 
-def _depolarize_pair_inplace(t: np.ndarray, q0: int, q1: int, p: float, width: int) -> None:
-    """rho <- (1-p) rho + p (I/4 on the pair) (x) Tr_pair rho, on the (2,)*2w tensor t.
-
-    Tr_pair rho is the sum of the four pair-diagonal slices; the I/4 term
-    adds p/4 of it back onto each of them.  At width 2 a slice is a
-    scalar, so every update goes through item assignment on t.
-    """
-    sites = []
-    for a in (0, 1):
-        for b in (0, 1):
-            idx = [slice(None)] * (2 * width)
-            idx[q0] = idx[width + q0] = a
-            idx[q1] = idx[width + q1] = b
-            sites.append(tuple(idx))
-    traced = sum(t[s] for s in sites)
-    t *= 1.0 - p
-    for s in sites:
-        t[s] += (p / 4.0) * traced
-
-
 def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> np.ndarray:
     """Two-qubit depolarizing channel: keep with 1-p, else I/4 on the pair.
 
@@ -322,8 +323,10 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
         raise ValueError("p must lie in [0, 1]")
     if q0 == q1 or not (0 <= q0 < width and 0 <= q1 < width):
         raise ValueError(f"qubits ({q0}, {q1}) are not a distinct pair of a width-{width} register")
-    out = rho.astype(complex)
-    _depolarize_pair_inplace(out.reshape((2,) * (2 * width)), q0, q1, p, width)
+    if rho.shape != (2**width, 2**width):
+        raise ValueError(f"density matrix of shape {rho.shape} does not match width {width}")
+    out = np.array(rho, dtype=complex, order="C")
+    _tensor_apply(out, _depolarizing(p), (q0, q1, width + q0, width + q1), np.empty(2 * out.size, dtype=complex))
     return out
 
 

@@ -150,30 +150,14 @@ def _gray_ucr(axis: str, controls: tuple[int, ...], target: int, w_by_mask: np.n
     """Product over control subsets T of R_axis(theta_T * chi_T(x)) on the target.
 
     w_by_mask[g] is the rotation angle for the parity character on
-    {controls[i] : bit i of g set}.  The walk visits subsets in Gray
-    order over the union support of the nonzero angles, sharing CX
-    parity toggles between consecutive rotations.
+    {controls[i] : bit i of g set}.  The walk visits subsets in reflected
+    Gray order, sharing CX parity toggles between consecutive rotations,
+    and skips zero angles.  Restricted to the subsets of the nonzero
+    angles' union support, that order is the support's own Gray order, so
+    controls no nonzero angle touches never get a CX.
     """
     rot = (lambda t, a: [rz(t, a)]) if axis == "RZ" else (lambda t, a: _ry_gates(t, a))
     m = len(controls)
-    nz = [g for g in range(2**m) if abs(w_by_mask[g]) > _ANGLE_TOL]
-    if not nz:
-        return []
-    support = 0
-    for g in nz:
-        support |= g
-    bits = [i for i in range(m) if support & (1 << i)]
-    if len(bits) < m:  # drop controls no nonzero term touches
-        reduced = np.zeros(2 ** len(bits))
-        for g in nz:
-            sub = 0
-            for j, i in enumerate(bits):
-                if g & (1 << i):
-                    sub |= 1 << j
-            reduced[sub] = w_by_mask[g]
-        return _gray_ucr(axis, tuple(controls[i] for i in bits), target, reduced)
-    if m == 0:
-        return rot(target, float(w_by_mask[0]))
     gates: list[Gate] = []
     mask = 0
     for j in range(2**m):

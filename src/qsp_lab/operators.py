@@ -90,16 +90,12 @@ class PauliSum:
         self.terms.append(term)
         return self
 
-    def canonicalize(self, drop_zero: bool = True, tol: float = 0.0) -> "PauliSum":
-        """Merge duplicate strings; optionally drop (near-)zero coefficients."""
+    def canonicalize(self, drop_zero: bool = True) -> "PauliSum":
+        """Merge duplicate strings; optionally drop exactly-zero coefficients."""
         merged: dict[str, float] = {}
         for coeff, ps in self.terms:
             merged[ps.letters] = merged.get(ps.letters, 0.0) + coeff
-        terms = [
-            (c, PauliString(s))
-            for s, c in merged.items()
-            if not (drop_zero and abs(c) <= tol)
-        ]
+        terms = [(c, PauliString(s)) for s, c in merged.items() if not (drop_zero and c == 0.0)]
         return PauliSum(self.n, terms)
 
     def scaled(self, factor: float) -> "PauliSum":

@@ -176,11 +176,11 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
     return QSPPhases(best_phi, t_tilde, (a, b), float(best_eps))
 
 
-def validate_qsp_polynomial(phases: QSPPhases, n_points: int = 1000) -> dict:
-    """Grid checks of the protocol conditions: parity and |f| <= 1."""
-    xs, phi = np.linspace(0.0, 1.0, n_points), phases.phases
+def validate_qsp_polynomial(phases: QSPPhases) -> dict:
+    """Grid checks of the protocol conditions on 1000 points: parity and |f| <= 1."""
+    xs, phi = np.linspace(0.0, 1.0, 1000), phases.phases
     parity_err = float(np.max(np.abs(_f_values(phi, -xs) - _f_values(phi, xs))))
-    max_abs = float(np.max(np.abs(_f_values(phi, np.linspace(-1.0, 1.0, n_points)))))
+    max_abs = float(np.max(np.abs(_f_values(phi, np.linspace(-1.0, 1.0, 1000)))))
     return {
         "degree": phases.degree,
         "parity_error": parity_err,

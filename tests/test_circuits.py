@@ -296,6 +296,23 @@ class TestDensityAndNoise:
         assert np.allclose(red, np.eye(4) / 4.0, atol=1e-12)
         assert np.allclose(partial_trace(out, (1,), 3), partial_trace(rho, (1,), 3), atol=1e-12)
 
+    def test_density_walk_one_kernel_call_per_gate(self, monkeypatch):
+        calls = []
+        kernel = cir._tensor_apply
+
+        def counting(vec, local, axes, work):
+            calls.append((local.shape, axes))
+            kernel(vec, local, axes, work)
+
+        monkeypatch.setattr(cir, "_tensor_apply", counting)
+        # N = 2 two-qubit gates; k = 2 qubits (0 and 2) end with single-qubit gates
+        c = Circuit(3).extend([had(0), rx(1, 0.3), rzz(0, 1, 0.7), rz(2, 0.1), cz(1, 2), rx(0, 0.2), had(2)])
+        rho = random_density(3, np.random.default_rng(19))
+        for noise in (None, NoiseModel(0.1, "per_gate_depolarizing"), NoiseModel(0.1, "global_depolarizing")):
+            calls.clear()
+            apply_density(c, rho, noise)
+            assert calls == [((16, 16), (0, 1, 3, 4)), ((16, 16), (1, 2, 4, 5)), ((4, 4), (0, 3)), ((4, 4), (2, 5))]
+
 
 class TestCounting:
     def test_empty(self):
@@ -415,6 +432,14 @@ class TestRegisterInput:
     def test_mcpauli_gate_checked_without_factory(self, pattern, pauli, sign):
         with pytest.raises(ValueError):
             Gate("MCPAULI", (), 0.0, pattern, pauli, sign)
+
+    @pytest.mark.parametrize("build", [
+        lambda a: rx(0, a), lambda a: rz(1, a), lambda a: rzz(0, 1, a), lambda a: gphase(a), lambda a: aphase(a),
+    ], ids=["RX", "RZ", "RZZ", "GPHASE", "APHASE"])
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -np.inf])
+    def test_non_finite_angle_rejected(self, build, angle):
+        with pytest.raises(ValueError):
+            build(angle)
 
     @pytest.mark.parametrize("qubit", [0.1, 1.0, "0", None])
     def test_non_integer_qubit_rejected(self, qubit):
@@ -638,6 +663,11 @@ class TestChannelAndReadoutInput:
     def test_depolarize_pair_rejects_qubit_out_of_range(self, pair):
         with pytest.raises(ValueError):
             depolarize_pair(self.RHO, *pair, 0.5, 2)
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 16), (4, 4, 4)])
+    def test_depolarize_pair_rejects_rho_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError):
+            depolarize_pair(np.ones(shape, dtype=complex), 0, 1, 0.5, 2)
 
     @pytest.mark.parametrize("shape", [(4, 16), (4, 4, 4)])
     def test_apply_density_rejects_non_square_rho(self, shape):
