@@ -23,10 +23,14 @@ qubit or applied at the end; scalar phases are carried and applied once.
 The folding is exact, with or without noise: a pending unitary on qubit c
 commutes with every gate and every channel on other qubits, and the
 channel after an RZZ/CZ on c comes after the gate the pending unitary
-was folded into.  A density matrix is walked as the vector of its entries
-(Liouville form, Nielsen & Chuang 8.2): a unitary U on some axes becomes
-the superoperator kron(U, conj(U)) on those axes and their column twins
-w+q, and under per-gate noise the pair channel's superoperator is
+was folded into.  Without per-gate noise a density matrix
+rho = sum_k lam_k |v_k><v_k| is evolved through its eigenvectors: the
+walk carries the (2^w, r) batch of the r eigenvectors numpy's rank rule
+keeps, and the output is sum_k lam_k U|v_k><v_k|U^dag, so a pure state
+costs one statevector walk.  Under per-gate noise rho is walked as the
+vector of its entries (Liouville form, Nielsen & Chuang 8.2): a unitary U
+on some axes becomes the superoperator kron(U, conj(U)) on those axes and
+their column twins w+q, and the pair channel's superoperator is
 multiplied into that of its RZZ/CZ, so every gate is one kernel call.
 """
 from __future__ import annotations
@@ -46,6 +50,8 @@ _KINDS = frozenset(NATIVE_KINDS + STRUCTURAL_KINDS)
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
+# apply_density's bound on max|rho - rho^dag| relative to max|rho|
+_HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -254,23 +260,25 @@ def _depolarizing(p: float) -> np.ndarray:
     return (1.0 - p) * np.eye(16, dtype=complex) + (p / 4.0) * np.outer(e, e)
 
 
-def _walk(circuit: Circuit, initial: np.ndarray, density: bool = False, p_pair: float = 0.0) -> np.ndarray:
+def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndarray:
     """The one gate-application walk behind every simulator (see the module
     docstring for the folding rule).
 
-    initial is a (2^w,) state, a (2^w, B) batch of columns, or with
-    density=True a (2^w, 2^w) density matrix, walked as the vector of its
-    entries: each folded unitary U is one kernel call of kron(U, conj(U))
-    on its row and column axes, and scalar phases cancel.  p_pair > 0
-    multiplies the pair depolarizing channel into every RZZ/CZ's
-    superoperator.  A structural gate is walked as decompose(circuit).
+    initial is a (2^w,) state or a (2^w, B) batch of columns.  With
+    p_pair > 0 it is a (2^w, 2^w) density matrix under per-gate noise,
+    walked as the vector of its entries: each folded unitary U is one
+    kernel call of kron(U, conj(U)) on its row and column axes, the pair
+    depolarizing channel is multiplied into every RZZ/CZ's superoperator,
+    and scalar phases cancel.  A structural gate is walked as
+    decompose(circuit).
     """
     if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         circuit = decompose(circuit)
     w = circuit.width
     out = np.array(initial, dtype=complex, order="C")
     work = np.empty(2 * out.size, dtype=complex)
-    pair_channel = _depolarizing(p_pair) if p_pair else None
+    density = p_pair > 0.0
+    pair_channel = _depolarizing(p_pair) if density else None
 
     def apply(local: np.ndarray, axes: tuple[int, ...], channel: np.ndarray | None = None) -> None:
         if density:
@@ -339,23 +347,32 @@ def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
 
 
 def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
-    """Evolve a density matrix through the circuit under the noise model.
+    """Evolve a Hermitian matrix rho through the circuit under the noise model.
 
     per_gate_depolarizing attaches a two-qubit depolarizing channel after
     every RZZ and CZ; global_depolarizing applies one channel at the end
     with p = 1-(1-p_tq)^N_TQ; none is exact conjugation.
 
-    Single-qubit gates are folded into two-qubit ones (module docstring).
+    Only per-gate noise walks vec(rho); otherwise the eigenvectors of rho
+    are walked as one batch (module docstring).  Single-qubit gates are
+    folded into two-qubit ones.  A rho that is not Hermitian to
+    _HERMITIAN_TOL of its largest entry raises ValueError.
     """
     if rho.shape != (2**circuit.width, 2**circuit.width):
         raise ValueError(f"density matrix of shape {rho.shape} does not match width {circuit.width}")
+    if not np.abs(rho - rho.conj().T).max() <= _HERMITIAN_TOL * np.abs(rho).max():
+        raise ValueError("density matrix must be Hermitian and finite")
     noise = noise or NoiseModel()
     noisy = noise.mode != "none" and noise.p_tq > 0.0
     if noisy and any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         raise DecompositionRequiredError("noisy simulation needs a decomposed circuit")
-    per_gate = noisy and noise.mode == "per_gate_depolarizing"
-    out = _walk(circuit, rho, density=True, p_pair=noise.p_tq if per_gate else 0.0)
-    if noisy and noise.mode == "global_depolarizing":
+    if noisy and noise.mode == "per_gate_depolarizing":
+        return _walk(circuit, rho, p_pair=noise.p_tq)
+    lam, vecs = np.linalg.eigh(rho)
+    keep = np.abs(lam) > len(lam) * np.finfo(float).eps * np.abs(lam).max()
+    moved = _walk(circuit, vecs[:, keep])
+    out = (moved * lam[keep]) @ moved.conj().T
+    if noisy:
         n_tq = count_two_qubit_gates(circuit)
         out = global_depolarize(out, 1.0 - (1.0 - noise.p_tq) ** n_tq)
     return out

@@ -14,7 +14,11 @@ from row 0 of W, (x, s): the Jacobian is a second call of the same kernel.
 Phase factors for exp(-i x t) on [a, b] in [0, 1] are fitted by least
 squares on Chebyshev nodes with a Lawson reweighting polish toward
 minimax; the reported error is the max deviation on a ten-times finer
-uniform grid.  Each fit is MINPACK's lmder through scipy.optimize.leastsq
+uniform grid.  The seeded restarts mostly land on one or two distinct
+polynomials through very different phase vectors, and Lawson polishes
+from phase vectors of one polynomial end at nearly the same error (within
+1e-3 relative on a d <= 10, t <= 5 grid), so each distinct first fit is
+polished once.  Each fit is MINPACK's lmder through scipy.optimize.leastsq
 with the arguments least_squares(method="lm") passes to it: the same
 search, without least_squares' wrapping of every callback and its extra
 Jacobian per solve; full_output=True keeps the evaluation cap quiet.
@@ -27,12 +31,15 @@ import numpy as np
 import scipy.optimize
 
 # optimize_phases fits on _GRID_PER_DEGREE * (d + 1) Chebyshev nodes from
-# _RESTARTS starts (zero phases, then seeded random ones), each polished by
-# up to _LAWSON_ROUNDS Lawson reweightings
+# _RESTARTS starts (zero phases, then seeded random ones); each distinct
+# first fit is polished by up to _LAWSON_ROUNDS Lawson reweightings, and a
+# first fit whose f on the nodes is within _SAME_FIT (max abs) of an earlier
+# start's is the same polynomial, so it competes unpolished
 _GRID_PER_DEGREE = 4
 _RESTARTS = 6
 _RESTART_SEED = 0
 _LAWSON_ROUNDS = 8
+_SAME_FIT = 1e-4
 
 
 @dataclass
@@ -111,7 +118,10 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
     Least squares on Chebyshev nodes (analytic Jacobian, seeded
     restarts), then Lawson reweighting to flatten the error toward
     minimax; epsilon_poly is the exact max error on a 10x finer
-    uniform grid.  Best candidate wins by (epsilon, phase norm).
+    uniform grid.  Restarts whose first fits reach the same polynomial
+    (f on the nodes within _SAME_FIT) are polished once, from the first
+    of them; the others compete with their first fit.  Best candidate
+    wins by (epsilon, phase norm).
     """
     a, b = interval
     if not np.isfinite(t_tilde):
@@ -154,6 +164,7 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
 
     starts = [np.zeros(d)] + [rng.uniform(-0.3, 0.3, size=d) for _ in range(_RESTARTS - 1)]
     best_phi, best_eps = None, np.inf
+    first_fits: list[np.ndarray] = []
     for phi0 in starts:
         weights = np.ones(m)
         phi = solve(phi0, weights)
@@ -162,6 +173,10 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
             abs(eps - best_eps) <= 1e-15 and np.linalg.norm(phi) < np.linalg.norm(best_phi)
         ):
             best_phi, best_eps = phi, eps
+        f = rows(phi)[0][-1]
+        if any(np.max(np.abs(f - g)) <= _SAME_FIT for g in first_fits):
+            continue  # an earlier start reached this polynomial and polished it
+        first_fits.append(f)
         # Lawson polish: push the residual profile toward equioscillation
         for _ in range(_LAWSON_ROUNDS):
             r = np.abs(rows(phi)[0][-1] - target)

@@ -308,10 +308,18 @@ class TestDensityAndNoise:
         # N = 2 two-qubit gates; k = 2 qubits (0 and 2) end with single-qubit gates
         c = Circuit(3).extend([had(0), rx(1, 0.3), rzz(0, 1, 0.7), rz(2, 0.1), cz(1, 2), rx(0, 0.2), had(2)])
         rho = random_density(3, np.random.default_rng(19))
-        for noise in (None, NoiseModel(0.1, "per_gate_depolarizing"), NoiseModel(0.1, "global_depolarizing")):
+        # per-gate noise walks vec(rho): superoperators on the row and column axes
+        liouville = [((16, 16), (0, 1, 3, 4)), ((16, 16), (1, 2, 4, 5)), ((4, 4), (0, 3)), ((4, 4), (2, 5))]
+        # otherwise the batch of rho's eigenvectors is walked on the gates' own axes
+        eigenvectors = [((4, 4), (0, 1)), ((4, 4), (1, 2)), ((2, 2), (0,)), ((2, 2), (2,))]
+        for noise, expected in (
+            (None, eigenvectors),
+            (NoiseModel(0.1, "per_gate_depolarizing"), liouville),
+            (NoiseModel(0.1, "global_depolarizing"), eigenvectors),
+        ):
             calls.clear()
             apply_density(c, rho, noise)
-            assert calls == [((16, 16), (0, 1, 3, 4)), ((16, 16), (1, 2, 4, 5)), ((4, 4), (0, 3)), ((4, 4), (2, 5))]
+            assert calls == expected
 
 
 class TestCounting:
@@ -647,6 +655,47 @@ class TestIndependentOracle:
                 assert np.abs(out - ref_depolarize(rho, pair[0], pair[1], p, width)).max() < 1e-12
 
 
+class TestEigenvectorPath:
+    """Without per-gate noise apply_density walks rho's eigenvectors; it must
+    agree with the oracle whatever rho's rank and sign."""
+
+    @staticmethod
+    def inputs(width, rng):
+        psi, phi = random_state(width, rng), random_state(width, rng)
+        a = rng.normal(size=(2**width, 2**width)) + 1j * rng.normal(size=(2**width, 2**width))
+        return {
+            "pure": density_from_state(psi),
+            "rank 2": 0.7 * density_from_state(psi) + 0.3 * density_from_state(phi),
+            "full rank": random_density(width, rng),
+            "indefinite": (a + a.conj().T) / 2.0,
+        }
+
+    @pytest.mark.parametrize("noise", [NOISES[0], NOISES[2]])
+    def test_matches_oracle_at_every_rank(self, noise):
+        rng = np.random.default_rng(120)
+        c = oracle_circuit(2, 2, 40, rng)
+        for name, rho in self.inputs(c.width, rng).items():
+            out = apply_density(c, rho, noise)
+            assert np.abs(out - ref_density(c, rho, noise)).max() < 1e-12, name
+            assert np.abs(out - out.conj().T).max() < 1e-13, name
+            p = 1.0 - (1.0 - noise.p_tq) ** count_two_qubit_gates(c) if noise.mode != "none" else 0.0
+            assert abs(np.trace(out) - ((1.0 - p) * np.trace(rho) + p)) < 1e-12, name
+
+    def test_noiseless_structural_gates(self):
+        rng = np.random.default_rng(121)
+        c = oracle_circuit(2, 2, 12, rng)
+        c.gates.insert(3, mcpauli((1, 0), PauliString("YZ"), -1))
+        c.gates.insert(9, aphase(-0.37))
+        for name, rho in self.inputs(c.width, rng).items():
+            out = apply_density(c, rho)
+            assert np.abs(out - ref_density(c, rho, NoiseModel())).max() < 1e-12, name
+            assert abs(np.trace(out) - np.trace(rho)) < 1e-12, name
+
+    def test_zero_matrix_stays_zero(self):
+        c = Circuit(2).extend([had(0), rzz(0, 1, 0.3)])
+        assert np.array_equal(apply_density(c, np.zeros((4, 4), dtype=complex)), np.zeros((4, 4)))
+
+
 class TestChannelAndReadoutInput:
     RHO = np.eye(4, dtype=complex) / 4.0
 
@@ -674,6 +723,24 @@ class TestChannelAndReadoutInput:
         c = Circuit(2).extend([had(0), cz(0, 1)])
         with pytest.raises(ValueError):
             apply_density(c, np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_apply_density_rejects_non_hermitian_rho(self, noise):
+        c = Circuit(2).extend([had(0), cz(0, 1)])
+        for bad in (1e-6, 1e-6j, np.nan):
+            rho = self.RHO.copy()
+            rho[0, 1] += bad
+            with pytest.raises(ValueError):
+                apply_density(c, rho, noise)
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_apply_density_accepts_its_own_output(self, noise):
+        rng = np.random.default_rng(122)
+        c = random_native_circuit(3, 1, 300, rng)
+        rho = random_density(4, rng)
+        for _ in range(3):
+            rho = apply_density(c, rho, noise)
+        assert abs(np.trace(rho) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("shape", [(4, 16), (4, 4, 4), (4, 2)])
     def test_sampling_rejects_non_square_rho(self, shape):

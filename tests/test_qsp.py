@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qsp_lab import qsp
 from qsp_lab.qsp import (
     _f_and_jacobian,
     _f_values,
@@ -165,3 +166,52 @@ DESIGNER_EPSILON = {
 def test_designer_epsilon_pinned(d, t, interval):
     eps = optimize_phases(d, t, interval).epsilon_poly
     assert abs(eps - DESIGNER_EPSILON[d, t, interval]) <= 1e-6 * DESIGNER_EPSILON[d, t, interval]
+
+
+@pytest.mark.parametrize("d, fits", [(2, 6 + 8), (4, 6 + 2 * 8)])
+def test_designer_polishes_each_distinct_fit_once(monkeypatch, d, fits):
+    """The six restarts land on one polynomial at d = 2 and on two at d = 4;
+    each distinct one gets its 8 Lawson rounds once."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _lm(*args)
+
+    monkeypatch.setattr(qsp, "_lm", counting)
+    optimize_phases(d, 1.0, (0.0, 1.0))
+    assert len(calls) == fits
+
+
+def lp_lower_bound(d, t, interval, angles=16):
+    """Least max error of any even degree-d polynomial p with |p| <= 1 on
+    [0, 1] against exp(-i x t) on the designer's fine grid, relaxed to a
+    linear program: |z| <= r becomes Re(z e^{-i theta_k}) <= r at the given
+    number of angles, a polygon around the disc.  The designer's f is such a
+    polynomial, so its epsilon_poly can be no lower; the relaxation drops
+    |f(+-1)| = 1."""
+    a, b = interval
+    m = qsp._GRID_PER_DEGREE * (d + 1)
+    xv, x1 = np.linspace(a, b, 10 * m), np.linspace(0.0, 1.0, 10 * m)
+    # even Chebyshev polynomials T_0, T_2, ..., T_d on each grid
+    tv, t1 = (np.cos(np.outer(np.arccos(x), np.arange(0, d + 1, 2))) for x in (xv, x1))
+    target = np.exp(-1j * xv * t)
+    rows, rhs = [], []
+    for theta in 2 * np.pi * np.arange(angles) / angles:
+        c, s = np.cos(theta), np.sin(theta)
+        # variables: Re and Im of the Chebyshev coefficients, then the error r
+        rows.append(np.hstack([c * tv, s * tv, -np.ones((len(xv), 1))]))
+        rhs.append((target * np.exp(-1j * theta)).real)
+        rows.append(np.hstack([c * t1, s * t1, np.zeros((len(x1), 1))]))
+        rhs.append(np.ones(len(x1)))
+    n = 2 * (d // 2 + 1) + 1
+    res = scipy.optimize.linprog(np.eye(n)[-1], A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                                 bounds=[(None, None)] * n, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("d, t, interval", list(DESIGNER_EPSILON))
+def test_designer_epsilon_above_lp_lower_bound(d, t, interval):
+    bound = lp_lower_bound(d, t, interval)
+    assert 0.0 < bound <= DESIGNER_EPSILON[d, t, interval]
