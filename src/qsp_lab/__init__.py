@@ -3,7 +3,7 @@
 Everything is dense and exactly verifiable.  The modules are:
 
 - operators: Pauli-sum Hamiltonians (Ising chains), spectral bounds,
-  rescaling into [0, 1], and dense propagators.
+  rescaling into an interval [a, b] inside [0, 1], and dense propagators.
 - circuits: the gate-level circuit IR, decomposition into the native
   gate set, statevector, unitary and density-matrix simulation under a
   two-qubit depolarizing noise model, and Pauli measurement sampling.

@@ -126,8 +126,9 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_system < 0 or self.n_ancilla < 0:
-            raise ValueError(f"register sizes must be non-negative, got {self.n_system} and {self.n_ancilla}")
+        sizes = (self.n_system, self.n_ancilla)
+        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in sizes):
+            raise ValueError(f"register sizes must be non-negative integers, got {sizes}")
         for g in self.gates:
             self._check_gate(g)
 
@@ -166,25 +167,24 @@ class Circuit:
         return len(self.gates)
 
     def inverse(self) -> "Circuit":
-        """Exact gate-list inversion: reversed order, negated angles."""
-        inv = Circuit(self.n_system, self.n_ancilla)
-        for g in reversed(self.gates):
-            if g.kind in ("RX", "RZ", "RZZ", "APHASE", "GPHASE"):
-                inv.gates.append(replace(g, angle=-g.angle))
-            else:  # HAD, CZ, MCPAULI are self-inverse
-                inv.gates.append(g)
-        return inv
+        """Exact gate-list inversion: reversed order, negated angles (HAD, CZ
+        and MCPAULI are self-inverse and ignore theirs)."""
+        return Circuit(self.n_system, self.n_ancilla, [replace(g, angle=-g.angle) for g in reversed(self.gates)])
 
 
 @dataclass(frozen=True)
 class NoiseModel:
+    """Two-qubit depolarizing noise of strength p_tq, after every RZZ and CZ
+    (per_gate_depolarizing) or as one equivalent channel at the end
+    (global_depolarizing); p_tq = 0 is noiseless in either mode."""
+
     p_tq: float = 0.0
-    mode: str = "none"  # none | per_gate_depolarizing | global_depolarizing
+    mode: str = "per_gate_depolarizing"  # per_gate_depolarizing | global_depolarizing
 
     def __post_init__(self):
         if not 0.0 <= self.p_tq < 1.0:
             raise ValueError("p_tq must lie in [0, 1)")
-        if self.mode not in ("none", "per_gate_depolarizing", "global_depolarizing"):
+        if self.mode not in ("per_gate_depolarizing", "global_depolarizing"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
 
@@ -351,7 +351,8 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = 
 
     per_gate_depolarizing attaches a two-qubit depolarizing channel after
     every RZZ and CZ; global_depolarizing applies one channel at the end
-    with p = 1-(1-p_tq)^N_TQ; none is exact conjugation.
+    with p = 1-(1-p_tq)^N_TQ; p_tq = 0 (and noise None) is exact
+    conjugation.
 
     Only per-gate noise walks vec(rho); otherwise the eigenvectors of rho
     are walked as one batch (module docstring).  Single-qubit gates are
@@ -363,7 +364,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = 
     if not np.abs(rho - rho.conj().T).max() <= _HERMITIAN_TOL * np.abs(rho).max():
         raise ValueError("density matrix must be Hermitian and finite")
     noise = noise or NoiseModel()
-    noisy = noise.mode != "none" and noise.p_tq > 0.0
+    noisy = noise.p_tq > 0.0
     if noisy and any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         raise DecompositionRequiredError("noisy simulation needs a decomposed circuit")
     if noisy and noise.mode == "per_gate_depolarizing":
@@ -500,12 +501,6 @@ def decompose(circuit: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 # States and measurement sampling
 # ---------------------------------------------------------------------------
-
-def zero_state(width: int) -> np.ndarray:
-    s = np.zeros(2**width, dtype=complex)
-    s[0] = 1.0
-    return s
-
 
 def plus_state(n: int) -> np.ndarray:
     return np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)

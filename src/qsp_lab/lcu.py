@@ -70,9 +70,6 @@ class BlockEncoding:
     def n_system(self) -> int:
         return self.circuit.n_system
 
-    def block(self) -> np.ndarray:
-        return encoded_block(self.circuit)
-
 
 def encoded_block(circuit: Circuit) -> np.ndarray:
     """(<0^a| x I) U (|0^a> x I) as a dense matrix."""
@@ -91,7 +88,7 @@ def lcu_plan(h_tilde: PauliSum, pad_equal_weights: bool = False) -> LCUPlan:
     terms = [(c, p) for c, p in h_tilde.terms if c != 0.0]
     if not terms:
         raise ValueError("cannot block-encode the zero operator")
-    c_norm = sum(abs(c) for c, _ in terms)
+    c_norm = h_tilde.coefficient_one_norm()
     if pad_equal_weights:
         nonid = [(c, p) for c, p in terms if not p.is_identity]
         id_coeff = sum(c for c, p in terms if p.is_identity)
@@ -107,21 +104,13 @@ def lcu_plan(h_tilde: PauliSum, pad_equal_weights: bool = False) -> LCUPlan:
         k = copies + len(nonid)
         if k & (k - 1):
             raise ValueError(f"padded branch count {k} is not a power of two")
-        identity = PauliString("I" * h_tilde.n)
-        id_sign = 1 if id_coeff >= 0 else -1
-        paulis = [identity] * copies + [p for _, p in nonid]
-        signs = [id_sign] * copies + [1 if c >= 0 else -1 for c, _ in nonid]
-    else:
-        paulis = [p for _, p in terms]
-        signs = [1 if c >= 0 else -1 for c, _ in terms]
-        weights = [abs(c) for c, _ in terms]
-        k = len(terms)
-    a = max(int(np.ceil(np.log2(k))), 0) if k > 1 else 0
-    if pad_equal_weights:
+        terms = [(id_coeff, PauliString("I" * h_tilde.n))] * copies + nonid
         amps = np.full(k, 1.0 / np.sqrt(k))
     else:
-        amps = np.sqrt(np.array(weights) / c_norm)
-    return LCUPlan(a=a, prep_amplitudes=amps, signs=signs, paulis=paulis, c=float(c_norm))
+        k = len(terms)
+        amps = np.sqrt(np.array([abs(c) for c, _ in terms]) / c_norm)
+    signs = [1 if c >= 0 else -1 for c, _ in terms]
+    return LCUPlan((k - 1).bit_length(), amps, signs, [p for _, p in terms], c_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +131,8 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return (w / len(values)).reshape((2,) * m).T.reshape(-1)
 
 
-def _ry_gates(t: int, angle: float) -> list[Gate]:
-    return [rz(t, -np.pi / 2.0), rx(t, angle), rz(t, np.pi / 2.0)]
-
-
-def _gray_ucr(axis: str, controls: tuple[int, ...], target: int, w_by_mask: np.ndarray) -> list[Gate]:
-    """Product over control subsets T of R_axis(theta_T * chi_T(x)) on the target.
+def _gray_ucrz(controls: tuple[int, ...], target: int, w_by_mask: np.ndarray) -> list[Gate]:
+    """Product over control subsets T of RZ(theta_T * chi_T(x)) on the target.
 
     w_by_mask[g] is the rotation angle for the parity character on
     {controls[i] : bit i of g set}.  The walk visits subsets in reflected
@@ -156,7 +141,6 @@ def _gray_ucr(axis: str, controls: tuple[int, ...], target: int, w_by_mask: np.n
     angles' union support, that order is the support's own Gray order, so
     controls no nonzero angle touches never get a CX.
     """
-    rot = (lambda t, a: [rz(t, a)]) if axis == "RZ" else (lambda t, a: _ry_gates(t, a))
     m = len(controls)
     gates: list[Gate] = []
     mask = 0
@@ -170,7 +154,7 @@ def _gray_ucr(axis: str, controls: tuple[int, ...], target: int, w_by_mask: np.n
             if diff & (1 << bit):
                 gates += _cx(controls[bit], target)
         mask = g
-        gates += rot(target, theta)
+        gates.append(rz(target, theta))
     for bit in range(m):
         if mask & (1 << bit):
             gates += _cx(controls[bit], target)
@@ -182,11 +166,16 @@ def ucrz(controls: tuple[int, ...], target: int, alphas: np.ndarray) -> list[Gat
 
     alphas is indexed so that controls[0] is the most significant bit.
     """
-    return _gray_ucr("RZ", controls, target, _walsh(alphas))
+    if len(alphas) != 2 ** len(controls):
+        raise ValueError(f"{len(controls)} controls need {2 ** len(controls)} angles, got {len(alphas)}")
+    return _gray_ucrz(controls, target, _walsh(alphas))
 
 
 def ucry(controls: tuple[int, ...], target: int, alphas: np.ndarray) -> list[Gate]:
-    return _gray_ucr("RY", controls, target, _walsh(alphas))
+    """Uniformly controlled RY, as RX(pi/2) ucrz RX(-pi/2) on the target: the
+    conjugation maps Z to Y and commutes with the walk's CX on the target."""
+    inner = ucrz(controls, target, alphas)
+    return [rx(target, np.pi / 2.0)] + inner + [rx(target, -np.pi / 2.0)] if inner else []
 
 
 def diagonal_gates(qubits: tuple[int, ...], phases: np.ndarray) -> list[Gate]:
@@ -199,6 +188,8 @@ def diagonal_gates(qubits: tuple[int, ...], phases: np.ndarray) -> list[Gate]:
     target with no global-phase slack.
     """
     phases = np.asarray(phases, dtype=float)
+    if len(phases) != 2 ** len(qubits):
+        raise ValueError(f"{len(qubits)} qubits need {2 ** len(qubits)} phases, got {len(phases)}")
     if not qubits:
         return [gphase(float(phases[0]))] if abs(phases[0]) > _ANGLE_TOL else []
     p0, p1 = phases[0::2], phases[1::2]
@@ -275,13 +266,7 @@ def naive_select_circuit(plan: LCUPlan) -> Circuit:
 
 
 def naive_select_gate_count(plan: LCUPlan) -> int:
-    """Two-qubit count of the documented baseline decomposition.
-
-    Each branch letter becomes a multi-controlled phase with the
-    textbook cost(m) = 2 + 3*cost(m-1) recursion; branch signs are
-    absorbed into single-qubit conjugations whenever the branch carries
-    a non-identity letter.
-    """
+    """Two-qubit gate count of decompose(naive_select_circuit(plan))."""
     return cir.count_two_qubit_gates(cir.decompose(naive_select_circuit(plan)))
 
 
@@ -298,18 +283,13 @@ def prep_gates(plan: LCUPlan, ancillas: tuple[int, ...]) -> list[Gate]:
     full[: plan.k] = plan.prep_amplitudes
     if np.allclose(full, 1.0 / np.sqrt(2**a), atol=1e-12):
         return [had(q) for q in ancillas]
-    norms = [None] * (a + 1)
-    norms[a] = full.copy()
-    for lvl in range(a - 1, -1, -1):
-        nxt = norms[lvl + 1]
-        norms[lvl] = np.sqrt(nxt[0::2] ** 2 + nxt[1::2] ** 2)
+    # from the leaves up: at level i, norms holds the 2^(i+1) subtree norms
+    # and ancilla i splits each pair (arctan2(0, 0) = 0 on empty subtrees)
     gates: list[Gate] = []
-    for i in range(a):
-        alphas = np.zeros(2**i)
-        for x in range(2**i):
-            if norms[i][x] > 0.0:
-                alphas[x] = 2.0 * np.arctan2(norms[i + 1][2 * x + 1], norms[i + 1][2 * x])
-        gates += ucry(tuple(ancillas[:i]), ancillas[i], alphas)
+    norms = full
+    for i in range(a - 1, -1, -1):
+        gates = ucry(tuple(ancillas[:i]), ancillas[i], 2.0 * np.arctan2(norms[1::2], norms[0::2])) + gates
+        norms = np.sqrt(norms[0::2] ** 2 + norms[1::2] ** 2)
     return gates
 
 

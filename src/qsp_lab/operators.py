@@ -90,13 +90,12 @@ class PauliSum:
         self.terms.append(term)
         return self
 
-    def canonicalize(self, drop_zero: bool = True) -> "PauliSum":
-        """Merge duplicate strings; optionally drop exactly-zero coefficients."""
+    def canonicalize(self) -> "PauliSum":
+        """Merge duplicate strings and drop exactly-zero coefficients."""
         merged: dict[str, float] = {}
         for coeff, ps in self.terms:
             merged[ps.letters] = merged.get(ps.letters, 0.0) + coeff
-        terms = [(c, PauliString(s)) for s, c in merged.items() if not (drop_zero and c == 0.0)]
-        return PauliSum(self.n, terms)
+        return PauliSum(self.n, [(c, PauliString(s)) for s, c in merged.items() if c != 0.0])
 
     def scaled(self, factor: float) -> "PauliSum":
         return PauliSum(self.n, [(factor * c, p) for c, p in self.terms])
@@ -105,7 +104,14 @@ class PauliSum:
         return float(sum(abs(c) for c, _ in self.terms))
 
     def to_matrix(self) -> np.ndarray:
-        return to_matrix(self)
+        """Dense Hermitian matrix of the Pauli sum."""
+        if self.n > MAX_DENSE_QUBITS:
+            raise DimensionError(f"{self.n} qubits exceeds the dense cap of {MAX_DENSE_QUBITS}")
+        dim = 2**self.n
+        m = np.zeros((dim, dim), dtype=complex)
+        for coeff, ps in self.terms:
+            m += coeff * ps.to_matrix()
+        return m
 
 
 @dataclass(frozen=True)
@@ -114,13 +120,10 @@ class SpectralBounds:
 
     lambda_minus: float
     lambda_plus: float
-    method: str  # "triangle" or "exact"
 
     def __post_init__(self):
         if self.lambda_minus > self.lambda_plus:
             raise ValueError("lambda_minus must not exceed lambda_plus")
-        if self.method not in ("triangle", "exact"):
-            raise ValueError(f"unknown bound method {self.method!r}")
 
 
 @dataclass
@@ -137,9 +140,6 @@ class RescaledHamiltonian:
     interval_b: float
     time_factor: float
     global_phase_rate: float
-
-    def effective_time(self, t: float) -> float:
-        return self.time_factor * t
 
 
 def build_ising_chain(n: int, coupling: float, fields_x: list[float], field_z: float) -> PauliSum:
@@ -165,19 +165,20 @@ def triangle_bounds(h: PauliSum) -> SpectralBounds:
     if not h.terms:
         raise ValueError("empty Hamiltonian")
     bound = h.coefficient_one_norm()
-    return SpectralBounds(-bound, bound, "triangle")
+    return SpectralBounds(-bound, bound)
 
 
 def exact_extremes(h: PauliSum) -> SpectralBounds:
     """Extreme eigenvalues by dense diagonalization (desk-scale oracle)."""
-    eigvals = np.linalg.eigvalsh(to_matrix(h))
-    return SpectralBounds(float(eigvals[0]), float(eigvals[-1]), "exact")
+    eigvals = np.linalg.eigvalsh(h.to_matrix())
+    return SpectralBounds(float(eigvals[0]), float(eigvals[-1]))
 
 
 def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0) -> RescaledHamiltonian:
     """Map the spectrum into [a, b] via H -> (H - lambda_- I)(b-a)/(lambda_+ - lambda_-) + a I.
 
-    The identity term is kept explicit in the output (the LCU stage needs it).
+    The output is canonical (PauliSum.canonicalize), and its identity term
+    carries the shift a - lambda_- (b-a)/(lambda_+ - lambda_-).
     """
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
@@ -185,21 +186,10 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
     if span <= 0.0:
         raise DegenerateSpectrumError("spectral bounds coincide; cannot rescale")
     scale = (b - a) / span
-    merged = h.canonicalize(drop_zero=False)
-    identity = PauliString("I" * h.n)
-    id_coeff = a - scale * bounds.lambda_minus
-    terms: list[tuple[float, PauliString]] = []
-    seen_identity = False
-    for coeff, ps in merged.terms:
-        if ps.is_identity:
-            terms.append((scale * coeff + id_coeff, ps))
-            seen_identity = True
-        else:
-            terms.append((scale * coeff, ps))
-    if not seen_identity:
-        terms.append((id_coeff, identity))
+    shift = (a - scale * bounds.lambda_minus, PauliString("I" * h.n))
+    terms = [(scale * c, p) for c, p in h.terms] + [shift]
     return RescaledHamiltonian(
-        h_tilde=PauliSum(h.n, terms),
+        h_tilde=PauliSum(h.n, terms).canonicalize(),
         interval_a=a,
         interval_b=b,
         time_factor=span / (b - a),
@@ -207,18 +197,7 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
     )
 
 
-def to_matrix(h: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of the Pauli sum."""
-    if h.n > MAX_DENSE_QUBITS:
-        raise DimensionError(f"{h.n} qubits exceeds the dense cap of {MAX_DENSE_QUBITS}")
-    dim = 2**h.n
-    m = np.zeros((dim, dim), dtype=complex)
-    for coeff, ps in h.terms:
-        m += coeff * ps.to_matrix()
-    return m
-
-
 def exact_propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition; ground truth everywhere."""
-    eigvals, eigvecs = np.linalg.eigh(to_matrix(h))
+    eigvals, eigvecs = np.linalg.eigh(h.to_matrix())
     return (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T

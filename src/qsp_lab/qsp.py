@@ -128,7 +128,7 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
         raise ValueError("t_tilde must be finite")
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("interval must satisfy 0 <= a < b <= 1")
-    if d % 2 != 0 or d < 0:
+    if not isinstance(d, (int, np.integer)) or d % 2 != 0 or d < 0:
         raise ValueError("degree must be a nonnegative even integer")
     m = _GRID_PER_DEGREE * (d + 1)
     xv = np.linspace(a, b, 10 * m)

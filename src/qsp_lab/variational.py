@@ -48,7 +48,7 @@ import scipy.optimize
 from .circuits import Circuit, Gate, cz, rx, rz, rzz
 from .errors import OptimizationError
 from .lcu import BlockEncoding
-from .operators import PauliSum, to_matrix
+from .operators import PauliSum
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,9 @@ class AnsatzSpec:
     layers: int
 
     def __post_init__(self):
+        sizes = (self.n, self.a, self.layers)
+        if not all(isinstance(k, (int, np.integer)) for k in sizes):
+            raise ValueError(f"n, a and layers must be integers, got {sizes}")
         if self.n < 1 or self.a < 0 or self.layers < 0:
             raise ValueError(f"need n >= 1, a >= 0 and layers >= 0, got ({self.n}, {self.a}, {self.layers})")
 
@@ -99,11 +102,13 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizeResult:
+    """The best start's parameters and epsilon_BE; trace is that start's cost F
+    at every evaluation, in order, so len(trace) counts its evaluations."""
+
     theta: np.ndarray
     epsilon_be: float
-    trace: list[dict] = field(default_factory=list)
+    trace: list[float] = field(default_factory=list)
     converged: bool = False
-    restart_index: int = 0
 
 
 def _v_gate_sequence(spec: AnsatzSpec, theta: np.ndarray) -> list[Gate]:
@@ -207,6 +212,10 @@ def _reflection_block(spec: AnsatzSpec, v: np.ndarray, z: np.ndarray) -> np.ndar
     return (v @ (z[:, None] * v.conj().T))[:dn, :dn]
 
 
+def _dense(h_tilde: PauliSum | np.ndarray) -> np.ndarray:
+    return h_tilde if isinstance(h_tilde, np.ndarray) else h_tilde.to_matrix()
+
+
 def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
     return float(np.linalg.norm(block) ** 2 - 2.0 * np.real(np.trace(h @ block)))
 
@@ -236,13 +245,12 @@ def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
 
 def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> float:
     """F(theta) = ||Wblk||_F^2 - 2 Re Tr(H Wblk)."""
-    h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
-    return _block_cost(ansatz_block(spec, theta), h)
+    return _block_cost(ansatz_block(spec, theta), _dense(h_tilde))
 
 
 def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> float:
     """epsilon_BE^2 = F + Tr(H^2); clipped at zero against roundoff."""
-    h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
+    h = _dense(h_tilde)
     tr_h2 = float(np.real(np.trace(h @ h)))
     return float(np.sqrt(max(f_value + tr_h2, 0.0)))
 
@@ -250,15 +258,11 @@ def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> floa
 def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> tuple[float, np.ndarray]:
     """F and its gradient dF/dtheta_j = Im Tr[N V A_j] (module docstring);
     K lives on the top rows U of V, so N V = Z U^dag (K + K^dag) U."""
-    h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
+    h = _dense(h_tilde)
     c = _AnsatzCache(spec, np.asarray(theta, dtype=float))
     f = _block_cost(c.block, h)
     nv = c.z[:, None] * (c.u.conj().T @ (c.block + c.block.conj().T - 2.0 * h) @ c.u)
     return f, np.imag(c.a.reshape(len(c.a), -1) @ nv.T.reshape(-1))
-
-
-def gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    return cost_and_gradient(theta, h_tilde, spec)[1]
 
 
 def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> np.ndarray:
@@ -276,7 +280,7 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
     triangle (j >= k, so hi = j) is kept and mirrored, which makes the
     result exactly symmetric.
     """
-    h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
+    h = _dense(h_tilde)
     c = _AnsatzCache(spec, np.asarray(theta, dtype=float))
     a, z, u = c.a, c.z, c.u
     m_mat = u.conj().T @ (c.block - h) @ u
@@ -327,8 +331,7 @@ def optimize(
     """
     config = config or OptimizerConfig()
     spec = AnsatzSpec(n, a, layers)
-    h = h_tilde if isinstance(h_tilde, np.ndarray) else to_matrix(h_tilde)
-    tr_h2 = float(np.real(np.trace(h @ h)))
+    h = _dense(h_tilde)
 
     starts: list[np.ndarray] = list(initial_thetas or [])
     for r in range(config.restarts):
@@ -338,17 +341,17 @@ def optimize(
     if not starts:
         raise ValueError("nothing to optimize: restarts is 0 and no initial_thetas were given")
     best: OptimizeResult | None = None
-    for idx, theta0 in enumerate(starts):
+    for theta0 in starts:
         theta0 = np.asarray(theta0, dtype=float)
         if len(theta0) != spec.n_parameters:
             raise ValueError("warm start has the wrong parameter count")
-        trace: list[dict] = []
+        trace: list[float] = []
 
         def fun_grad(theta):
             f, g = cost_and_gradient(theta, h, spec)
             if not np.isfinite(f):
                 raise OptimizationError("non-finite cost encountered")
-            trace.append({"iter": len(trace), "cost": f, "grad_norm": float(np.linalg.norm(g))})
+            trace.append(f)
             return f, g
 
         if config.method == "newton":
@@ -365,10 +368,7 @@ def optimize(
             )
             theta, f = res.x, float(res.fun)
             ok = bool(res.success) or float(np.linalg.norm(res.jac)) < 10 * _GRAD_NORM_THRESHOLD
-        eps = float(np.sqrt(max(f + tr_h2, 0.0)))
-        for row in trace:
-            row["epsilon_be"] = float(np.sqrt(max(row["cost"] + tr_h2, 0.0)))
-        cand = OptimizeResult(theta=theta, epsilon_be=eps, trace=trace, converged=ok, restart_index=idx)
+        cand = OptimizeResult(theta, epsilon_be_from_cost(f, h), trace, ok)
         if best is None or cand.epsilon_be < best.epsilon_be:
             best = cand
     return best

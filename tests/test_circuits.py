@@ -29,12 +29,15 @@ from qsp_lab.circuits import (
     rzz,
     sample_pauli_measurement,
     with_ancilla_zero,
-    zero_state,
 )
 from qsp_lab.errors import DecompositionRequiredError, DimensionError
 from qsp_lab.operators import MAX_DENSE_QUBITS, PauliString
 
 RNG = np.random.default_rng(20240817)
+
+
+def zero_state(width):
+    return np.eye(1, 2**width, dtype=complex)[0]
 
 
 def random_state(width, rng=RNG):
@@ -110,10 +113,16 @@ class TestUnitaryOracle:
 
     def test_inverse_circuit(self):
         rng = np.random.default_rng(10)
-        c = random_native_circuit(2, 1, 15, rng)
-        u = circuit_unitary(c)
-        v = circuit_unitary(c.inverse())
-        assert np.allclose(u @ v, np.eye(8), atol=1e-10)
+        native = random_native_circuit(2, 1, 15, rng)
+        mixed = random_native_circuit(2, 2, 15, rng)
+        for i, g in enumerate([gphase(0.8), aphase(-0.45), mcpauli((1, 0), PauliString("XY"), -1),
+                               had(3), cz(0, 2), mcpauli((0, 1), PauliString("ZI"))]):
+            mixed.gates.insert(3 * i, g)
+        for c in (native, mixed):
+            u = circuit_unitary(c)
+            v = circuit_unitary(c.inverse())
+            assert np.abs(u @ v - np.eye(len(u))).max() < 1e-12
+            assert [g.kind for g in c.inverse().gates] == [g.kind for g in reversed(c.gates)]
 
     def test_dense_cap_checked_before_allocation(self):
         import tracemalloc
@@ -224,12 +233,14 @@ class TestDensityAndNoise:
         assert np.allclose(out, u @ rho @ u.conj().T, atol=1e-10)
 
     def test_per_gate_zero_probability(self):
+        # p_tq = 0 is noiseless in either mode
         rng = np.random.default_rng(13)
         c = random_native_circuit(2, 0, 10, rng)
         rho = random_density(2, rng)
-        a = apply_density(c, rho, NoiseModel(0.0, "per_gate_depolarizing"))
-        b = apply_density(c, rho, NoiseModel())
-        assert np.allclose(a, b, atol=1e-14)
+        u = circuit_unitary(c)
+        for mode in ("per_gate_depolarizing", "global_depolarizing"):
+            out = apply_density(c, rho, NoiseModel(0.0, mode))
+            assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12, mode
 
     def test_depolarizing_fixed_point(self):
         rho = np.eye(4, dtype=complex) / 4.0
@@ -335,6 +346,10 @@ class TestCounting:
         with pytest.raises(DecompositionRequiredError):
             count_two_qubit_gates(c)
 
+    def test_aphase_cost_pinned(self):
+        for a, expect in ((1, 0), (2, 1), (3, 5), (4, 17)):
+            assert count_two_qubit_gates(decompose(Circuit(1, a).append(aphase(0.3)))) == expect
+
     def test_mcphase_cost_recursion(self):
         # cost(m) = 2 + 3*cost(m-1), cost(1) = 1 -> 1, 5, 17, 53
         for m, expect in ((1, 1), (2, 5), (3, 17), (4, 53)):
@@ -412,6 +427,15 @@ class TestRegisterInput:
         for build in (lambda: Circuit(-1), lambda: Circuit(1, -1)):
             with pytest.raises(ValueError):
                 build()
+
+    @pytest.mark.parametrize("sizes", [(1.5,), (2.0,), (1, 0.5), ("2",), (None,)])
+    def test_non_integer_register_size_rejected(self, sizes):
+        with pytest.raises(ValueError):
+            Circuit(*sizes)
+
+    def test_numpy_integer_register_sizes_accepted(self):
+        c = Circuit(np.int64(1), np.int32(1)).append(cz(0, 1))
+        assert np.abs(circuit_unitary(c) - np.diag([1, 1, 1, -1])).max() < 1e-12
 
     def test_initial_gates_range_checked(self):
         with pytest.raises(ValueError):
@@ -678,7 +702,7 @@ class TestEigenvectorPath:
             out = apply_density(c, rho, noise)
             assert np.abs(out - ref_density(c, rho, noise)).max() < 1e-12, name
             assert np.abs(out - out.conj().T).max() < 1e-13, name
-            p = 1.0 - (1.0 - noise.p_tq) ** count_two_qubit_gates(c) if noise.mode != "none" else 0.0
+            p = 1.0 - (1.0 - noise.p_tq) ** count_two_qubit_gates(c)
             assert abs(np.trace(out) - ((1.0 - p) * np.trace(rho) + p)) < 1e-12, name
 
     def test_noiseless_structural_gates(self):
@@ -717,6 +741,11 @@ class TestChannelAndReadoutInput:
     def test_depolarize_pair_rejects_rho_of_wrong_shape(self, shape):
         with pytest.raises(ValueError):
             depolarize_pair(np.ones(shape, dtype=complex), 0, 1, 0.5, 2)
+
+    @pytest.mark.parametrize("p_tq, mode", [(0.1, "none"), (0.0, "none"), (0.1, "global"), (1.0, "global_depolarizing")])
+    def test_noise_model_rejects_unknown_mode_and_probability(self, p_tq, mode):
+        with pytest.raises(ValueError):
+            NoiseModel(p_tq, mode)
 
     @pytest.mark.parametrize("shape", [(4, 16), (4, 4, 4)])
     def test_apply_density_rejects_non_square_rho(self, shape):

@@ -21,7 +21,6 @@ from qsp_lab.operators import (
     PauliSum,
     build_ising_chain,
     rescale,
-    to_matrix,
     triangle_bounds,
 )
 
@@ -124,6 +123,22 @@ class TestGraySynthesis:
                 ]
             assert np.allclose(u, expect, atol=1e-10)
 
+    @pytest.mark.parametrize("build", [
+        lambda: diagonal_gates((0, 1), [0.1, 0.2, 0.3]),
+        lambda: diagonal_gates((0, 1), [0.4]),
+        lambda: diagonal_gates((), [0.1, 0.2]),
+        lambda: ucrz((0, 1), 2, np.arange(8.0)),
+        lambda: ucrz((), 2, np.arange(2.0)),
+        lambda: ucry((0, 1), 2, np.arange(2.0)),
+        lambda: ucry((0,), 2, np.arange(4.0)),
+    ])
+    def test_wrong_length_angle_table_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_ucry_of_zero_angles_is_empty(self):
+        assert ucry((0, 1), 2, np.zeros(4)) == []
+
     def test_sparse_function_is_cheap(self):
         # function depending on 2 of 3 controls costs a 2-control walk
         alphas = np.array([0.0, 0.0, 0.7, 0.7, 0.3, 0.3, 0.0, 0.0])
@@ -178,7 +193,7 @@ class TestBlockEncoding:
         enc = build_lcu_circuit(plan)
         assert enc.scale == 1.0
         assert enc.epsilon_be < 1e-10
-        assert np.allclose(enc.block(), to_matrix(h.canonicalize(drop_zero=False)), atol=1e-10)
+        assert np.allclose(encoded_block(enc.circuit), h.to_matrix(), atol=1e-10)
 
     def test_four_site_prep_is_hadamards(self):
         plan = lcu_plan(ising4_rescaled(), pad_equal_weights=True)
@@ -193,11 +208,21 @@ class TestBlockEncoding:
         assert 100.0 * (1.0 - compiled / naive) >= 60.0
         assert naive >= 100  # documented baseline near 125
 
+    @pytest.mark.parametrize("h, pad, a, two_qubit", [
+        (build_ising_chain(3, 1.0, [0.7, 1.1, 0.9], 0.3), False, 4, 122),
+        (build_ising_chain(4, 1.0, [0.0, 0.0, 1.0, 0.0], 0.0), True, 3, 42),
+        (build_ising_chain(2, 1.0, [0.7, 1.1], 0.3), False, 3, 46),
+    ], ids=["ising3", "sparse4-padded", "ising2"])
+    def test_encoding_two_qubit_count_pinned(self, h, pad, a, two_qubit):
+        enc = build_lcu_circuit(lcu_plan(rescale(h, triangle_bounds(h)).h_tilde, pad))
+        assert enc.a == a and enc.epsilon_be < 1e-10
+        assert count_two_qubit_gates(decompose(enc.circuit)) == two_qubit
+
     def test_single_pauli_trivial(self):
         plan = lcu_plan(PauliSum(2).add(1.0, "XZ"))
         enc = build_lcu_circuit(plan)
         assert enc.a == 0 and enc.epsilon_be < 1e-12
-        assert np.allclose(enc.block(), PauliString("XZ").to_matrix(), atol=1e-12)
+        assert np.allclose(encoded_block(enc.circuit), PauliString("XZ").to_matrix(), atol=1e-12)
 
     def test_unpadded_scale(self):
         h = PauliSum(1).add(1.0, "X").add(-1.0, "Z")  # c = 2
@@ -205,14 +230,14 @@ class TestBlockEncoding:
         enc = build_lcu_circuit(plan)
         assert enc.scale == pytest.approx(2.0)
         assert enc.epsilon_be < 1e-10
-        assert np.allclose(enc.block(), to_matrix(h) / 2.0, atol=1e-10)
+        assert np.allclose(encoded_block(enc.circuit), h.to_matrix() / 2.0, atol=1e-10)
 
     def test_nonuniform_prep(self):
         h = PauliSum(2).add(0.9, "XI").add(-0.3, "ZZ").add(0.15, "IY")
         plan = lcu_plan(h)
         enc = build_lcu_circuit(plan)
         assert enc.epsilon_be < 1e-10
-        assert np.allclose(enc.block(), to_matrix(h) / plan.c, atol=1e-10)
+        assert np.allclose(encoded_block(enc.circuit), h.to_matrix() / plan.c, atol=1e-10)
 
     def test_reflection_and_inverse(self):
         plan = lcu_plan(ising4_rescaled(), pad_equal_weights=True)

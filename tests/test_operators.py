@@ -11,7 +11,6 @@ from qsp_lab.operators import (
     exact_extremes,
     exact_propagator,
     rescale,
-    to_matrix,
     triangle_bounds,
 )
 
@@ -108,28 +107,35 @@ class TestRescale:
     def test_three_site_factor(self):
         r = rescale(ising3(), triangle_bounds(ising3()), 0.0, 1.0)
         assert r.time_factor == pytest.approx(13.3)
-        ht = to_matrix(r.h_tilde)
-        expected = (to_matrix(ising3()) + 6.65 * np.eye(8)) / 13.3
+        ht = r.h_tilde.to_matrix()
+        expected = (ising3().to_matrix() + 6.65 * np.eye(8)) / 13.3
         assert np.allclose(ht, expected, atol=1e-12)
 
     def test_identity_rescaling(self):
         h = PauliSum(1).add(0.5, "I").add(0.5, "Z")  # spectrum {0, 1}
-        r = rescale(h, SpectralBounds(0.0, 1.0, "exact"), 0.0, 1.0)
+        r = rescale(h, SpectralBounds(0.0, 1.0), 0.0, 1.0)
         assert r.time_factor == pytest.approx(1.0)
-        assert np.allclose(to_matrix(r.h_tilde), to_matrix(h), atol=1e-12)
+        assert np.allclose(r.h_tilde.to_matrix(), h.to_matrix(), atol=1e-12)
 
     def test_four_site_coefficients(self):
         r = rescale(ising4(), triangle_bounds(ising4()), 0.0, 1.0)
-        coeffs = {p.letters: c for c, p in r.h_tilde.canonicalize(drop_zero=False).terms}
+        coeffs = {p.letters: c for c, p in r.h_tilde.terms}
         assert coeffs["IIII"] == pytest.approx(0.5)
         for s in ("ZZII", "IZZI", "IIZZ", "IXII"):
             assert coeffs[s] == pytest.approx(-0.125)
         assert r.time_factor == pytest.approx(8.0)
 
+    def test_output_is_canonical(self):
+        # duplicates merged, the zero term dropped, the shift on the existing identity
+        h = PauliSum(2).add(0.5, "ZZ").add(0.0, "XI").add(0.25, "ZZ").add(0.3, "II")
+        r = rescale(h, triangle_bounds(h), 0.0, 1.0)
+        assert [p.letters for _, p in r.h_tilde.terms] == ["ZZ", "II"]
+        assert np.allclose(r.h_tilde.to_matrix(), (h.to_matrix() + 1.05 * np.eye(4)) / 2.1, atol=1e-12)
+
     def test_spectrum_lands_in_interval(self):
         for a, b in ((0.0, 1.0), (0.1, 0.9)):
             r = rescale(ising3(), triangle_bounds(ising3()), a, b)
-            eigs = np.linalg.eigvalsh(to_matrix(r.h_tilde))
+            eigs = np.linalg.eigvalsh(r.h_tilde.to_matrix())
             assert eigs.min() >= a - 1e-9 and eigs.max() <= b + 1e-9
 
     def test_phase_identity(self):
@@ -137,33 +143,33 @@ class TestRescale:
         h = ising3()
         r = rescale(h, triangle_bounds(h), 0.2, 0.8)
         t = 0.37
-        lhs = exact_propagator(r.h_tilde, r.effective_time(t))
+        lhs = exact_propagator(r.h_tilde, r.time_factor * t)
         rhs = np.exp(-1j * t * r.global_phase_rate) * exact_propagator(h, t)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_degenerate_bounds(self):
         h = PauliSum(1).add(1.0, "I")
         with pytest.raises(DegenerateSpectrumError):
-            rescale(h, SpectralBounds(1.0, 1.0, "exact"), 0.0, 1.0)
+            rescale(h, SpectralBounds(1.0, 1.0), 0.0, 1.0)
 
 
 class TestDenseOracles:
     def test_identity_matrix(self):
-        assert np.allclose(to_matrix(PauliSum(1).add(1.0, "I")), np.eye(2))
+        assert np.allclose(PauliSum(1).add(1.0, "I").to_matrix(), np.eye(2))
 
     def test_x_matrix(self):
-        assert np.allclose(to_matrix(PauliSum(1).add(1.0, "X")), [[0, 1], [1, 0]])
+        assert np.allclose(PauliSum(1).add(1.0, "X").to_matrix(), [[0, 1], [1, 0]])
 
     def test_trace_square_identity(self):
         for h in (ising3(), ising4()):
-            m = to_matrix(h.canonicalize())
+            m = h.canonicalize().to_matrix()
             lhs = np.trace(m @ m).real
             rhs = 2**h.n * sum(c**2 for c, _ in h.canonicalize().terms)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
-            to_matrix(PauliSum(13).add(1.0, "I" * 13))
+            PauliSum(13).add(1.0, "I" * 13).to_matrix()
 
     def test_propagator_t0(self):
         assert np.allclose(exact_propagator(ising3(), 0.0), np.eye(8), atol=1e-12)
@@ -182,5 +188,5 @@ class TestDenseOracles:
     def test_propagator_matches_expm(self):
         h = ising3()
         u = exact_propagator(h, 0.7)
-        ref = scipy.linalg.expm(-1j * 0.7 * to_matrix(h))
+        ref = scipy.linalg.expm(-1j * 0.7 * h.to_matrix())
         assert np.allclose(u, ref, atol=1e-10)

@@ -78,6 +78,16 @@ def test_optimize_phases_rejects_non_finite_time(d, t):
         optimize_phases(d, t)
 
 
+@pytest.mark.parametrize("d", [2.0, 1.5, "2", None, -2, 3])
+def test_optimize_phases_rejects_degree_that_is_not_a_nonnegative_even_integer(d):
+    with pytest.raises(ValueError):
+        optimize_phases(d, 1.0)
+
+
+def test_optimize_phases_accepts_numpy_integer_degree():
+    assert optimize_phases(np.int64(2), 1.0).epsilon_poly == optimize_phases(2, 1.0).epsilon_poly
+
+
 def _reference_unitary(phi, x, k=None):
     """prod_j S(phi_j) W(x) as a loop of 2x2 matrix products; with k given,
     S(phi_k) is replaced by its derivative iZ S(phi_k)."""

@@ -3,7 +3,8 @@ import pytest
 
 from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, cz
 from qsp_lab.lcu import encoded_block
-from qsp_lab.operators import PauliString, build_ising_chain, rescale, to_matrix, triangle_bounds
+from qsp_lab import variational
+from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.variational import (
     AnsatzSpec,
     OptimizerConfig,
@@ -15,7 +16,6 @@ from qsp_lab.variational import (
     cost,
     cost_and_gradient,
     epsilon_be_from_cost,
-    gradient,
     hessian,
     layer_sweep,
     optimize,
@@ -29,7 +29,7 @@ def ising3_rescaled():
 
 
 SMALL = AnsatzSpec(n=1, a=1, layers=1)
-SMALL_H = to_matrix(build_ising_chain(1, 1.0, [0.4], 0.2)) / 2.0
+SMALL_H = build_ising_chain(1, 1.0, [0.4], 0.2).to_matrix() / 2.0
 
 
 class TestAnsatz:
@@ -98,7 +98,7 @@ class TestCostAndDerivatives:
     def test_cost_matches_brute_force(self):
         rng = np.random.default_rng(4)
         spec = AnsatzSpec(3, 2, 1)
-        h = to_matrix(ising3_rescaled())
+        h = ising3_rescaled().to_matrix()
         for _ in range(3):
             theta = rng.uniform(-1, 1, spec.n_parameters)
             blk = ansatz_block(spec, theta)
@@ -109,7 +109,7 @@ class TestCostAndDerivatives:
         # eps^2 from the cost identity equals the direct Frobenius norm
         rng = np.random.default_rng(5)
         spec = AnsatzSpec(2, 1, 2)
-        hs = to_matrix(build_ising_chain(2, 0.3, [0.2, -0.1], 0.15))
+        hs = build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix()
         for _ in range(5):
             theta = rng.uniform(-1, 1, spec.n_parameters)
             eps = epsilon_be_from_cost(cost(theta, hs, spec), hs)
@@ -142,7 +142,7 @@ class TestCostAndDerivatives:
         t0 = 0.7
         theta = np.zeros(spec.n_parameters)
         theta[0] = t0
-        g = gradient(theta, h, spec)
+        g = cost_and_gradient(theta, h, spec)[1]
         fd = (f_scalar(t0 + 1e-6) - f_scalar(t0 - 1e-6)) / 2e-6
         assert g[0] == pytest.approx(fd, abs=1e-6)
 
@@ -158,8 +158,8 @@ class TestCostAndDerivatives:
         for i in range(len(theta)):
             e = np.zeros_like(theta)
             e[i] = 1e-5
-            gp = gradient(theta + e, SMALL_H, SMALL)
-            gm = gradient(theta - e, SMALL_H, SMALL)
+            gp = cost_and_gradient(theta + e, SMALL_H, SMALL)[1]
+            gm = cost_and_gradient(theta - e, SMALL_H, SMALL)[1]
             fd[:, i] = (gp - gm) / 2e-5
         assert np.abs(hm - fd).max() < 1e-5
 
@@ -177,7 +177,7 @@ class TestOptimize:
 
     def test_gradient_norm_at_optimum(self):
         res = optimize(SMALL_H, 1, 1, 1, OptimizerConfig(restarts=4, init_seed=9))
-        g = gradient(res.theta, SMALL_H, SMALL)
+        g = cost_and_gradient(res.theta, SMALL_H, SMALL)[1]
         assert np.linalg.norm(g) < 1e-4
 
     def test_scaled_identity_near_random_baseline(self):
@@ -203,7 +203,7 @@ class TestOptimize:
         assert enc.a == 2
         u = circuit_unitary(enc.circuit)
         assert np.allclose(u @ u, np.eye(u.shape[0]), atol=1e-10)
-        direct = np.linalg.norm(encoded_block(enc.circuit) - to_matrix(ht))
+        direct = np.linalg.norm(encoded_block(enc.circuit) - ht.to_matrix())
         assert direct == pytest.approx(res.epsilon_be, abs=1e-8)
 
 
@@ -236,6 +236,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AnsatzSpec(*shape)
 
+    @pytest.mark.parametrize("shape", [(1.5, 1, 1), (1, 1.0, 1), (1, 1, "1"), (2, None, 1)])
+    def test_non_integer_ansatz_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            AnsatzSpec(*shape)
+
+    def test_numpy_integer_ansatz_shape_accepted(self):
+        assert AnsatzSpec(np.int64(1), np.int32(1), np.int64(1)).n_parameters == SMALL.n_parameters
+
     def test_negative_layers_rejected_by_optimize(self):
         with pytest.raises(ValueError, match="layers"):
             optimize(SMALL_H, SMALL.n, SMALL.a, -1, OptimizerConfig(restarts=1))
@@ -247,7 +255,22 @@ class TestConfigValidation:
     def test_zero_restarts_with_warm_start(self):
         theta0 = np.zeros(SMALL.n_parameters)
         res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=0, max_iters=5), [theta0])
-        assert res is not None and res.restart_index == 0
+        assert res is not None
+        assert res.trace[0] == cost(theta0, SMALL_H, SMALL)  # the first evaluation is the warm start
+
+    def test_trace_lists_the_cost_of_every_evaluation(self, monkeypatch):
+        seen = []
+        inner = variational.cost_and_gradient
+
+        def recording(theta, h, spec):
+            f, g = inner(theta, h, spec)
+            seen.append(f)
+            return f, g
+
+        monkeypatch.setattr(variational, "cost_and_gradient", recording)
+        res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1, max_iters=20, init_seed=3))
+        assert res.trace == seen and len(seen) > 1
+        assert res.epsilon_be in [epsilon_be_from_cost(f, SMALL_H) for f in seen]
 
 
 def shift_rule_hessian(theta, h, spec):
@@ -261,7 +284,7 @@ def shift_rule_hessian(theta, h, spec):
         for s, c in zip(shifts, coeffs):
             step = np.zeros(spec.n_parameters)
             step[k] = s
-            out[:, k] += c * gradient(theta + step, h, spec)
+            out[:, k] += c * cost_and_gradient(theta + step, h, spec)[1]
     return out
 
 
@@ -269,7 +292,7 @@ class TestHessianOracle:
     @pytest.mark.parametrize("n, a, layers", [(2, 1, 1), (3, 2, 1)])
     def test_matches_shift_rule(self, n, a, layers):
         spec = AnsatzSpec(n, a, layers)
-        h = to_matrix(ising3_rescaled()) if n == 3 else to_matrix(build_ising_chain(2, 0.3, [0.2, -0.1], 0.15))
+        h = ising3_rescaled().to_matrix() if n == 3 else build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix()
         theta = np.random.default_rng(30 + n).uniform(-np.pi, np.pi, spec.n_parameters)
         hm = hessian(theta, h, spec)
         assert np.array_equal(hm, hm.T)
@@ -301,7 +324,7 @@ class TestGradientOracle:
     @pytest.mark.parametrize("n, a, layers", [(2, 1, 1), (3, 2, 2)])
     def test_matches_shift_rule(self, n, a, layers):
         spec = AnsatzSpec(n, a, layers)
-        h = to_matrix(ising3_rescaled()) if n == 3 else to_matrix(build_ising_chain(2, 0.3, [0.2, -0.1], 0.15))
+        h = ising3_rescaled().to_matrix() if n == 3 else build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix()
         theta = np.random.default_rng(40 + n).uniform(-np.pi, np.pi, spec.n_parameters)
         _, g = cost_and_gradient(theta, h, spec)
         assert np.abs(g - shift_rule_gradient(theta, h, spec)).max() < 1e-10
