@@ -27,11 +27,17 @@ was folded into.  Without per-gate noise a density matrix
 rho = sum_k lam_k |v_k><v_k| is evolved through its eigenvectors: the
 walk carries the (2^w, r) batch of the r eigenvectors numpy's rank rule
 keeps, and the output is sum_k lam_k U|v_k><v_k|U^dag, so a pure state
-costs one statevector walk.  Under per-gate noise rho is walked as the
-vector of its entries (Liouville form, Nielsen & Chuang 8.2): a unitary U
-on some axes becomes the superoperator kron(U, conj(U)) on those axes and
-their column twins w+q, and the pair channel's superoperator is
-multiplied into that of its RZZ/CZ, so every gate is one kernel call.
+costs one statevector walk.  Under per-gate noise rho is walked as its
+real Pauli coefficients r_P = Tr(P rho) (the Pauli-transfer form, e.g.
+Greenbaum, arXiv:1509.02921): rho = 2^-w sum_P r_P P, a unitary U becomes
+the real orthogonal matrix R[P, Q] = Tr(P U Q U^dag) / 2^k on the k qubits
+it touches, and the pair channel becomes diag(1, 1-p, ..., 1-p), which is
+multiplied into the R of its RZZ/CZ, so every gate is one real kernel call.
+The two Pauli indices of qubit q sit on the adjacent axes (2q, 2q+1): rho
+enters through one transpose to (row0, col0, row1, col1, ...) and one
+4x4 basis change per qubit, and leaves the same way.  Every gate and the
+channel are unital and trace preserving, so row 0 and column 0 of each R
+are set to e_0 exactly and r_I = Tr(rho) is carried untouched.
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DecompositionRequiredError, DimensionError
-from .operators import MAX_DENSE_QUBITS, PauliString
+from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("MCPAULI", "APHASE")
@@ -193,16 +199,17 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 
 def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], work: np.ndarray) -> None:
-    """Apply a 2^k x 2^k operator in place to the given qubit axes of a
-    C-contiguous complex (2^w,) or (2^w, B) array; local's first index
-    belongs to axes[0].
+    """Apply a 2^k x 2^k operator in place to the given binary axes of a
+    C-contiguous (2^m,) or (2^m, B) array; local's first index belongs to
+    axes[0].
 
-    Axes count qubits from the most significant bit of the C-order index,
-    so on a (2^w, 2^w) density matrix axes w..2w-1 are its column qubits.
+    Axes count bits from the most significant bit of the C-order index,
+    so on a (2^w, 2^w) density matrix axes w..2w-1 are its column qubits,
+    and on a 4^w Pauli vector axes (2q, 2q+1) hold qubit q's Pauli index.
 
-    The untouched qubits are grouped into at most k+1 blocks, so the
+    The untouched axes are grouped into at most k+1 blocks, so the
     transposes have at most 2k+1 axes; the contraction is one matrix
-    product.  work is a flat complex buffer of twice vec's size; the
+    product.  work is a flat buffer of vec's dtype and twice its size; the
     operand is gathered into it, multiplied into its second half and
     scattered back into vec, and nothing is allocated: on density-matrix
     sized arrays, fresh temporaries per gate cost more in page faults than
@@ -260,33 +267,78 @@ def _depolarizing(p: float) -> np.ndarray:
     return (1.0 - p) * np.eye(16, dtype=complex) + (p / 4.0) * np.outer(e, e)
 
 
+def _pauli_basis(paulis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, T^-1) for a stack of the 4^k k-qubit Paulis: T[P, r * 2^k + c] =
+    P[c, r], so T vec(X) lists Tr(P X) over P, and T^-1 = T^dag / 2^k."""
+    t = paulis.transpose(0, 2, 1).reshape(len(paulis), -1)
+    return t, t.conj().T / len(paulis[0])
+
+
+_PAULIS = np.array([PAULI_1Q[c] for c in "IXYZ"])
+# superoperator size -> (T, T^-1), for one qubit and for a pair
+_PAULI_BASIS = {4: _pauli_basis(_PAULIS), 16: _pauli_basis(np.array([_kron(a, b) for a in _PAULIS for b in _PAULIS]))}
+
+
+def _pauli_transfer(sup: np.ndarray) -> np.ndarray:
+    """Real Pauli-transfer matrix Re(T sup T^-1) of a unital, trace-preserving
+    superoperator on the row-major vec of a 1- or 2-qubit matrix, with row 0
+    and column 0 set to e_0 exactly."""
+    t, t_inv = _PAULI_BASIS[len(sup)]
+    out = (t @ sup @ t_inv).real.copy()
+    out[0] = 0.0
+    out[:, 0] = 0.0
+    out[0, 0] = 1.0
+    return out
+
+
+def _pauli_basis_change(vec: np.ndarray, basis: np.ndarray, w: int, work: np.ndarray) -> None:
+    """Apply a 4x4 basis change to every qubit's axis pair (2q, 2q+1)."""
+    for q in range(w):
+        _tensor_apply(vec, basis, (2 * q, 2 * q + 1), work)
+
+
 def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndarray:
     """The one gate-application walk behind every simulator (see the module
     docstring for the folding rule).
 
     initial is a (2^w,) state or a (2^w, B) batch of columns.  With
-    p_pair > 0 it is a (2^w, 2^w) density matrix under per-gate noise,
-    walked as the vector of its entries: each folded unitary U is one
-    kernel call of kron(U, conj(U)) on its row and column axes, the pair
-    depolarizing channel is multiplied into every RZZ/CZ's superoperator,
-    and scalar phases cancel.  A structural gate is walked as
+    p_pair > 0 it is a Hermitian (2^w, 2^w) density matrix under per-gate
+    noise, walked as its real Pauli vector: each folded unitary U is one
+    kernel call of its Pauli-transfer matrix on the axis pairs of its
+    qubits, the pair channel's is multiplied into every RZZ/CZ's, and
+    scalar phases cancel.  The Pauli vector and the kernel's real work
+    buffer live in the complex work buffer, so the density walk holds no
+    more memory than a complex one.  A structural gate is walked as
     decompose(circuit).
     """
     if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         circuit = decompose(circuit)
     w = circuit.width
-    out = np.array(initial, dtype=complex, order="C")
-    work = np.empty(2 * out.size, dtype=complex)
     density = p_pair > 0.0
-    pair_channel = _depolarizing(p_pair) if density else None
+    if density:
+        n, bits = 4**w, [2] * (2 * w)
+        interleave = [a for q in range(w) for a in (q, w + q)]  # (row0, col0, row1, col1, ...)
+        out = np.empty(n, dtype=complex)
+        np.copyto(out.reshape(bits), np.asarray(initial).reshape(bits).transpose(interleave))
+        work = np.empty(2 * n, dtype=complex)
+        basis, basis_inv = _PAULI_BASIS[4]
+        _pauli_basis_change(out, basis, w, work)
+        floats = work.view(float)
+        vec, vec_work = floats[:n], floats[n: 3 * n]
+        np.copyto(vec, out.real)
+        pair_channel = _pauli_transfer(_depolarizing(p_pair))
+    else:
+        out = vec = np.array(initial, dtype=complex, order="C")
+        vec_work = np.empty(2 * out.size, dtype=complex)
+        pair_channel = None
 
     def apply(local: np.ndarray, axes: tuple[int, ...], channel: np.ndarray | None = None) -> None:
         if density:
-            local = _kron(local, local.conj())
+            local = _pauli_transfer(_kron(local, local.conj()))
             if channel is not None:
                 local = channel @ local
-            axes += tuple(w + q for q in axes)
-        _tensor_apply(out, local, axes, work)
+            axes = tuple(a for q in axes for a in (2 * q, 2 * q + 1))
+        _tensor_apply(vec, local, axes, vec_work)
 
     pending: dict[int, np.ndarray] = {}
     phase = 1.0
@@ -303,7 +355,13 @@ def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndar
         apply(local @ _kron(a, b), axes, pair_channel)
     for q, m in pending.items():
         apply(m, (q,))
-    if density or phase == 1.0:
+    if density:
+        np.copyto(out, vec)
+        _pauli_basis_change(out, basis_inv, w, work)
+        np.copyto(work[:n], out)
+        np.copyto(out.reshape(bits), work[:n].reshape(bits).transpose(np.argsort(interleave)))
+        return out.reshape(2**w, 2**w)
+    if phase == 1.0:
         return out
     return phase * out
 
@@ -346,24 +404,25 @@ def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * rho + p * np.eye(dim, dtype=complex) / dim
 
 
-def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
+def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseModel()) -> np.ndarray:
     """Evolve a Hermitian matrix rho through the circuit under the noise model.
 
     per_gate_depolarizing attaches a two-qubit depolarizing channel after
     every RZZ and CZ; global_depolarizing applies one channel at the end
-    with p = 1-(1-p_tq)^N_TQ; p_tq = 0 (and noise None) is exact
+    with p = 1-(1-p_tq)^N_TQ; p_tq = 0 (the default NoiseModel()) is exact
     conjugation.
 
-    Only per-gate noise walks vec(rho); otherwise the eigenvectors of rho
-    are walked as one batch (module docstring).  Single-qubit gates are
-    folded into two-qubit ones.  A rho that is not Hermitian to
-    _HERMITIAN_TOL of its largest entry raises ValueError.
+    Per-gate noise walks rho's real Pauli coefficients Tr(P rho), so the
+    result is exactly Hermitian and keeps Tr(rho) to roundoff of the final
+    basis change; otherwise the eigenvectors of rho are walked as one
+    batch (module docstring).  Single-qubit gates are folded into
+    two-qubit ones.  A rho that is not Hermitian to _HERMITIAN_TOL of its
+    largest entry raises ValueError.
     """
     if rho.shape != (2**circuit.width, 2**circuit.width):
         raise ValueError(f"density matrix of shape {rho.shape} does not match width {circuit.width}")
     if not np.abs(rho - rho.conj().T).max() <= _HERMITIAN_TOL * np.abs(rho).max():
         raise ValueError("density matrix must be Hermitian and finite")
-    noise = noise or NoiseModel()
     noisy = noise.p_tq > 0.0
     if noisy and any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         raise DecompositionRequiredError("noisy simulation needs a decomposed circuit")

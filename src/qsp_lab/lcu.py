@@ -18,7 +18,8 @@ import numpy as np
 
 from . import circuits as cir
 from .circuits import Circuit, Gate, _cx, gphase, had, mcpauli, rx, rz
-from .operators import PauliString, PauliSum
+from .errors import DimensionError
+from .operators import MAX_DENSE_QUBITS, PauliString, PauliSum
 
 _ANGLE_TOL = 1e-12
 
@@ -72,9 +73,13 @@ class BlockEncoding:
 
 
 def encoded_block(circuit: Circuit) -> np.ndarray:
-    """(<0^a| x I) U (|0^a> x I) as a dense matrix."""
+    """(<0^a| x I) U (|0^a> x I) as a dense matrix: only the 2^n ancilla-zero
+    columns of U are walked.  Widths above the dense cap raise DimensionError,
+    as circuit_unitary does."""
+    if circuit.width > MAX_DENSE_QUBITS:
+        raise DimensionError(f"width {circuit.width} exceeds the dense cap of {MAX_DENSE_QUBITS}")
     dim = 2**circuit.n_system
-    return cir.circuit_unitary(circuit)[:dim, :dim]
+    return cir.apply_statevector(circuit, np.eye(2**circuit.width, dim, dtype=complex))[:dim]
 
 
 def lcu_plan(h_tilde: PauliSum, pad_equal_weights: bool = False) -> LCUPlan:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -312,25 +314,92 @@ class TestDensityAndNoise:
         kernel = cir._tensor_apply
 
         def counting(vec, local, axes, work):
-            calls.append((local.shape, axes))
+            calls.append((local.dtype.kind, local.shape, axes))
             kernel(vec, local, axes, work)
 
         monkeypatch.setattr(cir, "_tensor_apply", counting)
         # N = 2 two-qubit gates; k = 2 qubits (0 and 2) end with single-qubit gates
         c = Circuit(3).extend([had(0), rx(1, 0.3), rzz(0, 1, 0.7), rz(2, 0.1), cz(1, 2), rx(0, 0.2), had(2)])
         rho = random_density(3, np.random.default_rng(19))
-        # per-gate noise walks vec(rho): superoperators on the row and column axes
-        liouville = [((16, 16), (0, 1, 3, 4)), ((16, 16), (1, 2, 4, 5)), ((4, 4), (0, 3)), ((4, 4), (2, 5))]
+        # per-gate noise walks rho's Pauli vector: w complex basis changes in,
+        # N + k real Pauli-transfer matrices on the qubits' axis pairs, w out
+        basis = [("c", (4, 4), (0, 1)), ("c", (4, 4), (2, 3)), ("c", (4, 4), (4, 5))]
+        pauli = basis + [
+            ("f", (16, 16), (0, 1, 2, 3)), ("f", (16, 16), (2, 3, 4, 5)), ("f", (4, 4), (0, 1)), ("f", (4, 4), (4, 5)),
+        ] + basis
         # otherwise the batch of rho's eigenvectors is walked on the gates' own axes
-        eigenvectors = [((4, 4), (0, 1)), ((4, 4), (1, 2)), ((2, 2), (0,)), ((2, 2), (2,))]
+        eigenvectors = [("c", (4, 4), (0, 1)), ("c", (4, 4), (1, 2)), ("c", (2, 2), (0,)), ("c", (2, 2), (2,))]
         for noise, expected in (
-            (None, eigenvectors),
-            (NoiseModel(0.1, "per_gate_depolarizing"), liouville),
+            (NoiseModel(), eigenvectors),
+            (NoiseModel(0.1, "per_gate_depolarizing"), pauli),
             (NoiseModel(0.1, "global_depolarizing"), eigenvectors),
         ):
             calls.clear()
             apply_density(c, rho, noise)
             assert calls == expected
+
+
+def pauli_transfer_oracle(u):
+    """R[P, Q] = Tr(P U Q U^dag) / 2^k over the k-qubit Pauli strings."""
+    k = len(u).bit_length() - 1
+    ps = [PauliString("".join(s)).to_matrix() for s in itertools.product("IXYZ", repeat=k)]
+    return np.array([[np.trace(p @ u @ q @ u.conj().T).real / 2**k for q in ps] for p in ps])
+
+
+def random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestPauliTransfer:
+    """The per-gate density walk's real Pauli-transfer matrices."""
+
+    @staticmethod
+    def assert_unital_orthogonal(r):
+        assert r.dtype == float
+        e0 = np.eye(len(r))[0]
+        assert np.array_equal(r[0], e0) and np.array_equal(r[:, 0], e0)
+        assert np.abs(r @ r.T - np.eye(len(r))).max() < 1e-14
+
+    @pytest.mark.parametrize("gate", [
+        rx(0, 0.37), rx(0, -2.9), rz(0, 1.3), rz(0, np.pi), had(0), rzz(0, 1, 0.7), rzz(0, 1, -np.pi / 2), cz(0, 1),
+    ], ids=lambda g: f"{g.kind}({g.angle:.2f})")
+    def test_native_gates(self, gate):
+        u, _, _ = cir._gate_local(gate)
+        r = cir._pauli_transfer(cir._kron(u, u.conj()))
+        self.assert_unital_orthogonal(r)
+        assert np.abs(r - pauli_transfer_oracle(u)).max() < 1e-14
+
+    def test_random_folded_gates(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            a, b = random_unitary(2, rng), random_unitary(2, rng)
+            for gate in (rzz(0, 1, rng.uniform(-np.pi, np.pi)), cz(0, 1)):
+                u = cir._gate_local(gate)[0] @ cir._kron(a, b)
+                r = cir._pauli_transfer(cir._kron(u, u.conj()))
+                self.assert_unital_orthogonal(r)
+                assert np.abs(r - pauli_transfer_oracle(u)).max() < 1e-14
+            u = random_unitary(4, rng)
+            self.assert_unital_orthogonal(cir._pauli_transfer(cir._kron(u, u.conj())))
+
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 2.577e-3, 0.3, 1.0 - 1e-9])
+    def test_channel_is_diagonal(self, p):
+        r = cir._pauli_transfer(cir._depolarizing(p))
+        assert np.abs(r - np.diag([1.0] + [1.0 - p] * 15)).max() < 1e-15
+
+    def test_long_noisy_walk_keeps_trace_and_hermiticity(self):
+        rng = np.random.default_rng(22)
+        c = random_native_circuit(4, 3, 600, rng)
+        assert c.width == 7 and len(c) >= 500
+        rho = random_density(7, rng)
+        out = apply_density(c, rho, NoiseModel(2e-3, "per_gate_depolarizing"))
+        assert abs(np.trace(out) - np.trace(rho)) < 1e-15
+        assert np.abs(out - out.conj().T).max() < 1e-15
+
+    def test_zero_width_register(self):
+        c = Circuit(0).append(gphase(0.4))
+        out = apply_density(c, np.array([[0.5]], dtype=complex), NoiseModel(0.1, "per_gate_depolarizing"))
+        assert np.array_equal(out, np.array([[0.5]]))
 
 
 class TestCounting:

@@ -3,6 +3,7 @@ import pytest
 
 from qsp_lab import circuits as cir
 from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, decompose
+from qsp_lab.errors import DimensionError
 from qsp_lab.lcu import (
     LCUPlan,
     build_lcu_circuit,
@@ -17,6 +18,7 @@ from qsp_lab.lcu import (
     ucrz,
 )
 from qsp_lab.operators import (
+    MAX_DENSE_QUBITS,
     PauliString,
     PauliSum,
     build_ising_chain,
@@ -217,6 +219,19 @@ class TestBlockEncoding:
         enc = build_lcu_circuit(lcu_plan(rescale(h, triangle_bounds(h)).h_tilde, pad))
         assert enc.a == a and enc.epsilon_be < 1e-10
         assert count_two_qubit_gates(decompose(enc.circuit)) == two_qubit
+
+    @pytest.mark.parametrize("h, pad", [
+        (build_ising_chain(3, 1.0, [0.7, 1.1, 0.9], 0.3), False),
+        (build_ising_chain(4, 1.0, [0.0, 0.0, 1.0, 0.0], 0.0), True),
+    ], ids=["ising3", "sparse4-padded"])
+    def test_encoded_block_is_the_unitary_corner(self, h, pad):
+        circuit = build_lcu_circuit(lcu_plan(rescale(h, triangle_bounds(h)).h_tilde, pad)).circuit
+        dim = 2**circuit.n_system
+        assert np.array_equal(encoded_block(circuit), circuit_unitary(circuit)[:dim, :dim])
+
+    def test_encoded_block_rejects_width_above_dense_cap(self):
+        with pytest.raises(DimensionError):
+            encoded_block(Circuit(MAX_DENSE_QUBITS - 1, 2))
 
     def test_single_pauli_trivial(self):
         plan = lcu_plan(PauliSum(2).add(1.0, "XZ"))
