@@ -15,15 +15,48 @@ Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
 state by I/4.  Single-qubit gates are noiseless.
 
-apply_statevector, circuit_unitary (apply_statevector on the identity)
-and apply_density share one walk over the gate list.  It does not apply
-single-qubit gates one at a time: each qubit keeps a pending 2x2
-product, which is multiplied into the 4x4 of the next RZZ/CZ on that
-qubit or applied at the end; scalar phases are carried and applied once.
-The folding is exact, with or without noise: a pending unitary on qubit c
-commutes with every gate and every channel on other qubits, and the
-channel after an RZZ/CZ on c comes after the gate the pending unitary
-was folded into.  Without per-gate noise a density matrix
+apply_statevector, circuit_unitary, lcu.encoded_block and apply_density
+share one walk in two steps: _compile turns the gate list once into a
+kernel program of (matrix, axes) operations, and the walk replays that
+program with the one kernel, _tensor_apply.
+
+Fold.  Single-qubit gates are not applied one at a time: each qubit keeps
+a pending run of them, whose 2x2 product is multiplied into the 4x4 of the
+next RZZ/CZ on that qubit or applied at the end; scalar phases are carried
+and applied once.  The folding is exact, with or without noise: a pending
+unitary on qubit c commutes with every gate and every channel on other
+qubits, and the channel after an RZZ/CZ on c comes after the gate the
+pending unitary was folded into.
+
+Memoize.  A QSP circuit is d copies of one block encoding W with a phase
+gate between them, so its folded gates repeat (the 3-site bench circuit at
+d=4 has 111 distinct ones among 563).  Within one compile each distinct
+(kind, qubits, angle) is built once, and each distinct fold (its pair gate
+and the two pending runs) is multiplied out, and under per-gate noise
+turned into its transfer matrix, once.  The copies share these read-only
+operations, and the program is bit-identical to one built gate by gate:
+the same arithmetic runs on the same inputs.
+
+Fuse.  A complex walk of at least 2^_FUSE_QUBITS = 32 columns on a
+register wider than _FUSE_QUBITS = 5 (a dense unitary of 6 or more qubits)
+merges the folded operations greedily, in order, into blocks of at most 5
+qubits; each distinct block's matrix is the kernel run on its 32-column
+(or smaller) identity, and replay makes one kernel call per block.  A call
+on a (2^w, B) array gathers and scatters all of it whatever the local's
+size, so on many columns one 32x32 product beats the several 4x4 ones it
+replaces; at 6 qubits the block's flops outweigh the saved passes.  On
+fewer columns than the block's identity, building the block costs about
+as much as the walk it saves, unless the gate list repeats: the width-7
+LCU encodings, walked fused, broke even at 16 columns and lost 4-18 % at
+8, which is what encoded_block walks.  A one-column walk (a statevector,
+or a pure rho's eigenvector) is bound by per-call overhead, and fusing it
+made the bench circuits' statevectors 30-67 % slower; the real Pauli walk
+is not fused either, since a 3-qubit block is a 64x64 product on the
+memory-bound 4^w vector.  The rule depends only on the column count and
+the width.  A fused walk agrees with the unfused one to roundoff; an
+unfused one is bit-identical to applying the folded gates one by one.
+
+Without per-gate noise a density matrix
 rho = sum_k lam_k |v_k><v_k| is evolved through its eigenvectors: the
 walk carries the (2^w, r) batch of the r eigenvectors numpy's rank rule
 keeps, and the output is sum_k lam_k U|v_k><v_k|U^dag, so a pure state
@@ -56,6 +89,8 @@ _KINDS = frozenset(NATIVE_KINDS + STRUCTURAL_KINDS)
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
+# widest block a multi-column complex walk fuses its folded gates into
+_FUSE_QUBITS = 5
 # apply_density's bound on max|rho - rho^dag| relative to max|rho|
 _HERMITIAN_TOL = 1e-10
 
@@ -297,24 +332,117 @@ def _pauli_basis_change(vec: np.ndarray, basis: np.ndarray, w: int, work: np.nda
         _tensor_apply(vec, basis, (2 * q, 2 * q + 1), work)
 
 
-def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndarray:
-    """The one gate-application walk behind every simulator (see the module
-    docstring for the folding rule).
-
-    initial is a (2^w,) state or a (2^w, B) batch of columns.  With
-    p_pair > 0 it is a Hermitian (2^w, 2^w) density matrix under per-gate
-    noise, walked as its real Pauli vector: each folded unitary U is one
-    kernel call of its Pauli-transfer matrix on the axis pairs of its
-    qubits, the pair channel's is multiplied into every RZZ/CZ's, and
-    scalar phases cancel.  The Pauli vector and the kernel's real work
-    buffer live in the complex work buffer, so the density walk holds no
-    more memory than a complex one.  A structural gate is walked as
-    decompose(circuit).
+def _compile(
+    circuit: Circuit, p_pair: float = 0.0, fuse: bool = False
+) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], complex]:
+    """Fold and memoize the native gate list once into a kernel program (module
+    docstring): the (matrix, axes) operations _walk replays with
+    _tensor_apply, and the scalar phase.  With p_pair > 0 each operation is
+    a folded unitary's real Pauli-transfer matrix on its qubits' axis pairs,
+    the pair channel's multiplied in after every RZZ/CZ, and the phase is 1;
+    with fuse the operations are merged into blocks by _fuse.  The matrices
+    are read-only.  A structural gate is compiled as decompose(circuit).
     """
     if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         circuit = decompose(circuit)
+    channel = _pauli_transfer(_depolarizing(p_pair)) if p_pair > 0.0 else None
+    gate_ids: dict[tuple, int] = {}
+    entries: list[tuple[np.ndarray | None, tuple[int, ...], complex]] = []  # _gate_local of each id
+    folds: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
+    pending: dict[int, tuple[int, ...]] = {}  # qubit -> ids of its single-qubit gates since its last pair
+
+    def product(run: tuple[int, ...]) -> np.ndarray:
+        """A run's 2x2 product, multiplied in the order its gates arrived."""
+        if not run:
+            return _I2
+        m = entries[run[0]][0]
+        for i in run[1:]:
+            m = entries[i][0] @ m
+        return m
+
+    def operation(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The read-only program operation of folded unitary u."""
+        if channel is not None:
+            u = _pauli_transfer(_kron(u, u.conj()))
+            if len(qubits) == 2:
+                u = channel @ u
+            qubits = tuple(a for q in qubits for a in (2 * q, 2 * q + 1))
+        u.setflags(write=False)
+        return u, qubits
+
+    phase = 1.0
+    program = []
+    for g in circuit.gates:
+        key = (g.kind, g.qubits, g.angle)
+        i = gate_ids.get(key)
+        if i is None:
+            i = gate_ids[key] = len(entries)
+            entries.append(_gate_local(g))
+            if entries[i][0] is not None:
+                entries[i][0].setflags(write=False)
+        local, axes, scalar = entries[i]
+        phase *= scalar
+        if local is None:
+            continue
+        if len(axes) == 1:
+            pending[axes[0]] = pending.get(axes[0], ()) + (i,)
+            continue
+        fold = (i, pending.pop(axes[0], ()), pending.pop(axes[1], ()))
+        if fold not in folds:
+            folds[fold] = operation(local @ _kron(product(fold[1]), product(fold[2])), axes)
+        program.append(folds[fold])
+    program += [operation(product(run), (q,)) for q, run in pending.items()]
+    if channel is not None:
+        return program, 1.0
+    return (_fuse(program) if fuse else program), phase
+
+
+def _fuse(program: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Merge consecutive operations greedily, in order, into blocks of at most
+    _FUSE_QUBITS qubits.  A block of several operations becomes one matrix on
+    its sorted qubits, built by running the kernel on the block's identity."""
+    blocks: list[tuple[set[int], list]] = []
+    for op in program:
+        if blocks and len(blocks[-1][0].union(op[1])) <= _FUSE_QUBITS:
+            blocks[-1][0].update(op[1])
+            blocks[-1][1].append(op)
+        else:
+            blocks.append((set(op[1]), [op]))
+    fused = []
+    built: dict[tuple, np.ndarray] = {}
+    for qubits, members in blocks:
+        if len(members) == 1:
+            fused += members
+            continue
+        qubits = tuple(sorted(qubits))
+        key = tuple(map(id, members))  # the copies of W share their memoized operations
+        if key not in built:
+            index = {q: i for i, q in enumerate(qubits)}
+            m = np.eye(2 ** len(qubits), dtype=complex)
+            work = np.empty(2 * m.size, dtype=complex)
+            for local, axes in members:
+                _tensor_apply(m, local, tuple(index[q] for q in axes), work)
+            m.setflags(write=False)
+            built[key] = m
+        fused.append((built[key], qubits))
+    return fused
+
+
+def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndarray:
+    """The one compile-and-replay walk behind every simulator (module docstring).
+
+    initial is a (2^w,) state or a (2^w, B) batch of columns, whose program
+    is fused when B >= 2^_FUSE_QUBITS and w > _FUSE_QUBITS.  With
+    p_pair > 0 it is a Hermitian (2^w, 2^w) density matrix under per-gate
+    noise, walked as its real Pauli vector.  The Pauli vector and the
+    kernel's real work buffer live in the complex work buffer, so the
+    density walk holds no more memory than a complex one.
+    """
     w = circuit.width
     density = p_pair > 0.0
+    columns = 1 if np.ndim(initial) == 1 else np.shape(initial)[1]
+    fuse = not density and columns >= 2**_FUSE_QUBITS and w > _FUSE_QUBITS
+    program, phase = _compile(circuit, p_pair, fuse)
     if density:
         n, bits = 4**w, [2] * (2 * w)
         interleave = [a for q in range(w) for a in (q, w + q)]  # (row0, col0, row1, col1, ...)
@@ -326,44 +454,20 @@ def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndar
         floats = work.view(float)
         vec, vec_work = floats[:n], floats[n: 3 * n]
         np.copyto(vec, out.real)
-        pair_channel = _pauli_transfer(_depolarizing(p_pair))
     else:
         out = vec = np.array(initial, dtype=complex, order="C")
         vec_work = np.empty(2 * out.size, dtype=complex)
-        pair_channel = None
-
-    def apply(local: np.ndarray, axes: tuple[int, ...], channel: np.ndarray | None = None) -> None:
-        if density:
-            local = _pauli_transfer(_kron(local, local.conj()))
-            if channel is not None:
-                local = channel @ local
-            axes = tuple(a for q in axes for a in (2 * q, 2 * q + 1))
+    for local, axes in program:
         _tensor_apply(vec, local, axes, vec_work)
-
-    pending: dict[int, np.ndarray] = {}
-    phase = 1.0
-    for g in circuit.gates:
-        local, axes, scalar = _gate_local(g)
-        phase *= scalar
-        if local is None:
-            continue
-        if len(axes) == 1:
-            q = axes[0]
-            pending[q] = local @ pending[q] if q in pending else local
-            continue
-        a, b = pending.pop(axes[0], _I2), pending.pop(axes[1], _I2)
-        apply(local @ _kron(a, b), axes, pair_channel)
-    for q, m in pending.items():
-        apply(m, (q,))
     if density:
         np.copyto(out, vec)
         _pauli_basis_change(out, basis_inv, w, work)
         np.copyto(work[:n], out)
         np.copyto(out.reshape(bits), work[:n].reshape(bits).transpose(np.argsort(interleave)))
         return out.reshape(2**w, 2**w)
-    if phase == 1.0:
-        return out
-    return phase * out
+    if phase != 1.0:
+        np.multiply(phase, out, out=out)  # phase first: out *= phase rounds differently
+    return out
 
 
 def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -374,10 +478,11 @@ def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (desk-scale oracle)."""
+    """Dense unitary of the whole circuit (desk-scale oracle): the walk of the
+    identity's 2^w columns, fused above _FUSE_QUBITS (module docstring)."""
     if circuit.width > MAX_DENSE_QUBITS:
         raise DimensionError(f"width {circuit.width} exceeds the dense cap of {MAX_DENSE_QUBITS}")
-    return apply_statevector(circuit, np.eye(2**circuit.width, dtype=complex))
+    return _walk(circuit, np.eye(2**circuit.width, dtype=complex))
 
 
 def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> np.ndarray:

@@ -103,12 +103,14 @@ class OptimizerConfig:
 @dataclass
 class OptimizeResult:
     """The best start's parameters and epsilon_BE; trace is that start's cost F
-    at every evaluation, in order, so len(trace) counts its evaluations."""
+    at every evaluation, in order, so len(trace) counts its evaluations, and
+    evals counts the cost_and_gradient calls of every start."""
 
     theta: np.ndarray
     epsilon_be: float
     trace: list[float] = field(default_factory=list)
     converged: bool = False
+    evals: int = 0
 
 
 def _v_gate_sequence(spec: AnsatzSpec, theta: np.ndarray) -> list[Gate]:
@@ -341,6 +343,7 @@ def optimize(
     if not starts:
         raise ValueError("nothing to optimize: restarts is 0 and no initial_thetas were given")
     best: OptimizeResult | None = None
+    evals = 0
     for theta0 in starts:
         theta0 = np.asarray(theta0, dtype=float)
         if len(theta0) != spec.n_parameters:
@@ -368,9 +371,11 @@ def optimize(
             )
             theta, f = res.x, float(res.fun)
             ok = bool(res.success) or float(np.linalg.norm(res.jac)) < 10 * _GRAD_NORM_THRESHOLD
+        evals += len(trace)
         cand = OptimizeResult(theta, epsilon_be_from_cost(f, h), trace, ok)
         if best is None or cand.epsilon_be < best.epsilon_be:
             best = cand
+    best.evals = evals
     return best
 
 

@@ -338,6 +338,37 @@ class TestDensityAndNoise:
             apply_density(c, rho, noise)
             assert calls == expected
 
+    def test_fused_walk_kernel_calls_at_width_7(self, monkeypatch):
+        calls = []
+        kernel = cir._tensor_apply
+
+        def counting(vec, local, axes, work):
+            calls.append((vec.shape, local.shape, axes))
+            kernel(vec, local, axes, work)
+
+        monkeypatch.setattr(cir, "_tensor_apply", counting)
+        # folded gates (0,1) (1,2) (2,3), then (5,6) (4,5) and the trailing rx on 6:
+        # (5,6) would widen the first block to 6 qubits, so it starts a second
+        c = Circuit(7).extend([
+            had(0), rzz(0, 1, 0.7), cz(1, 2), rx(3, 0.2), rzz(2, 3, 0.4), cz(5, 6), rzz(4, 5, -0.3), rx(6, 1.1),
+        ])
+        folded = [((4, 4), (0, 1)), ((4, 4), (1, 2)), ((4, 4), (2, 3)), ((4, 4), (5, 6)), ((4, 4), (4, 5)), ((2, 2), (6,))]
+        # one-column walks and batches narrower than a block's identity are not
+        # fused: one call per folded gate
+        for batch in (zero_state(7), np.eye(128, 16, dtype=complex)):
+            calls.clear()
+            apply_statevector(c, batch)
+            assert calls == [(batch.shape, shape, axes) for shape, axes in folded]
+        # a 32-column walk builds each block on its identity, on the block's
+        # sorted qubits (0..3 and 4..6), then makes one call per block
+        build = [((16, 16), shape, axes) for shape, axes in folded[:3]] + [
+            ((8, 8), (4, 4), (1, 2)), ((8, 8), (4, 4), (0, 1)), ((8, 8), (2, 2), (2,)),
+        ]
+        replay = [((128, 32), (16, 16), (0, 1, 2, 3)), ((128, 32), (8, 8), (4, 5, 6))]
+        calls.clear()
+        apply_statevector(c, np.eye(128, 32, dtype=complex))
+        assert calls == build + replay
+
 
 def pauli_transfer_oracle(u):
     """R[P, Q] = Tr(P U Q U^dag) / 2^k over the k-qubit Pauli strings."""
@@ -691,6 +722,32 @@ class TestIndependentOracle:
         rng = np.random.default_rng(100 + 10 * n_system + n_ancilla)
         for _ in range(4):
             assert_matches_oracle(oracle_circuit(n_system, n_ancilla, 30, rng), rng)
+
+    @pytest.mark.parametrize("n_system,n_ancilla", [(4, 2), (4, 3), (5, 3)])
+    def test_wider_than_the_fusion_block(self, n_system, n_ancilla):
+        # widths 6-8 exceed _FUSE_QUBITS, so walks of 32 or more columns replay fused blocks
+        rng = np.random.default_rng(120 + 10 * n_system + n_ancilla)
+        c = oracle_circuit(n_system, n_ancilla, 300, rng)
+        program, _ = cir._compile(c, fuse=True)
+        assert c.width > cir._FUSE_QUBITS and len(c) >= 300
+        assert sum(len(axes) > 2 for _, axes in program) >= 3
+        u = ref_unitary(c)
+        assert np.abs(circuit_unitary(c) - u).max() < 1e-12
+        for columns in (3, 2**cir._FUSE_QUBITS):  # unfused, fused
+            batch = np.stack([random_state(c.width, rng) for _ in range(columns)], axis=1)
+            before = batch.copy()
+            assert np.abs(apply_statevector(c, batch) - u @ batch).max() < 1e-12
+            assert np.array_equal(batch, before)  # the walk runs on a copy
+        psi = random_state(c.width, rng)
+        assert np.abs(apply_statevector(c, psi) - u @ psi).max() < 1e-12
+
+    def test_fused_blocks_of_equal_gates_on_other_axes(self):
+        # two 5-qubit blocks of three equal CZ matrices each, on different
+        # relative axes: a block is reused only when its axes match too
+        c = Circuit(7).extend([cz(0, 1), cz(0, 2), cz(3, 4), cz(5, 6), cz(4, 5), cz(2, 3)])
+        program, _ = cir._compile(c, fuse=True)
+        assert [axes for _, axes in program] == [(0, 1, 2, 3, 4), (2, 3, 4, 5, 6)]
+        assert np.abs(circuit_unitary(c) - ref_unitary(c)).max() < 1e-12
 
     def test_width_two_pair_is_whole_register(self):
         rng = np.random.default_rng(110)

@@ -272,6 +272,19 @@ class TestConfigValidation:
         assert res.trace == seen and len(seen) > 1
         assert res.epsilon_be in [epsilon_be_from_cost(f, SMALL_H) for f in seen]
 
+    def test_evals_counts_every_start(self, monkeypatch):
+        calls = []
+        inner = variational.cost_and_gradient
+
+        def counting(theta, h, spec):
+            calls.append(1)
+            return inner(theta, h, spec)
+
+        monkeypatch.setattr(variational, "cost_and_gradient", counting)
+        res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=4, max_iters=20, init_seed=11))
+        assert res.evals == len(calls)
+        assert len(res.trace) < res.evals  # the trace is the winning start's alone
+
 
 def shift_rule_hessian(theta, h, spec):
     """Independent Hessian oracle: each gradient entry is a trig polynomial of
