@@ -91,8 +91,15 @@ _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
 # widest block a multi-column complex walk fuses its folded gates into
 _FUSE_QUBITS = 5
-# apply_density's bound on max|rho - rho^dag| relative to max|rho|
+# bound on max|x - x^dag| relative to max|x| for an input that must be Hermitian
 _HERMITIAN_TOL = 1e-10
+
+
+def _is_hermitian(x: np.ndarray) -> bool:
+    """True when the square matrix x is finite and Hermitian to _HERMITIAN_TOL
+    of its largest entry."""
+    scale = np.abs(x).max()  # NaN or inf when any entry is
+    return bool(np.isfinite(scale)) and np.abs(x - x.conj().T).max() <= _HERMITIAN_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -526,7 +533,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     """
     if rho.shape != (2**circuit.width, 2**circuit.width):
         raise ValueError(f"density matrix of shape {rho.shape} does not match width {circuit.width}")
-    if not np.abs(rho - rho.conj().T).max() <= _HERMITIAN_TOL * np.abs(rho).max():
+    if not _is_hermitian(rho):
         raise ValueError("density matrix must be Hermitian and finite")
     noisy = noise.p_tq > 0.0
     if noisy and any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):

@@ -10,30 +10,44 @@ The cost of encoding a target H is F(theta) = ||Wblk||_F^2
 - 2 Re Tr(H Wblk) with Wblk the ancilla-zero block, so that
 epsilon_BE^2 = F(theta) + Tr(H^2).
 
-Every parameter is the angle of one gate exp(-i theta_j g_j / 2) of V,
-with generator g_j = X, Z or ZZ.  Derivatives are exact and come from
-one walk over V's gates that builds the prefixes P_j, the gates before
-j, and the stack A_j = P_j^dag g_j P_j; V is the last prefix.  Each
-generator squares to I, so the gate is
-cos(theta_j/2) I - i sin(theta_j/2) g_j, and G_j = g_j P_j gives both
-A_j = P_j^dag G_j and the next prefix
-P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j.  Each generator is
-a signed permutation of the basis: Z_q and Z_q Z_{q+1} are diagonal,
+Every parameter is the angle of one gate V_j = exp(-i theta_j g_j / 2)
+of V = V_{m-1} ... V_0, with generator g_j = X, Z or ZZ.  Each generator
+squares to I, so V_j = cos(theta_j/2) I - i sin(theta_j/2) g_j, and each
+is a signed permutation of the basis: Z_q and Z_q Z_{q+1} are diagonal,
 row i multiplied by -1 to the parity of i's bits at those qubits, and
-X_q swaps the rows whose indices differ in bit q.  So G_j is P_j with
-its rows sign-flipped or permuted, from a table built once per
-AnsatzSpec; every entry is a copy of an entry of P_j or its negation,
-which is exactly what a matrix product with g_j's 0 and +-1 entries
-gives, so the numbers are the same bit for bit.
-With Z the CZ-ladder diagonal, dV_j = -i/2 V A_j and
-d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k), lo = min(j, k)), so
-dW_j = -i/2 V [A_j, Z] V^dag and
-d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag.
-The gradient is one contraction against the stack,
-dF/dtheta_j = Im Tr[N V A_j] with N = Z V^dag (K + K^dag) and
-K = Wblk^dag - H on the ancilla-zero block; the Hessian is pair traces
-over it.  The stack holds m * 4^w complex numbers (m parameters, width w);
-cost and ansatz_block run the same walk and keep none of it.
+X_q swaps the rows whose indices differ in bit q.  So g_j X is X with its
+rows sign-flipped or permuted, from a table built once per AnsatzSpec,
+and every entry is exactly what a matrix product with g_j's 0 and +-1
+entries gives.
+
+F depends on V only through U = Pi V, its top 2^n rows (Pi keeps the
+ancilla-zero rows), since Wblk = U Z U^dag with Z the CZ-ladder diagonal.
+Derivatives are exact and come from two walks over the 2^n ancilla-zero
+columns (adjoint differentiation, Jones & Gacon, arXiv:2009.02823).
+With S_j = V_{m-1} ... V_j the gates from j on and P_j = V_{j-1} ... V_0
+the gates before j (V = S_j P_j):
+
+- the backward walk starts from Y_m = Pi^T and applies
+  V_j^dag = cos(theta_j/2) I + i sin(theta_j/2) g_j for j = m-1, ..., 0,
+  keeping every Y_j = S_j^dag Pi^T, a D x 2^n array (D = 2^w, w = n + a).
+  Y_0 = U^dag, so Wblk = Y_0^dag (z * Y_0) with z = diag Z;
+- the forward walk starts from L_0 = Z U^dag M with M = Wblk - H and
+  applies L_{j+1} = V_j L_j.  As dV/dtheta_j = -i/2 S_j g_j P_j,
+  dF/dtheta_j = 2 Re Tr[M dWblk_j] = 2 Im <Y_j, g_j L_j> (Frobenius inner
+  product), and g_j L_j is the product the update needs anyway.
+
+Both walks take O(m D 2^n) work and keep (m+1) D 2^n complex numbers,
+299 KB at (n, a, L) = (3, 2, 3).  cost and ansatz_block run the backward
+walk alone, so F from cost and from cost_and_gradient are the same bits.
+Every function that takes the target H raises ValueError unless H is
+square, finite and Hermitian, and (2^n, 2^n) wherever the ansatz fixes n.  The Hessian alone walks the full
+prefixes, P_{j+1} = V_j P_j, and keeps the stack A_j = P_j^dag g_j P_j
+(V = P_m): dV_j = -i/2 V A_j and d2V_jk = -1/4 V A_hi A_lo
+(hi = max(j, k), lo = min(j, k)), so dW_j = -i/2 V [A_j, Z] V^dag and
+d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag,
+and the Hessian is pair traces over the stack.  The stack holds m * 4^w
+complex numbers: 1.2 MB at (n, a, L) = (3, 2, 3), about 120 MB at width 8
+with L = 3.
 Optimizers: BFGS (default) and Newton with an eigenvalue-cutoff
 pseudo-inverse.
 """
@@ -45,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import Circuit, Gate, cz, rx, rz, rzz
+from .circuits import Circuit, Gate, _is_hermitian, cz, rx, rz, rzz
 from .errors import OptimizationError
 from .lcu import BlockEncoding
 from .operators import PauliSum
@@ -160,10 +174,10 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _generator_table(spec: AnsatzSpec) -> tuple[tuple[bool, np.ndarray], ...]:
-    """How each generator g_j of _v_gate_sequence acts on the rows of P_j,
-    as (flips, action).  For X_q, flips is True and row i of g_j P_j is
-    row action[i] = i ^ 2^(w-1-q) of P_j.  For Z_q and Z_q Z_{q+1}, flips
-    is False and row i of g_j P_j is row i of P_j times action[i], -1 to
+    """How each generator g_j of _v_gate_sequence acts on the rows of a
+    D-row array X, as (flips, action).  For X_q, flips is True and row i
+    of g_j X is row action[i] = i ^ 2^(w-1-q) of X.  For Z_q and Z_q Z_{q+1},
+    flips is False and row i of g_j X is row i of X times action[i], -1 to
     the parity of i's bits at the gate's qubits.  Qubit q is bit w-1-q of
     the row index, as in circuits (ancilla first, most significant first)."""
     w = spec.width
@@ -180,112 +194,133 @@ def _generator_table(spec: AnsatzSpec) -> tuple[tuple[bool, np.ndarray], ...]:
     return tuple(table)
 
 
-def _v_walk(spec: AnsatzSpec, theta: np.ndarray):
-    """Walk V's gates, yielding (P_j, G_j, P_{j+1}) for gate j: P_j the
-    gates before j, G_j = g_j P_j (P_j's rows permuted or sign-flipped by
-    _generator_table) and P_{j+1} = cos(theta_j/2) P_j - i sin(theta_j/2) G_j
-    (the rotation identity, as g_j^2 = I), updated in place.  The last
-    P_{j+1} is V.  The P_j and G_j buffers are reused from gate to gate
-    (P_{j+1} is written into the buffer of P_{j-1}), so a caller keeps
-    only what it computes from them before asking for the next gate."""
+def _checked_table(spec: AnsatzSpec, theta: np.ndarray) -> tuple[tuple[bool, np.ndarray], ...]:
+    """_generator_table(spec), after checking that theta has one angle per row
+    (the walks zip the two, which would truncate silently)."""
     table = _generator_table(spec)
-    if len(theta) != len(table):  # zip below would truncate silently
+    if len(theta) != len(table):
         raise ValueError(f"expected {len(table)} parameters, got {len(theta)}")
+    return table
+
+
+def _apply_generator(flips: bool, action: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out = g x for the generator of one _generator_table row."""
+    if flips:  # action is in range; the default mode="raise" copies out= through a buffer
+        x.take(action, axis=0, out=out, mode="clip")
+    else:
+        np.multiply(action, x, out=out)
+
+
+def _adjoint_columns(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """The backward walk of the module docstring: the (m+1, D, 2^n) array
+    of Y_j = S_j^dag Pi^T, from Y_m = Pi^T by Y_j = V_j^dag Y_{j+1}."""
+    table = _checked_table(spec, theta)
     dim = 2**spec.width
-    p = np.eye(dim, dtype=complex)
-    gp = np.empty_like(p)
-    nxt = np.empty_like(p)
-    rot = np.empty_like(p)
-    for angle, (flips, action) in zip(theta, table):
-        if flips:  # action is in range; the default mode="raise" copies out= through a buffer
-            p.take(action, axis=0, out=gp, mode="clip")
-        else:
-            np.multiply(action, p, out=gp)
-        np.multiply(np.cos(angle / 2), p, out=nxt)
-        np.multiply(1j * np.sin(angle / 2), gp, out=rot)
-        np.subtract(nxt, rot, out=nxt)
-        yield p, gp, nxt
-        p, nxt = nxt, p
+    ys = np.empty((len(table) + 1, dim, 2**spec.n), dtype=complex)
+    ys[-1] = np.eye(dim, 2**spec.n)
+    views = list(ys)
+    gy = np.empty_like(ys[0])
+    cos, isin = np.cos(theta / 2), 1j * np.sin(theta / 2)
+    for j in range(len(table) - 1, -1, -1):
+        _apply_generator(*table[j], views[j + 1], gy)
+        np.multiply(cos[j], views[j + 1], out=views[j])
+        gy *= isin[j]
+        views[j] += gy
+    return ys
 
 
-def _reflection_block(spec: AnsatzSpec, v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The ancilla-zero block of W = V Z V^dag."""
-    dn = 2**spec.n
-    return (v @ (z[:, None] * v.conj().T))[:dn, :dn]
+def _block_of(y0: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Wblk = U Z U^dag from Y_0 = U^dag."""
+    return y0.conj().T @ (z[:, None] * y0)
 
 
-def _dense(h_tilde: PauliSum | np.ndarray) -> np.ndarray:
-    return h_tilde if isinstance(h_tilde, np.ndarray) else h_tilde.to_matrix()
+def _hamiltonian(h_tilde: PauliSum | np.ndarray, n: int | None = None) -> np.ndarray:
+    """h_tilde as a dense matrix; ValueError unless it is square ((2^n, 2^n)
+    when n is given), finite and Hermitian to circuits' tolerance.  The
+    gradient's adjoint formula needs M = Wblk - H Hermitian."""
+    h = h_tilde.to_matrix() if isinstance(h_tilde, PauliSum) else np.asarray(h_tilde)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or (n is not None and len(h) != 2**n):
+        want = "square" if n is None else f"{(2**n, 2**n)}"
+        raise ValueError(f"target of shape {h.shape} is not {want}")
+    if not _is_hermitian(h):
+        raise ValueError("target must be finite and Hermitian")
+    return h
 
 
 def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
     return float(np.linalg.norm(block) ** 2 - 2.0 * np.real(np.trace(h @ block)))
 
 
-class _AnsatzCache:
-    """The V walk with the stack A_j = P_j^dag G_j = P_j^dag g_j P_j kept,
-    V's top rows U, the CZ-ladder diagonal and the block of W.  The stack
-    holds m * 4^w complex numbers: 1.2 MB at (n, a, L) = (3, 2, 3), about
-    120 MB at width 8 with L = 3."""
-
-    def __init__(self, spec: AnsatzSpec, theta: np.ndarray):
-        dim = 2**spec.width
-        self.a = np.empty((spec.n_parameters, dim, dim), dtype=complex)
-        for j, (p, gp, v) in enumerate(_v_walk(spec, theta)):
-            np.matmul(p.conj().T, gp, out=self.a[j])
-        self.z = _czbar_diagonal(spec.width)
-        self.u = v[: 2**spec.n]
-        self.block = _reflection_block(spec, v, self.z)
-
-
 def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """The block of W from the V walk, storing no stack."""
-    for _, _, v in _v_walk(spec, np.asarray(theta, dtype=float)):
-        pass
-    return _reflection_block(spec, v, _czbar_diagonal(spec.width))
+    """The block of W from the backward walk."""
+    y0 = _adjoint_columns(spec, np.asarray(theta, dtype=float))[0]
+    return _block_of(y0, _czbar_diagonal(spec.width))
 
 
 def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> float:
     """F(theta) = ||Wblk||_F^2 - 2 Re Tr(H Wblk)."""
-    return _block_cost(ansatz_block(spec, theta), _dense(h_tilde))
+    h = _hamiltonian(h_tilde, spec.n)
+    return _block_cost(ansatz_block(spec, theta), h)
 
 
 def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> float:
     """epsilon_BE^2 = F + Tr(H^2); clipped at zero against roundoff."""
-    h = _dense(h_tilde)
+    h = _hamiltonian(h_tilde)
     tr_h2 = float(np.real(np.trace(h @ h)))
     return float(np.sqrt(max(f_value + tr_h2, 0.0)))
 
 
 def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> tuple[float, np.ndarray]:
-    """F and its gradient dF/dtheta_j = Im Tr[N V A_j] (module docstring);
-    K lives on the top rows U of V, so N V = Z U^dag (K + K^dag) U."""
-    h = _dense(h_tilde)
-    c = _AnsatzCache(spec, np.asarray(theta, dtype=float))
-    f = _block_cost(c.block, h)
-    nv = c.z[:, None] * (c.u.conj().T @ (c.block + c.block.conj().T - 2.0 * h) @ c.u)
-    return f, np.imag(c.a.reshape(len(c.a), -1) @ nv.T.reshape(-1))
+    """F and its gradient dF/dtheta_j = 2 Im <Y_j, g_j L_j> from the
+    backward and forward walks of the module docstring."""
+    h = _hamiltonian(h_tilde, spec.n)
+    theta = np.asarray(theta, dtype=float)
+    ys = _adjoint_columns(spec, theta)
+    z = _czbar_diagonal(spec.width)
+    block = _block_of(ys[0], z)
+    f = _block_cost(block, h)
+    lj = z[:, None] * (ys[0] @ (block - h))
+    gl = np.empty_like(lj)
+    nxt = np.empty_like(lj)
+    grad = np.empty(len(theta))
+    cos, isin = np.cos(theta / 2), 1j * np.sin(theta / 2)
+    for j, (row, y) in enumerate(zip(_generator_table(spec), ys)):
+        _apply_generator(*row, lj, gl)
+        grad[j] = np.vdot(y, gl).imag
+        np.multiply(cos[j], lj, out=nxt)
+        gl *= isin[j]
+        np.subtract(nxt, gl, out=lj)
+    return f, 2.0 * grad
 
 
 def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     """Exact Hessian of F in closed form.
 
-    dW_j and d2W_jk are the module docstring's, in the stacked
-    A_j = P_j^dag g_j P_j of _AnsatzCache.  With U the top rows of V
-    (so Wblk = U Z U^dag), E_j = U [A_j, Z] U^dag and
-    M = U^dag (Wblk - H) U,
+    dW_j and d2W_jk are the module docstring's, in the stack
+    A_j = P_j^dag g_j P_j.  With U the top rows of V (so
+    Wblk = U Z U^dag), E_j = U [A_j, Z] U^dag and M = U^dag (Wblk - H) U,
 
         d2F_jk = 2 Re <dWblk_j, dWblk_k> + 2 Re Tr[(Wblk - H) d2Wblk_jk]
                = 1/2 Re Tr(E_j^dag E_k) + Re Tr(M A_j Z A_k) - Re Tr(Z M A_hi A_lo),
 
-    each an m x m matrix of pair traces over the stacked A.  The lower
+    each an m x m matrix of pair traces over the stack.  The lower
     triangle (j >= k, so hi = j) is kept and mirrored, which makes the
     result exactly symmetric.
     """
-    h = _dense(h_tilde)
-    c = _AnsatzCache(spec, np.asarray(theta, dtype=float))
-    a, z, u = c.a, c.z, c.u
-    m_mat = u.conj().T @ (c.block - h) @ u
+    h = _hamiltonian(h_tilde, spec.n)
+    theta = np.asarray(theta, dtype=float)
+    table = _checked_table(spec, theta)
+    p = np.eye(2**spec.width, dtype=complex)  # P_j, from P_0 = I to P_m = V
+    gp = np.empty_like(p)
+    a = np.empty((len(table),) + p.shape, dtype=complex)
+    cos, isin = np.cos(theta / 2), 1j * np.sin(theta / 2)
+    for j, row in enumerate(table):
+        _apply_generator(*row, p, gp)
+        np.matmul(p.conj().T, gp, out=a[j])
+        p = cos[j] * p - isin[j] * gp
+    z = _czbar_diagonal(spec.width)
+    u = p[: 2**spec.n]
+    m_mat = u.conj().T @ (_block_of(u.conj().T, z) - h) @ u
     e = (u @ (a * (z[None, :] - z[:, None])) @ u.conj().T).reshape(len(a), -1)
     ma = m_mat @ a
     hess = (
@@ -333,7 +368,7 @@ def optimize(
     """
     config = config or OptimizerConfig()
     spec = AnsatzSpec(n, a, layers)
-    h = _dense(h_tilde)
+    h = _hamiltonian(h_tilde, spec.n)
 
     starts: list[np.ndarray] = list(initial_thetas or [])
     for r in range(config.restarts):

@@ -882,7 +882,7 @@ class TestChannelAndReadoutInput:
     @pytest.mark.parametrize("noise", NOISES)
     def test_apply_density_rejects_non_hermitian_rho(self, noise):
         c = Circuit(2).extend([had(0), cz(0, 1)])
-        for bad in (1e-6, 1e-6j, np.nan):
+        for bad in (1e-6, 1e-6j, np.nan, np.inf):
             rho = self.RHO.copy()
             rho[0, 1] += bad
             with pytest.raises(ValueError):

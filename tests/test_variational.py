@@ -30,6 +30,18 @@ def ising3_rescaled():
 
 SMALL = AnsatzSpec(n=1, a=1, layers=1)
 SMALL_H = build_ising_chain(1, 1.0, [0.4], 0.2).to_matrix() / 2.0
+# targets of the wrong size for SMALL's n = 1; a 1x1 one would broadcast
+# against the 2x2 block
+BAD_SIZES = [pytest.param(np.array([[0.3]]), id="1x1"), pytest.param(np.eye(4) / 4, id="4x4")]
+# targets no entry point takes
+BAD_TARGETS = [
+    pytest.param(np.zeros((2, 4)), id="non-square"),
+    pytest.param(np.zeros(2), id="vector"),
+    pytest.param(SMALL_H + np.array([[0, 1e-6], [0, 0]]), id="asymmetric"),
+    pytest.param(SMALL_H + np.array([[0, 1e-6j], [0, 0]]), id="imaginary"),
+    pytest.param(SMALL_H + np.array([[np.nan, 0], [0, 0]]), id="nan"),
+    pytest.param(SMALL_H + np.array([[0, np.inf], [0, 0]]), id="inf"),
+]
 
 
 class TestAnsatz:
@@ -74,7 +86,27 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             call(np.zeros(SMALL.n_parameters + extra))
 
-    @pytest.mark.parametrize("n, a, layers", [(1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("bad", BAD_SIZES + BAD_TARGETS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: cost(np.zeros(SMALL.n_parameters), h, SMALL),
+            lambda h: cost_and_gradient(np.zeros(SMALL.n_parameters), h, SMALL),
+            lambda h: hessian(np.zeros(SMALL.n_parameters), h, SMALL),
+            lambda h: optimize(h, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1, max_iters=2)),
+        ],
+        ids=["cost", "cost_and_gradient", "hessian", "optimize"],
+    )
+    def test_bad_target_every_entry_point(self, call, bad):
+        with pytest.raises(ValueError):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", BAD_TARGETS)
+    def test_bad_target_epsilon_be_from_cost(self, bad):
+        with pytest.raises(ValueError):
+            epsilon_be_from_cost(0.0, bad)
+
+    @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)])
     def test_circuit_matches_dense_block(self, n, a, layers):
         # the dense walk's rotation identity against the circuit gate table
         spec = AnsatzSpec(n, a, layers)
@@ -334,13 +366,23 @@ def shift_rule_gradient(theta, h, spec):
 
 
 class TestGradientOracle:
-    @pytest.mark.parametrize("n, a, layers", [(2, 1, 1), (3, 2, 2)])
+    # at a = 0 the adjoint walk's columns are the whole register; (3, 2, 3)
+    # is the benchmark's largest shape
+    @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (2, 1, 1), (3, 2, 2), (3, 2, 3)])
     def test_matches_shift_rule(self, n, a, layers):
         spec = AnsatzSpec(n, a, layers)
-        h = ising3_rescaled().to_matrix() if n == 3 else build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix()
+        h = {1: SMALL_H, 2: build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix(), 3: ising3_rescaled().to_matrix()}[n]
         theta = np.random.default_rng(40 + n).uniform(-np.pi, np.pi, spec.n_parameters)
         _, g = cost_and_gradient(theta, h, spec)
         assert np.abs(g - shift_rule_gradient(theta, h, spec)).max() < 1e-10
+
+    def test_cost_is_the_same_bits(self):
+        spec = AnsatzSpec(3, 2, 2)
+        h = ising3_rescaled().to_matrix()
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, spec.n_parameters)
+            assert cost_and_gradient(theta, h, spec)[0] == cost(theta, h, spec)
 
 
 @pytest.mark.parametrize("n, a", [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2)])
