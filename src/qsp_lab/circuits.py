@@ -4,12 +4,12 @@ The register layout puts the ancilla qubits first (indices 0..n_ancilla-1,
 most significant bits) followed by the system register, so a basis index
 below 2**n_system means the ancillas are in the all-zero state.
 
-Native gate set: RX, RZ, RZZ, CZ, HAD, plus a bookkeeping GPHASE that
-carries the global phase exact synthesis requires.  MCPAULI (an
-ancilla-pattern-controlled Pauli) and APHASE (the ancilla-register phase
-exp(i*phi*(2|0..0><0..0| - 1))) are structural gates that decompose()
-expands into the native set; decompose() is their only definition, and
-the simulators run a circuit holding them through it.
+A gate is its kind, its qubits and its angle.  Native gate set: RX, RZ,
+RZZ, CZ, HAD, plus a bookkeeping GPHASE that carries the global phase exact
+synthesis requires.  APHASE, the ancilla-register phase
+exp(i*phi*(2|0..0><0..0| - 1)), is the one structural gate: decompose()
+is its only definition, expanding it into the native set, and the
+simulators run a circuit that holds one through decompose().
 
 Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
@@ -83,8 +83,9 @@ from .errors import DecompositionRequiredError, DimensionError
 from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
-STRUCTURAL_KINDS = ("MCPAULI", "APHASE")
-_KINDS = frozenset(NATIVE_KINDS + STRUCTURAL_KINDS)
+STRUCTURAL_KINDS = ("APHASE",)
+# gate kind -> the length of its qubit list; GPHASE and APHASE act on whole registers
+_ARITY = {"RX": 1, "RZ": 1, "HAD": 1, "RZZ": 2, "CZ": 2, "GPHASE": 0, "APHASE": 0}
 
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -107,12 +108,9 @@ class Gate:
     kind: str
     qubits: tuple[int, ...] = ()
     angle: float = 0.0
-    pattern: tuple[int, ...] = ()  # MCPAULI ancilla control pattern
-    pauli: PauliString | None = None  # MCPAULI system Pauli
-    sign: int = 1
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if not all(isinstance(q, (int, np.integer)) for q in self.qubits):
             raise ValueError(f"qubit indices must be integers, got {self.qubits}")
@@ -120,19 +118,8 @@ class Gate:
             raise ValueError("gate qubits must be distinct")
         if not math.isfinite(self.angle):
             raise ValueError(f"gate angle must be finite, got {self.angle}")
-        if self.kind in ("RZZ", "CZ") and len(self.qubits) != 2:
-            raise ValueError(f"{self.kind} acts on exactly 2 qubits")
-        if self.kind in ("RX", "RZ", "HAD") and len(self.qubits) != 1:
-            raise ValueError(f"{self.kind} acts on exactly 1 qubit")
-        if self.kind in ("GPHASE", "APHASE", "MCPAULI") and self.qubits:
-            raise ValueError(f"{self.kind} takes its qubits from the registers, not a qubit list")
-        if self.kind == "MCPAULI":
-            if not isinstance(self.pauli, PauliString):
-                raise ValueError("MCPAULI needs a system PauliString")
-            if self.sign not in (1, -1):
-                raise ValueError("sign must be +1 or -1")
-            if any(b not in (0, 1) for b in self.pattern):
-                raise ValueError(f"pattern entries must be 0 or 1, got {self.pattern}")
+        if len(self.qubits) != _ARITY[self.kind]:
+            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} qubit indices, got {self.qubits}")
 
 
 def rx(q: int, angle: float) -> Gate:
@@ -163,10 +150,6 @@ def aphase(angle: float) -> Gate:
     return Gate("APHASE", (), angle)
 
 
-def mcpauli(pattern: tuple[int, ...], pauli: PauliString, sign: int = 1) -> Gate:
-    return Gate("MCPAULI", (), 0.0, tuple(pattern), pauli, sign)
-
-
 @dataclass
 class Circuit:
     n_system: int
@@ -195,11 +178,6 @@ class Circuit:
         for q in gate.qubits:
             if not 0 <= q < self.width:
                 raise ValueError(f"qubit {q} out of range for width {self.width}")
-        if gate.kind == "MCPAULI":
-            if len(gate.pattern) != self.n_ancilla:
-                raise ValueError("MCPAULI pattern length must equal the ancilla count")
-            if gate.pauli.n != self.n_system:
-                raise ValueError("MCPAULI Pauli must act on the system register")
 
     def append(self, gate: Gate) -> "Circuit":
         self._check_gate(gate)
@@ -215,8 +193,8 @@ class Circuit:
         return len(self.gates)
 
     def inverse(self) -> "Circuit":
-        """Exact gate-list inversion: reversed order, negated angles (HAD, CZ
-        and MCPAULI are self-inverse and ignore theirs)."""
+        """Exact gate-list inversion: reversed order, negated angles (HAD and CZ
+        are self-inverse and ignore theirs)."""
         return Circuit(self.n_system, self.n_ancilla, [replace(g, angle=-g.angle) for g in reversed(self.gates)])
 
 
@@ -576,14 +554,6 @@ def _pauli_x(q: int) -> list[Gate]:
     return [gphase(np.pi / 2.0), rx(q, np.pi)]
 
 
-# letter -> (gates before, gates after) that turn a Z on qubit t into the letter
-_TO_Z_BASIS = {
-    "X": lambda t: ([had(t)], [had(t)]),
-    "Y": lambda t: ([rx(t, np.pi / 2.0)], [rx(t, -np.pi / 2.0)]),
-    "Z": lambda t: ([], []),
-}
-
-
 def _cx(c: int, t: int) -> list[Gate]:
     return [had(t), cz(c, t), had(t)]
 
@@ -616,29 +586,6 @@ def mcx(controls: tuple[int, ...], target: int) -> list[Gate]:
     return [had(target)] + mcphase(controls, target, np.pi) + [had(target)]
 
 
-def _decompose_mcpauli(gate: Gate, circuit: Circuit) -> list[Gate]:
-    """Each support letter is a multi-controlled Z in its own basis; a minus
-    sign conjugates the first letter with a Pauli that anticommutes with it."""
-    ancillas = circuit.ancilla_qubits
-    gates: list[Gate] = []
-    flips = [ancillas[i] for i, b in enumerate(gate.pattern) if b == 0]
-    for q in flips:
-        gates += _pauli_x(q)
-    for k, q in enumerate(gate.pauli.support):
-        letter = gate.pauli.letters[q]
-        t = circuit.system_qubit(q)
-        pre, post = _TO_Z_BASIS[letter](t)
-        if k == 0 and gate.sign == -1:  # -X = Z X Z, -Y = X Y X, -Z = X Z X
-            flip = _phase1q(t, np.pi) if letter == "X" else _pauli_x(t)
-            pre, post = flip + pre, post + flip
-        gates += pre + mcphase(ancillas, t, np.pi) + post
-    if not gate.pauli.support and gate.sign == -1:
-        gates += mcphase(ancillas[:-1], ancillas[-1], np.pi) if ancillas else [gphase(np.pi)]
-    for q in flips:
-        gates += _pauli_x(q)
-    return gates
-
-
 def _decompose_aphase(gate: Gate, circuit: Circuit) -> list[Gate]:
     a = circuit.n_ancilla
     phi = gate.angle
@@ -657,12 +604,10 @@ def _decompose_aphase(gate: Gate, circuit: Circuit) -> list[Gate]:
 
 
 def decompose(circuit: Circuit) -> Circuit:
-    """Expand MCPAULI and APHASE gates into the native gate set."""
+    """Expand APHASE gates into the native gate set."""
     out = Circuit(circuit.n_system, circuit.n_ancilla)
     for g in circuit.gates:
-        if g.kind == "MCPAULI":
-            out.extend(_decompose_mcpauli(g, circuit))
-        elif g.kind == "APHASE":
+        if g.kind == "APHASE":
             out.extend(_decompose_aphase(g, circuit))
         else:
             out.append(g)

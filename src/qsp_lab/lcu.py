@@ -1,11 +1,14 @@
 """Exact block encoding by linear combination of unitaries.
 
 The encoding is W = A_dag B A with a state-preparation operator A on the
-ancilla register and a select oracle B = sum_l sign_l |l><l| (x) P_l.
-Two select realizations are provided: a naive one built from
-ancilla-pattern-controlled Paulis (the documented baseline for gate
-counts), and a compressed one that synthesizes the same operator as a
-phase polynomial via Gray-code-shared CX walks, without extra ancillas.
+ancilla register and a select oracle B = sum_l sign_l |l><l| (x) P_l,
+where the branches l >= K act as the identity.  An LCUPlan holds the
+branch data and checks it when it is built.  Two select realizations are
+provided, both in native gates: a naive one with one
+ancilla-pattern-controlled Pauli per branch (the documented baseline for
+gate counts, Childs & Wiebe, arXiv:1202.5822), and a compressed one that
+synthesizes the same operator as a phase polynomial via Gray-code-shared
+CX walks, without extra ancillas.
 
 B is a reflection (each branch squares to the identity), so W inherits
 the qubitization condition W^2 = I.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as cir
-from .circuits import Circuit, Gate, _cx, gphase, had, mcpauli, rx, rz
+from .circuits import Circuit, Gate, _cx, _pauli_x, _phase1q, gphase, had, mcphase, rx, rz
 from .errors import DimensionError
 from .operators import MAX_DENSE_QUBITS, PauliString, PauliSum
 
@@ -26,13 +29,29 @@ _ANGLE_TOL = 1e-12
 
 @dataclass
 class LCUPlan:
-    """Branch data for W = A_dag B A; c is the coefficient one-norm."""
+    """Branch data for W = A_dag B A; c is the coefficient one-norm.
+
+    Building a plan raises ValueError unless it has K >= 1 branches, at
+    most 2^a of them, with one amplitude and one sign of +1 or -1 each, and
+    Pauli strings that all act on one register.
+    """
 
     a: int
     prep_amplitudes: np.ndarray  # K entries sqrt(|c_l| / c)
     signs: list[int]
     paulis: list[PauliString]
     c: float
+
+    def __post_init__(self):
+        k = len(self.paulis)
+        if not isinstance(self.a, (int, np.integer)) or self.a < 0 or not 1 <= k <= 2**self.a:
+            raise ValueError(f"need 1 <= K <= 2^a branches with an integer a >= 0, got K = {k}, a = {self.a!r}")
+        if len(self.signs) != k or np.shape(self.prep_amplitudes) != (k,):
+            raise ValueError(f"{k} branches need {k} signs and a ({k},) array of amplitudes")
+        if any(s not in (1, -1) for s in self.signs):
+            raise ValueError(f"signs must be +1 or -1, got {self.signs}")
+        if not all(isinstance(p, PauliString) and p.n == self.paulis[0].n for p in self.paulis):
+            raise ValueError(f"the Paulis must be PauliStrings on one register, got {self.paulis}")
 
     @property
     def k(self) -> int:
@@ -232,8 +251,8 @@ def multiplexor_compile(plan: LCUPlan) -> Circuit:
     Factorizes B into per-qubit multiplexed X and Z layers plus one
     collected ancilla diagonal; each layer is a Gray-code CX walk whose
     cost adapts to the sparsity of the branch functions.  Falls back to
-    the decomposed naive oracle when that happens to be cheaper (tiny
-    plans with few branches).
+    the naive oracle when that happens to be cheaper (tiny plans with few
+    branches).
     """
     n, a = plan.n_system, plan.a
     circuit = Circuit(n, a)
@@ -251,28 +270,55 @@ def multiplexor_compile(plan: LCUPlan) -> Circuit:
             circuit.extend(ucrz(ancillas, t, np.pi * bx[q]))
             circuit.append(had(t))
     circuit.extend(diagonal_gates(ancillas, anc_phase))
-    naive = cir.decompose(naive_select_circuit(plan))
+    naive = naive_select_circuit(plan)
     if cir.count_two_qubit_gates(naive) < cir.count_two_qubit_gates(circuit):
         return naive
     return circuit
 
 
+# letter -> (gates before, gates after) that turn a Z on qubit t into the letter
+_TO_Z_BASIS = {
+    "X": lambda t: ([had(t)], [had(t)]),
+    "Y": lambda t: ([rx(t, np.pi / 2.0)], [rx(t, -np.pi / 2.0)]),
+    "Z": lambda t: ([], []),
+}
+
+
 def naive_select_circuit(plan: LCUPlan) -> Circuit:
-    """Baseline select oracle: one pattern-controlled Pauli per branch."""
+    """Baseline select oracle: one pattern-controlled Pauli per branch, in
+    native gates.
+
+    Branch l flips the ancillas whose bit of l is 0, so that its pattern
+    reads all ones; each support letter of P_l is then a multi-controlled Z
+    in its own basis, and a minus sign conjugates the first letter with a
+    Pauli that anticommutes with it.  A -I branch is a multi-controlled
+    phase on the ancillas alone; a +I branch emits nothing.
+    """
     n, a = plan.n_system, plan.a
     circuit = Circuit(n, a)
-    for idx in range(plan.k):
-        p, s = plan.paulis[idx], plan.signs[idx]
+    ancillas = circuit.ancilla_qubits
+    for idx, (p, s) in enumerate(zip(plan.paulis, plan.signs)):
         if p.is_identity and s == 1:
             continue
-        pattern = tuple(int(b) for b in format(idx, f"0{a}b")) if a else ()
-        circuit.append(mcpauli(pattern, p, s))
+        flips = [g for q in ancillas if not idx >> (a - 1 - q) & 1 for g in _pauli_x(q)]
+        gates: list[Gate] = []
+        for k, q in enumerate(p.support):
+            letter = p.letters[q]
+            t = circuit.system_qubit(q)
+            pre, post = _TO_Z_BASIS[letter](t)
+            if k == 0 and s == -1:  # -X = Z X Z, -Y = X Y X, -Z = X Z X
+                flip = _phase1q(t, np.pi) if letter == "X" else _pauli_x(t)
+                pre, post = flip + pre, post + flip
+            gates += pre + mcphase(ancillas, t, np.pi) + post
+        if not p.support and s == -1:
+            gates += mcphase(ancillas[:-1], ancillas[-1], np.pi) if ancillas else [gphase(np.pi)]
+        circuit.extend(flips + gates + flips)
     return circuit
 
 
 def naive_select_gate_count(plan: LCUPlan) -> int:
-    """Two-qubit gate count of decompose(naive_select_circuit(plan))."""
-    return cir.count_two_qubit_gates(cir.decompose(naive_select_circuit(plan)))
+    """Two-qubit gate count of naive_select_circuit(plan)."""
+    return cir.count_two_qubit_gates(naive_select_circuit(plan))
 
 
 def prep_gates(plan: LCUPlan, ancillas: tuple[int, ...]) -> list[Gate]:

@@ -198,6 +198,9 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
 
 
 def exact_propagator(h: PauliSum, t: float) -> np.ndarray:
-    """exp(-i H t) via Hermitian eigendecomposition; ground truth everywhere."""
+    """exp(-i H t) via Hermitian eigendecomposition; ground truth everywhere.
+    A non-finite t raises ValueError."""
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     eigvals, eigvecs = np.linalg.eigh(h.to_matrix())
     return (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T

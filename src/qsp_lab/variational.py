@@ -108,10 +108,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in ("bfgs", "newton"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
-        if self.restarts < 0:
-            raise ValueError("restarts must be non-negative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        counts = (self.max_iters, self.init_seed, self.restarts)
+        if not all(isinstance(k, (int, np.integer)) for k in counts):
+            raise ValueError(f"max_iters, init_seed and restarts must be integers, got {counts}")
+        if self.max_iters < 1 or self.init_seed < 0 or self.restarts < 0:
+            raise ValueError(f"need max_iters >= 1, init_seed >= 0 and restarts >= 0, got {counts}")
 
 
 @dataclass
@@ -195,11 +196,14 @@ def _generator_table(spec: AnsatzSpec) -> tuple[tuple[bool, np.ndarray], ...]:
 
 
 def _checked_table(spec: AnsatzSpec, theta: np.ndarray) -> tuple[tuple[bool, np.ndarray], ...]:
-    """_generator_table(spec), after checking that theta has one angle per row
-    (the walks zip the two, which would truncate silently)."""
+    """_generator_table(spec), after checking that theta has one finite angle
+    per row (the walks zip the two, which would truncate silently, and a
+    non-finite angle makes every output NaN)."""
     table = _generator_table(spec)
     if len(theta) != len(table):
         raise ValueError(f"expected {len(table)} parameters, got {len(theta)}")
+    if not np.isfinite(theta).all():
+        raise ValueError("parameters must be finite")
     return table
 
 
@@ -370,7 +374,10 @@ def optimize(
     spec = AnsatzSpec(n, a, layers)
     h = _hamiltonian(h_tilde, spec.n)
 
-    starts: list[np.ndarray] = list(initial_thetas or [])
+    starts = [np.asarray(theta0, dtype=float) for theta0 in initial_thetas or []]
+    for theta0 in starts:
+        if theta0.shape != (spec.n_parameters,) or not np.isfinite(theta0).all():
+            raise ValueError(f"a warm start must hold {spec.n_parameters} finite angles")
     for r in range(config.restarts):
         rng = np.random.default_rng(config.init_seed + r)
         starts.append(rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=spec.n_parameters))
@@ -380,9 +387,6 @@ def optimize(
     best: OptimizeResult | None = None
     evals = 0
     for theta0 in starts:
-        theta0 = np.asarray(theta0, dtype=float)
-        if len(theta0) != spec.n_parameters:
-            raise ValueError("warm start has the wrong parameter count")
         trace: list[float] = []
 
         def fun_grad(theta):

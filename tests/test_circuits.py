@@ -21,7 +21,6 @@ from qsp_lab.circuits import (
     global_depolarize,
     gphase,
     had,
-    mcpauli,
     mcphase,
     mcx,
     partial_trace,
@@ -117,8 +116,7 @@ class TestUnitaryOracle:
         rng = np.random.default_rng(10)
         native = random_native_circuit(2, 1, 15, rng)
         mixed = random_native_circuit(2, 2, 15, rng)
-        for i, g in enumerate([gphase(0.8), aphase(-0.45), mcpauli((1, 0), PauliString("XY"), -1),
-                               had(3), cz(0, 2), mcpauli((0, 1), PauliString("ZI"))]):
+        for i, g in enumerate([gphase(0.8), aphase(-0.45), rx(1, 0.7), had(3), cz(0, 2), aphase(1.2)]):
             mixed.gates.insert(3 * i, g)
         for c in (native, mixed):
             u = circuit_unitary(c)
@@ -140,42 +138,6 @@ class TestUnitaryOracle:
 
 
 class TestStructuralGates:
-    def test_mcpauli_unitary(self):
-        # pattern |10>, Pauli -XZ on a 2-qubit system
-        c = Circuit(2, 2).append(mcpauli((1, 0), PauliString("XZ"), -1))
-        u = circuit_unitary(c)
-        x = np.array([[0, 1], [1, 0]])
-        z = np.diag([1, -1])
-        expect = np.eye(16, dtype=complex)
-        expect[8:12, 8:12] = -np.kron(x, z)
-        assert np.allclose(u, expect, atol=1e-12)
-
-    def test_mcpauli_decompose_matches(self):
-        rng = np.random.default_rng(11)
-        for _ in range(6):
-            a = int(rng.integers(1, 3))
-            n = int(rng.integers(1, 3))
-            pattern = tuple(int(b) for b in rng.integers(0, 2, size=a))
-            letters = "".join(rng.choice(list("IXYZ")) for _ in range(n))
-            if set(letters) == {"I"} and rng.random() < 0.5:
-                letters = "Z" + letters[1:]
-            sign = int(rng.choice([1, -1]))
-            c = Circuit(n, a).append(mcpauli(pattern, PauliString(letters), sign))
-            dec = decompose(c)
-            assert all(g.kind not in ("MCPAULI", "APHASE") for g in dec.gates)
-            assert np.allclose(circuit_unitary(dec), ref_unitary(c), atol=1e-10)
-
-    @pytest.mark.parametrize("pattern, letters", [((2,), "I"), ((1, 2), "Z"), ((-1,), "X")])
-    def test_mcpauli_rejects_pattern_entry_outside_bits(self, pattern, letters):
-        with pytest.raises(ValueError):
-            mcpauli(pattern, PauliString(letters))
-
-    def test_mcpauli_identity_sign(self):
-        for a in (1, 2, 3):
-            c = Circuit(1, a).append(mcpauli((1,) * a, PauliString("I"), -1))
-            dec = decompose(c)
-            assert np.allclose(circuit_unitary(dec), ref_unitary(c), atol=1e-10)
-
     def test_aphase_action(self):
         for a in (0, 1, 2, 3):
             phi = 0.37
@@ -200,7 +162,7 @@ class TestStructuralGates:
             return gate_local(gate)
 
         monkeypatch.setattr(cir, "_gate_local", recording)
-        c = Circuit(2, 2).extend([had(0), mcpauli((1, 0), PauliString("YX"), -1), aphase(0.3), rzz(1, 2, 0.4)])
+        c = Circuit(2, 2).extend([had(0), aphase(-0.7), rzz(1, 2, 0.4), aphase(0.3), cz(0, 3)])
         circuit_unitary(c)
         apply_statevector(c, zero_state(4))
         apply_density(c, density_from_state(zero_state(4)))
@@ -442,7 +404,7 @@ class TestCounting:
         assert count_two_qubit_gates(c) == 2
 
     def test_undecomposed_raises(self):
-        c = Circuit(2, 1).append(mcpauli((1,), PauliString("XI"), 1))
+        c = Circuit(2, 1).append(aphase(0.3))
         with pytest.raises(DecompositionRequiredError):
             count_two_qubit_gates(c)
 
@@ -549,21 +511,11 @@ class TestRegisterInput:
         ("HAD", ()),
         ("GPHASE", (0,)),
         ("APHASE", (0,)),
+        ("MCPAULI", ()),
     ])
     def test_malformed_gate_rejected(self, kind, qubits):
         with pytest.raises(ValueError):
             Gate(kind, qubits, 0.5)
-
-    @pytest.mark.parametrize("pattern, pauli, sign", [
-        ((2,), PauliString("I"), 1),
-        ((1, 2), PauliString("Z"), 1),
-        ((-1,), PauliString("X"), 1),
-        ((1,), PauliString("Z"), 0),
-        ((1,), None, 1),
-    ])
-    def test_mcpauli_gate_checked_without_factory(self, pattern, pauli, sign):
-        with pytest.raises(ValueError):
-            Gate("MCPAULI", (), 0.0, pattern, pauli, sign)
 
     @pytest.mark.parametrize("build", [
         lambda a: rx(0, a), lambda a: rz(1, a), lambda a: rzz(0, 1, a), lambda a: gphase(a), lambda a: aphase(a),
@@ -581,22 +533,6 @@ class TestRegisterInput:
     def test_numpy_integer_qubits_accepted(self):
         c = Circuit(2).extend([rx(np.int64(1), 0.5), cz(np.int32(0), np.int64(1))])
         assert np.abs(circuit_unitary(c) - ref_unitary(Circuit(2).extend([rx(1, 0.5), cz(0, 1)]))).max() < 1e-12
-
-    def test_mcpauli_rejects_qubit_list(self):
-        with pytest.raises(ValueError):
-            Gate("MCPAULI", (0,), 0.0, (1,), PauliString("Z"))
-
-    @pytest.mark.parametrize("registers, pattern, letters", [
-        ((1, 2), (1,), "Z"),
-        ((1, 1), (1,), "ZZ"),
-        ((2, 0), (1,), "ZZ"),
-    ])
-    def test_mcpauli_register_mismatch_rejected_at_append(self, registers, pattern, letters):
-        gate = mcpauli(pattern, PauliString(letters))
-        with pytest.raises(ValueError):
-            Circuit(*registers).append(gate)
-        with pytest.raises(ValueError):
-            Circuit(*registers, [gate])
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +576,6 @@ def ref_gate_matrix(gate, circuit):
     if gate.kind == "APHASE":
         zero = kron_chain({q: np.diag([1.0, 0.0]) for q in range(a)}, w)
         return np.exp(1j * gate.angle) * zero + np.exp(-1j * gate.angle) * (np.eye(2**w) - zero)
-    if gate.kind == "MCPAULI":
-        proj = kron_chain({q: np.diag([1.0 - b, float(b)]) for q, b in enumerate(gate.pattern)}, a)
-        pauli = gate.sign * gate.pauli.to_matrix()
-        return np.kron(proj, pauli) + np.kron(np.eye(2**a) - proj, np.eye(2**circuit.n_system))
     local = ref_local(gate)
     if len(gate.qubits) == 1:
         return kron_chain({gate.qubits[0]: local}, w)
@@ -710,7 +642,7 @@ def assert_matches_oracle(c, rng):
     batch = np.stack([random_state(w, rng) for _ in range(3)], axis=1)
     assert np.abs(apply_statevector(c, batch) - u @ batch).max() < 1e-12
     rho = random_density(w, rng)
-    structural = any(g.kind in ("MCPAULI", "APHASE") for g in c.gates)
+    structural = any(g.kind == "APHASE" for g in c.gates)
     for noise in NOISES[:1] if structural else NOISES:
         out = apply_density(c, rho, noise)
         assert np.abs(out - ref_density(c, rho, noise)).max() < 1e-12, noise
@@ -779,10 +711,9 @@ class TestIndependentOracle:
         rng = np.random.default_rng(113)
         for a in (1, 2):
             c = oracle_circuit(2, a, 12, rng)
-            pattern = tuple(int(b) for b in rng.integers(0, 2, size=a))
-            c.gates.insert(4, mcpauli(pattern, PauliString("XY"), -1))
+            c.gates.insert(4, aphase(-1.3))
             c.gates.insert(8, aphase(0.61))
-            c.append(mcpauli(pattern, PauliString("ZI"), 1))
+            c.append(aphase(2.2))
             assert_matches_oracle(c, rng)
 
     def test_global_phase_is_kept(self):
@@ -834,7 +765,7 @@ class TestEigenvectorPath:
     def test_noiseless_structural_gates(self):
         rng = np.random.default_rng(121)
         c = oracle_circuit(2, 2, 12, rng)
-        c.gates.insert(3, mcpauli((1, 0), PauliString("YZ"), -1))
+        c.gates.insert(3, aphase(1.1))
         c.gates.insert(9, aphase(-0.37))
         for name, rho in self.inputs(c.width, rng).items():
             out = apply_density(c, rho)

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qsp_lab import circuits as cir
-from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, decompose
+from qsp_lab.circuits import NATIVE_KINDS, Circuit, circuit_unitary, count_two_qubit_gates, decompose
 from qsp_lab.errors import DimensionError
 from qsp_lab.lcu import (
     LCUPlan,
@@ -61,6 +63,38 @@ def random_plan(rng, k, n):
     )
 
 
+def one_branch_plan(a, idx, letters, sign):
+    """A plan whose select oracle is the one pattern-controlled Pauli
+    sign * letters on ancilla pattern idx: the branches before idx are +I,
+    which the naive oracle skips."""
+    n = len(letters)
+    return LCUPlan(a, np.full(idx + 1, 1.0 / np.sqrt(idx + 1)), [1] * idx + [sign],
+                   [PauliString("I" * n)] * idx + [PauliString(letters)], 1.0)
+
+
+K2 = dict(a=1, prep_amplitudes=np.full(2, np.sqrt(0.5)), signs=[1, -1],
+          paulis=[PauliString("X"), PauliString("Z")], c=1.0)
+K2_PLAN = LCUPlan(**K2)
+ISING3 = build_ising_chain(3, 1.0, [0.7, 1.1, 0.9], 0.3)
+
+# each replaces fields of K2 by ones no plan may hold
+BAD_PLANS = [
+    pytest.param(dict(signs=[1, 0]), id="zero-sign"),
+    pytest.param(dict(signs=[1, 2]), id="sign-2"),
+    pytest.param(dict(signs=[1, -0.5]), id="fractional-sign"),
+    pytest.param(dict(signs=[1]), id="one-sign-two-paulis"),
+    pytest.param(dict(signs=[1, -1, 1]), id="three-signs-two-paulis"),
+    pytest.param(dict(prep_amplitudes=np.ones(3) / np.sqrt(3)), id="three-amplitudes"),
+    pytest.param(dict(prep_amplitudes=np.sqrt(0.5)), id="scalar-amplitude"),
+    pytest.param(dict(paulis=[PauliString("X"), PauliString("ZZ")]), id="two-registers"),
+    pytest.param(dict(paulis=["X", "Z"]), id="letters-not-paulistrings"),
+    pytest.param(dict(a=0), id="more-branches-than-2^a"),
+    pytest.param(dict(a=-1), id="negative-a"),
+    pytest.param(dict(a=1.0), id="float-a"),
+    pytest.param(dict(prep_amplitudes=np.zeros(0), signs=[], paulis=[]), id="no-branches"),
+]
+
+
 class TestPlan:
     def test_single_term(self):
         plan = lcu_plan(PauliSum(1).add(1.0, "X"))
@@ -86,6 +120,18 @@ class TestPlan:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             lcu_plan(PauliSum(1, [(0.0, PauliString("X"))]))
+
+    @pytest.mark.parametrize("bad", BAD_PLANS)
+    @pytest.mark.parametrize("build", [multiplexor_compile, naive_select_circuit, build_lcu_circuit])
+    def test_malformed_plan_rejected(self, build, bad):
+        # the plan checks its branches when it is built, so no select or W function sees
+        # a malformed one (and none raises IndexError)
+        with pytest.raises(ValueError):
+            build(LCUPlan(**{**K2, **bad}))
+
+    def test_numpy_integer_fields_accepted(self):
+        plan = LCUPlan(**{**K2, "a": np.int64(1), "signs": [np.int64(1), np.int32(-1)]})
+        assert np.allclose(circuit_unitary(naive_select_circuit(plan)), dense_select(plan), atol=1e-12)
 
 
 class TestGraySynthesis:
@@ -157,15 +203,45 @@ class TestSelectOracles:
                 if plan.a + n > 7:
                     continue
                 compiled = multiplexor_compile(plan)
-                assert all(g.kind not in ("MCPAULI", "APHASE") for g in compiled.gates)
+                assert all(g.kind in NATIVE_KINDS for g in compiled.gates)
                 u = circuit_unitary(compiled)
                 assert np.allclose(u, dense_select(plan), atol=1e-10)
 
     def test_naive_decomposition_matches_dense(self):
         rng = np.random.default_rng(36)
         plan = random_plan(rng, 4, 2)
-        dec = decompose(naive_select_circuit(plan))
-        assert np.allclose(circuit_unitary(dec), dense_select(plan), atol=1e-10)
+        naive = naive_select_circuit(plan)
+        assert all(g.kind in NATIVE_KINDS for g in naive.gates)
+        assert np.allclose(circuit_unitary(naive), dense_select(plan), atol=1e-10)
+
+    def test_one_branch_unitary(self):
+        # pattern |10>, Pauli -XZ on a 2-qubit system
+        plan = one_branch_plan(2, 0b10, "XZ", -1)
+        u = circuit_unitary(naive_select_circuit(plan))
+        x = np.array([[0, 1], [1, 0]])
+        z = np.diag([1, -1])
+        expect = np.eye(16, dtype=complex)
+        expect[8:12, 8:12] = -np.kron(x, z)
+        assert np.allclose(u, expect, atol=1e-12)
+        assert np.allclose(u, dense_select(plan), atol=1e-12)
+
+    def test_one_branch_matches_dense(self):
+        # every pattern flip and the sign conjugation of each letter
+        rng = np.random.default_rng(11)
+        for a, n in itertools.product((1, 2), (1, 2)):
+            for idx in range(2**a):
+                for letter in "XYZ":
+                    for sign in (1, -1):
+                        letters = "".join(rng.choice(list("IXYZ"), size=n - 1)) + letter
+                        plan = one_branch_plan(a, idx, letters, sign)
+                        naive = naive_select_circuit(plan)
+                        assert np.allclose(circuit_unitary(naive), dense_select(plan), atol=1e-10), plan
+
+    def test_one_branch_identity_sign(self):
+        # -I on the all-ones pattern is a phase on the ancillas alone, a global one at a = 0
+        for a in (0, 1, 2, 3):
+            plan = one_branch_plan(a, 2**a - 1, "I", -1)
+            assert np.allclose(circuit_unitary(naive_select_circuit(plan)), dense_select(plan), atol=1e-10)
 
     def test_compiled_never_exceeds_naive(self):
         rng = np.random.default_rng(37)
@@ -178,14 +254,17 @@ class TestSelectOracles:
     def test_k2_single_qubit_count(self):
         # each branch is one singly-controlled phase (one RZZ); the pattern
         # flip and the sign conjugation are single-qubit
-        plan = LCUPlan(
-            a=1,
-            prep_amplitudes=np.array([np.sqrt(0.5), np.sqrt(0.5)]),
-            signs=[1, -1],
-            paulis=[PauliString("X"), PauliString("Z")],
-            c=1.0,
-        )
-        assert naive_select_gate_count(plan) == 2
+        assert naive_select_gate_count(K2_PLAN) == 2
+
+    def test_naive_fallback_when_cheaper(self):
+        assert count_two_qubit_gates(multiplexor_compile(K2_PLAN)) == 2
+        assert multiplexor_compile(K2_PLAN).gates == naive_select_circuit(K2_PLAN).gates
+
+    def test_compressed_when_cheaper(self):
+        plan = lcu_plan(rescale(ISING3, triangle_bounds(ISING3)).h_tilde)
+        assert plan.a == 4
+        # 94 of the whole W's 122 two-qubit gates (test_encoding_two_qubit_count_pinned)
+        assert (count_two_qubit_gates(multiplexor_compile(plan)), naive_select_gate_count(plan)) == (94, 530)
 
 
 class TestBlockEncoding:
@@ -211,7 +290,7 @@ class TestBlockEncoding:
         assert naive >= 100  # documented baseline near 125
 
     @pytest.mark.parametrize("h, pad, a, two_qubit", [
-        (build_ising_chain(3, 1.0, [0.7, 1.1, 0.9], 0.3), False, 4, 122),
+        (ISING3, False, 4, 122),
         (build_ising_chain(4, 1.0, [0.0, 0.0, 1.0, 0.0], 0.0), True, 3, 42),
         (build_ising_chain(2, 1.0, [0.7, 1.1], 0.3), False, 3, 46),
     ], ids=["ising3", "sparse4-padded", "ising2"])

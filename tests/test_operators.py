@@ -190,3 +190,8 @@ class TestDenseOracles:
         u = exact_propagator(h, 0.7)
         ref = scipy.linalg.expm(-1j * 0.7 * h.to_matrix())
         assert np.allclose(u, ref, atol=1e-10)
+
+    @pytest.mark.parametrize("t", [float("nan"), np.inf, -np.inf])
+    def test_propagator_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError):
+            exact_propagator(ising3(), t)

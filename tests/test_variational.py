@@ -4,6 +4,7 @@ import pytest
 from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, cz
 from qsp_lab.lcu import encoded_block
 from qsp_lab import variational
+from qsp_lab.errors import OptimizationError
 from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.variational import (
     AnsatzSpec,
@@ -85,6 +86,28 @@ class TestAnsatz:
     def test_parameter_count_mismatch_every_entry_point(self, call, extra):
         with pytest.raises(ValueError):
             call(np.zeros(SMALL.n_parameters + extra))
+
+    @pytest.mark.parametrize("angle", [float("nan"), np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda th: cost(th, SMALL_H, SMALL),
+            lambda th: cost_and_gradient(th, SMALL_H, SMALL),
+            lambda th: hessian(th, SMALL_H, SMALL),
+            lambda th: ansatz_block(SMALL, th),
+            lambda th: optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1), [th]),
+        ],
+        ids=["cost", "cost_and_gradient", "hessian", "ansatz_block", "optimize-warm-start"],
+    )
+    def test_non_finite_theta_every_entry_point(self, call, angle, monkeypatch):
+        calls = []
+        inner = variational.cost_and_gradient
+        monkeypatch.setattr(variational, "cost_and_gradient", lambda *args: calls.append(1) or inner(*args))
+        theta = np.zeros(SMALL.n_parameters)
+        theta[3] = angle
+        with pytest.raises(ValueError):
+            call(theta)
+        assert not calls  # optimize rejects the warm start before any evaluation
 
     @pytest.mark.parametrize("bad", BAD_SIZES + BAD_TARGETS)
     @pytest.mark.parametrize(
@@ -258,6 +281,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 1.5), ("restarts", "2"), ("init_seed", 1.5), ("init_seed", -1), ("init_seed", None),
+        ("max_iters", 2.5), ("max_iters", 10.0),
+    ])
+    def test_non_integer_or_negative_config_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{field: value})
+
+    def test_numpy_integer_config_accepted(self):
+        config = OptimizerConfig(max_iters=np.int64(5), init_seed=np.int32(3), restarts=np.int64(1))
+        res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, config)
+        assert res.evals == len(res.trace) > 0
+
     @pytest.mark.parametrize("method", ["sgd", "BFGS", ""])
     def test_unknown_method_rejected(self, method):
         with pytest.raises(ValueError):
@@ -316,6 +352,17 @@ class TestConfigValidation:
         res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=4, max_iters=20, init_seed=11))
         assert res.evals == len(calls)
         assert len(res.trace) < res.evals  # the trace is the winning start's alone
+
+    def test_non_finite_cost_raises(self, monkeypatch):
+        inner = variational.cost_and_gradient
+
+        def poisoned(theta, h, spec):
+            f, g = inner(theta, h, spec)
+            return np.nan, g
+
+        monkeypatch.setattr(variational, "cost_and_gradient", poisoned)
+        with pytest.raises(OptimizationError):
+            optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1, max_iters=5))
 
 
 def shift_rule_hessian(theta, h, spec):
