@@ -86,6 +86,8 @@ NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("APHASE",)
 # gate kind -> the length of its qubit list; GPHASE and APHASE act on whole registers
 _ARITY = {"RX": 1, "RZ": 1, "HAD": 1, "RZZ": 2, "CZ": 2, "GPHASE": 0, "APHASE": 0}
+# the types a gate angle may have (np.float64 is a float); a type test is cheap on the compile path
+_REAL_TYPES = (float, int, np.floating, np.integer)
 
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -116,8 +118,8 @@ class Gate:
             raise ValueError(f"qubit indices must be integers, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
-        if not math.isfinite(self.angle):
-            raise ValueError(f"gate angle must be finite, got {self.angle}")
+        if not (isinstance(self.angle, _REAL_TYPES) and math.isfinite(self.angle)):
+            raise ValueError(f"gate angle must be a finite real number, got {self.angle!r}")
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} qubit indices, got {self.qubits}")
 

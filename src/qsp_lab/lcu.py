@@ -252,7 +252,8 @@ def multiplexor_compile(plan: LCUPlan) -> Circuit:
     collected ancilla diagonal; each layer is a Gray-code CX walk whose
     cost adapts to the sparsity of the branch functions.  Falls back to
     the naive oracle when that happens to be cheaper (tiny plans with few
-    branches).
+    branches); naive_select_gate_count prices it in closed form, so the
+    naive gates are built only when they win.
     """
     n, a = plan.n_system, plan.a
     circuit = Circuit(n, a)
@@ -270,9 +271,8 @@ def multiplexor_compile(plan: LCUPlan) -> Circuit:
             circuit.extend(ucrz(ancillas, t, np.pi * bx[q]))
             circuit.append(had(t))
     circuit.extend(diagonal_gates(ancillas, anc_phase))
-    naive = naive_select_circuit(plan)
-    if cir.count_two_qubit_gates(naive) < cir.count_two_qubit_gates(circuit):
-        return naive
+    if naive_select_gate_count(plan) < cir.count_two_qubit_gates(circuit):
+        return naive_select_circuit(plan)
     return circuit
 
 
@@ -317,8 +317,22 @@ def naive_select_circuit(plan: LCUPlan) -> Circuit:
 
 
 def naive_select_gate_count(plan: LCUPlan) -> int:
-    """Two-qubit gate count of naive_select_circuit(plan)."""
-    return cir.count_two_qubit_gates(naive_select_circuit(plan))
+    """Two-qubit gate count of naive_select_circuit(plan), in closed form.
+
+    Each support letter is mcphase on all a ancillas, cost(a) two-qubit
+    gates, and a -I branch is mcphase on a - 1 of them, cost(a - 1), or a
+    global phase at a = 0; the flips and basis changes are one-qubit gates.
+    mcphase costs cost(0) = 0, cost(1) = 1 and cost(m) = 2 + 3 cost(m - 1).
+    """
+    cost = [0, 1]
+    while len(cost) <= plan.a:
+        cost.append(2 + 3 * cost[-1])
+    total = 0
+    for p, s in zip(plan.paulis, plan.signs):
+        total += len(p.support) * cost[plan.a]
+        if not p.support and s == -1 and plan.a > 0:
+            total += cost[plan.a - 1]
+    return total
 
 
 def prep_gates(plan: LCUPlan, ancillas: tuple[int, ...]) -> list[Gate]:

@@ -3,13 +3,25 @@
 The signal operator is the reflection W(x) = [[x, s], [s, -x]],
 s = sqrt(1-x^2), and the processed unitary is prod_k S(phi_k) W(x) with
 S(phi) = diag(e^{i phi}, e^{-i phi}); its top-left entry is the designed
-polynomial f(x).  One kernel, _carry, carries a single row through the
-product over a grid of x as two complex arrays, r_{j+1} = (r_j S(phi_j)) W;
-f is the carry of (1, 0).  As dS/dphi = iZ S, df/dphi_k =
-i (u_k e^{i phi_k} c0_k - v_k e^{-i phi_k} c1_k), with (u_k, v_k) row k of
-that carry and (c0_k, c1_k) column 0 of W S(phi_{k+1}) W ... S(phi_{d-1}) W.
-W and S are symmetric, so that column is the carry of the reversed phases
-from row 0 of W, (x, s): the Jacobian is a second call of the same kernel.
+polynomial f(x).  One kernel, _carry, carries a row through the product
+over a grid of g values of x.  The rows r_k = (u_k, v_k) =
+r_0 S(phi_0) W ... S(phi_{k-1}) W are one (d+1, 2, g) complex array, and
+W's two rows over the grid, W_0 = [x, s] and W_1 = [s, -x], are built once
+per grid (_signal_rows, shape (2, 2, g)).  Each step scales the row,
+a_k = r_k S(phi_k) = (u_k e^{i phi_k}, v_k e^{-i phi_k}), forms both
+a_k[i] W_i in one broadcast product and sums them,
+r_{k+1} = a_k[0] W_0 + a_k[1] W_1: three numpy calls into preallocated
+buffers.  f is the carry of (1, 0).  As dS/dphi = iZ S, df/dphi_k =
+i (a_k[0] c_k[0] - a_k[1] c_k[1]), with c_k column 0 of
+W S(phi_{k+1}) W ... S(phi_{d-1}) W.  W and S are symmetric, so that
+column is the carry of the reversed phases from row 0 of W, (x, s): the
+Jacobian is one backward carry of the same kernel, and every a_k comes
+from the kept rows in one product.  The carry keeps only the rows, not the
+scaled rows: at g = 1000 the extra (d, 2, g) array made each validation
+slower than the products it saves.  The bits equal those of the two-array
+form that carries u and v apart (the oracle in tests/test_qsp.py):
+a x + b s is the same sum, and a s + b (-x) rounds exactly as a s - b x,
+since negation is exact.
 
 Phase factors for exp(-i x t) on [a, b] in [0, 1] are fitted by least
 squares on Chebyshev nodes with a Lawson reweighting polish toward
@@ -56,54 +68,82 @@ class QSPPhases:
         return len(self.phases)
 
     def __post_init__(self):
+        self.phases = _checked_phases(self.phases)
         if self.degree % 2 != 0:
             raise ValueError("the even-parity protocol needs an even degree")
 
 
-def _sqrt1m(xs: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
+def _checked_phases(phases) -> np.ndarray:
+    """The phases as an array; ValueError unless they are a finite 1-D real array."""
+    phi = np.asarray(phases)
+    if phi.ndim != 1 or phi.dtype.kind not in "iuf" or not np.isfinite(phi).all():
+        raise ValueError(f"phases must be a finite 1-D real array, got {phases!r}")
+    return phi
 
 
-def _carry(phi: np.ndarray, x: np.ndarray, s: np.ndarray, r0, r1) -> tuple[np.ndarray, np.ndarray]:
-    """Rows j = 0..d of the carry from the start row (r0, r1) over grids x and
-    s = sqrt(1-x^2) of shape (g,), as two (d+1, g) arrays, one per column."""
-    u = np.empty((len(phi) + 1, len(x)), dtype=complex)
-    v = np.empty_like(u)
-    u[0], v[0] = r0, r1
-    for k, e in enumerate(np.exp(1j * np.asarray(phi, dtype=float))):
-        a, b = u[k] * e, v[k] * e.conjugate()
-        u[k + 1] = a * x + b * s
-        v[k + 1] = a * s - b * x
-    return u, v
+# the start row (1, 0) at every grid point: f is entry 0 of its last row
+_F_START = np.array([[1.0], [0.0]])
 
 
-def _jacobian(phi: np.ndarray, x: np.ndarray, s: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """df/dphi_k, shape (d, g), from the forward rows (u, v) of _carry."""
-    e = np.exp(1j * phi)[:, None]
-    c0, c1 = _carry(phi[:0:-1], x, s, x, s)
-    return 1j * (u[:-1] * e * c0[::-1] - v[:-1] * e.conj() * c1[::-1])
+def _signal_rows(xs: np.ndarray) -> np.ndarray:
+    """W(x)'s rows [x, s] and [s, -x], s = sqrt(1-x^2), over a grid of x: shape (2, 2, g)."""
+    x = np.asarray(xs, dtype=float)
+    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    return np.array([[x, s], [s, -x]], dtype=complex)
+
+
+def _phase_factors(phi: np.ndarray) -> np.ndarray:
+    """S(phi_k)'s diagonal (e^{i phi_k}, e^{-i phi_k}) for each k: shape (d, 2, 1)."""
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    ee = np.empty((len(e), 2, 1), dtype=complex)
+    ee[:, 0, 0] = e
+    np.conjugate(e, out=ee[:, 1, 0])
+    return ee
+
+
+def _carry(ee: np.ndarray, w: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """The rows r_k, k = 0..d, from the start row r0 (broadcast to (2, g)) over
+    the grid of w = _signal_rows(xs), shape (d+1, 2, g); ee = _phase_factors(phi)."""
+    d, g = len(ee), w.shape[-1]
+    r = np.empty((d + 1, 2, g), dtype=complex)
+    a = np.empty((2, g), dtype=complex)
+    prod = np.empty((2, 2, g), dtype=complex)
+    a_column, (p0, p1) = a[:, None], prod
+    r[0] = r0
+    for rk, ek, rk1 in zip(r, ee, r[1:]):
+        np.multiply(rk, ek, a)  # a_k = r_k S(phi_k)
+        np.multiply(a_column, w, prod)  # prod[i] = a_k[i] W_i
+        np.add(p0, p1, rk1)
+    return r
+
+
+def _jacobian(ee: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """df/dphi_k, shape (d, g), from the rows r of the forward _carry."""
+    a = r[:-1] * ee  # every a_k in one call, the products the carry formed
+    c = _carry(ee[:0:-1], w, w[0])[::-1]
+    return 1j * (a[:, 0] * c[:, 0] - a[:, 1] * c[:, 1])
 
 
 def qsp_scalar_unitary(x: float, phases: QSPPhases | np.ndarray) -> np.ndarray:
     """Product over k of S(phi_k) W(x); f(x) is the [0, 0] entry."""
-    phi = phases.phases if isinstance(phases, QSPPhases) else np.asarray(phases)
+    phi = _checked_phases(phases.phases if isinstance(phases, QSPPhases) else phases)
     if not abs(x) <= 1.0 + 1e-12:
         raise ValueError("signal value must be a finite number in [-1, 1]")
-    xs = np.full(2, float(np.clip(x, -1.0, 1.0)))
-    u, v = _carry(phi, xs, _sqrt1m(xs), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return np.stack([u[-1], v[-1]], axis=1)
+    # grid point j carries row j of the identity, so the last rows are U's transpose
+    w = _signal_rows(np.full(2, float(np.clip(x, -1.0, 1.0))))
+    return _carry(_phase_factors(phi), w, np.eye(2))[-1].T
 
 
 def _f_values(phi: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Vectorized f(x) over a grid."""
-    return _carry(phi, xs, _sqrt1m(xs), 1.0, 0.0)[0][-1]
+    return _carry(_phase_factors(phi), _signal_rows(xs), _F_START)[-1, 0]
 
 
 def _f_and_jacobian(phi: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(x) and df/dphi_k over the grid, shape (g, d)."""
-    s = _sqrt1m(xs)
-    u, v = _carry(phi, xs, s, 1.0, 0.0)
-    return u[-1], _jacobian(phi, xs, s, u, v).T
+    ee, w = _phase_factors(phi), _signal_rows(xs)
+    r = _carry(ee, w, _F_START)
+    return r[-1, 0], _jacobian(ee, w, r).T
 
 
 def _lm(resid, jac, phi0: np.ndarray) -> np.ndarray:
@@ -132,32 +172,36 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
         raise ValueError("degree must be a nonnegative even integer")
     m = _GRID_PER_DEGREE * (d + 1)
     xv = np.linspace(a, b, 10 * m)
-    sv, target_v = _sqrt1m(xv), np.exp(-1j * xv * t_tilde)
+    wv, target_v = _signal_rows(xv), np.exp(-1j * xv * t_tilde)
 
     def max_error(phi: np.ndarray) -> float:
-        return float(np.max(np.abs(_carry(phi, xv, sv, 1.0, 0.0)[0][-1] - target_v)))
+        return float(np.max(np.abs(_carry(_phase_factors(phi), wv, _F_START)[-1, 0] - target_v)))
 
     if d == 0:
         return QSPPhases(np.zeros(0), t_tilde, (a, b), max_error(np.zeros(0)))
     xs = (a + b) / 2.0 + (b - a) / 2.0 * np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-    s, target = _sqrt1m(xs), np.exp(-1j * xs * t_tilde)
+    w, target = _signal_rows(xs), np.exp(-1j * xs * t_tilde)
     rng = np.random.default_rng(_RESTART_SEED)
-    last = [None, None]  # the last phi and its forward rows: lmder asks for J there
+    last = [b"", None]  # the bytes of the last phi and its forward carry: lmder asks for J there
 
-    def rows(phi: np.ndarray):
-        if not np.array_equal(last[0], phi):
-            last[:] = phi.copy(), _carry(phi, xs, s, 1.0, 0.0)
+    def forward(phi: np.ndarray):
+        """(phase factors, rows) of phi on the nodes."""
+        key = phi.tobytes()
+        if key != last[0]:
+            ee = _phase_factors(phi)
+            last[:] = key, (ee, _carry(ee, w, _F_START))
         return last[1]
 
     def solve(phi0: np.ndarray, weights: np.ndarray) -> np.ndarray:
         sw = np.sqrt(weights)
 
         def resid(phi):
-            r = (rows(phi)[0][-1] - target) * sw
+            r = (forward(phi)[1][-1, 0] - target) * sw
             return np.concatenate([r.real, r.imag])
 
         def jac(phi):
-            jw = _jacobian(phi, xs, s, *rows(phi)) * sw
+            ee, rows = forward(phi)
+            jw = _jacobian(ee, w, rows) * sw
             return np.concatenate([jw.real, jw.imag], axis=1).T
 
         return _lm(resid, jac, phi0)
@@ -173,13 +217,13 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
             abs(eps - best_eps) <= 1e-15 and np.linalg.norm(phi) < np.linalg.norm(best_phi)
         ):
             best_phi, best_eps = phi, eps
-        f = rows(phi)[0][-1]
+        f = forward(phi)[1][-1, 0]
         if any(np.max(np.abs(f - g)) <= _SAME_FIT for g in first_fits):
             continue  # an earlier start reached this polynomial and polished it
         first_fits.append(f)
         # Lawson polish: push the residual profile toward equioscillation
         for _ in range(_LAWSON_ROUNDS):
-            r = np.abs(rows(phi)[0][-1] - target)
+            r = np.abs(forward(phi)[1][-1, 0] - target)
             if r.max() <= 1e-15:
                 break
             weights = weights * np.maximum(r, 1e-15)
@@ -193,9 +237,13 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
 
 def validate_qsp_polynomial(phases: QSPPhases) -> dict:
     """Grid checks of the protocol conditions on 1000 points: parity and |f| <= 1."""
-    xs, phi = np.linspace(0.0, 1.0, 1000), phases.phases
-    parity_err = float(np.max(np.abs(_f_values(phi, -xs) - _f_values(phi, xs))))
-    max_abs = float(np.max(np.abs(_f_values(phi, np.linspace(-1.0, 1.0, 1000)))))
+    xs, ee = np.linspace(0.0, 1.0, 1000), _phase_factors(phases.phases)
+
+    def f(grid: np.ndarray) -> np.ndarray:
+        return _carry(ee, _signal_rows(grid), _F_START)[-1, 0]
+
+    parity_err = float(np.max(np.abs(f(-xs) - f(xs))))
+    max_abs = float(np.max(np.abs(f(np.linspace(-1.0, 1.0, 1000)))))
     return {
         "degree": phases.degree,
         "parity_error": parity_err,

@@ -525,6 +525,15 @@ class TestRegisterInput:
         with pytest.raises(ValueError):
             build(angle)
 
+    @pytest.mark.parametrize("angle", [1j, "0.3", None, np.complex128(0.5 + 1j)])
+    def test_non_real_angle_rejected(self, angle):
+        with pytest.raises(ValueError):
+            Gate("RX", (0,), angle)
+
+    @pytest.mark.parametrize("angle", [np.float32(0.5), np.int64(1), 2])
+    def test_numpy_and_integer_angles_accepted(self, angle):
+        assert Gate("RX", (0,), angle).angle == angle
+
     @pytest.mark.parametrize("qubit", [0.1, 1.0, "0", None])
     def test_non_integer_qubit_rejected(self, qubit):
         with pytest.raises(ValueError):

@@ -251,6 +251,15 @@ class TestSelectOracles:
             naive = naive_select_gate_count(plan)
             assert compiled <= naive
 
+    def test_naive_count_closed_form_matches_built_circuit(self):
+        rng = np.random.default_rng(2026)
+        plans = [random_plan(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4))) for _ in range(60)]
+        plans += [one_branch_plan(a, idx, letters, sign)
+                  for a in range(4) for idx in range(2**a)
+                  for letters in ("I", "X", "Y", "ZZ", "IXY") for sign in (1, -1)]
+        for plan in plans:
+            assert naive_select_gate_count(plan) == count_two_qubit_gates(naive_select_circuit(plan)), plan
+
     def test_k2_single_qubit_count(self):
         # each branch is one singly-controlled phase (one RZZ); the pattern
         # flip and the sign conjugation are single-qubit

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from qsp_lab import qsp
 from qsp_lab.qsp import (
+    QSPPhases,
     _f_and_jacobian,
     _f_values,
     _lm,
@@ -122,6 +123,75 @@ def test_carry_matches_loop_reference(phi, extra):
         assert np.abs(qsp_scalar_unitary(x, phi) - ref).max() < 1e-12
         for k in range(len(phi)):
             assert abs(jac[i, k] - _reference_unitary(phi, x, k)[0, 0]) < 1e-12
+
+
+def _two_array_carry(phi, x, s, r0, r1):
+    """The row carry as two (d+1, g) arrays, one per column: rows j = 0..d
+    from the start row (r0, r1) over grids x and s = sqrt(1-x^2).  The
+    stacked kernel must match it bit for bit."""
+    u = np.empty((len(phi) + 1, len(x)), dtype=complex)
+    v = np.empty_like(u)
+    u[0], v[0] = r0, r1
+    for k, e in enumerate(np.exp(1j * np.asarray(phi, dtype=float))):
+        a, b = u[k] * e, v[k] * e.conjugate()
+        u[k + 1] = a * x + b * s
+        v[k + 1] = a * s - b * x
+    return u, v
+
+
+def _two_array_jacobian(phi, x, s, u, v):
+    """df/dphi_k, shape (d, g), from the two-array rows: a second carry of
+    the reversed phases from (x, s), with u e and v e-bar formed again."""
+    e = np.exp(1j * phi)[:, None]
+    c0, c1 = _two_array_carry(phi[:0:-1], x, s, x, s)
+    return 1j * (u[:-1] * e * c0[::-1] - v[:-1] * e.conj() * c1[::-1])
+
+
+@FEW
+@given(
+    phi=long_phase_vectors,
+    xs=arrays(np.float64, st.integers(1, 1000), elements=st.floats(-1.0, 1.0)),
+)
+def test_kernel_bit_identical_to_two_array_carry(phi, xs):
+    """The stacked kernel rounds exactly as the two-array one: the same rows,
+    Jacobian and unitary, bit for bit, at every grid size."""
+    s = np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
+    u, v = _two_array_carry(phi, xs, s, 1.0, 0.0)
+    jac = _two_array_jacobian(phi, xs, s, u, v)
+    ee, w = qsp._phase_factors(phi), qsp._signal_rows(xs)
+    rows = qsp._carry(ee, w, qsp._F_START)
+    assert np.array_equal(rows[:, 0], u) and np.array_equal(rows[:, 1], v)
+    assert np.array_equal(qsp._jacobian(ee, w, rows), jac)
+    f, jac_t = _f_and_jacobian(phi, xs)
+    assert np.array_equal(f, u[-1]) and np.array_equal(jac_t, jac.T)
+    assert np.array_equal(_f_values(phi, xs), u[-1])
+    x2 = np.full(2, xs[0])
+    u2, v2 = _two_array_carry(phi, x2, s[:1].repeat(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert np.array_equal(qsp_scalar_unitary(xs[0], phi), np.stack([u2[-1], v2[-1]], axis=1))
+
+
+@pytest.mark.parametrize("d, t, interval", [(4, 1.0, (0.0, 1.0)), (2, 3.3, (0.2, 0.9))])
+def test_epsilon_is_the_fine_grid_error_of_the_returned_phases(d, t, interval):
+    """epsilon_poly, recomputed from scratch for the phases returned: a stale
+    per-grid buffer in the designer would show here."""
+    phases = optimize_phases(d, t, interval)
+    xv = np.linspace(*interval, 10 * qsp._GRID_PER_DEGREE * (d + 1))
+    assert phases.epsilon_poly == np.max(np.abs(_f_values(phases.phases, xv) - np.exp(-1j * xv * t)))
+
+
+@pytest.mark.parametrize("phases", [
+    [[0.1, 0.2], [0.3, 0.4]], [np.nan, 0.0], [0.0, np.inf], [1j, 0.0], ["a", "b"], [None, None], 0.5,
+], ids=["2-d", "nan", "inf", "complex", "strings", "none", "scalar"])
+def test_malformed_phases_rejected(phases):
+    with pytest.raises(ValueError):
+        qsp_scalar_unitary(0.5, phases)
+    with pytest.raises(ValueError):
+        QSPPhases(phases, 1.0, (0.0, 1.0), 0.1)
+
+
+def test_integer_phases_accepted():
+    assert np.array_equal(qsp_scalar_unitary(0.5, [0, 1]), qsp_scalar_unitary(0.5, [0.0, 1.0]))
+    assert QSPPhases([0, 1], 1.0, (0.0, 1.0), 0.1).degree == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
