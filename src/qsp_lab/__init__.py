@@ -11,8 +11,8 @@ Everything is dense and exactly verifiable.  The modules are:
   Gray-code compressed select oracle.
 - variational: block encoding by a variationally optimized reflection
   ansatz, with exact gradients and Hessians.
-- qsp: the scalar QSP product and phase factors for exp(-i x t) on an
-  interval.
+- qsp: the scalar QSP product, phase factors for exp(-i x t) on an
+  interval, and the QSP circuit of a block encoding.
 """
 
 __version__ = "0.1.0"

@@ -15,10 +15,25 @@ Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
 state by I/4.  Single-qubit gates are noiseless.
 
-apply_statevector, circuit_unitary, lcu.encoded_block and apply_density
-share one walk in two steps: _compile turns the gate list once into a
-kernel program of (matrix, axes) operations, and the walk replays that
-program with the one kernel, _tensor_apply.
+apply_statevector, circuit_unitary, lcu.encoded_block, apply_density and
+depolarize_pair share one walk in two steps: _compile turns the gate list
+once into a planned program of (matrix, axes) operations, and the one
+kernel, _replay, runs it.
+
+Carried layout.  The walk's array is not put back into register order
+after each operation: it stays in whatever axis order the last operation
+left it in.  At compile time _plan gives each operation its step, which is
+nothing when the operation's axes already lead, in its own order, and
+otherwise one transposing copy into the spare buffer that brings them to
+the front, the other axes keeping their order.  The step's product is one
+np.dot of the unchanged matrix into the other buffer, so the walk holds
+two state-sized buffers, and one final copy restores the start order.  A
+matrix is never re-indexed to match axes that lead in another order; the
+copy is made instead, so each product sums in the order of applying the
+operation in place, and every output is bit for bit that of gathering an
+operation's axes to the front, multiplying and scattering the result back
+(the oracle in tests/test_circuits.py).  A step makes at most one copy
+where that made two, and builds no plan.
 
 Fold.  Single-qubit gates are not applied one at a time: each qubit keeps
 a pending run of them, whose 2x2 product is multiplied into the 4x4 of the
@@ -41,10 +56,10 @@ Fuse.  A complex walk of at least 2^_FUSE_QUBITS = 32 columns on a
 register wider than _FUSE_QUBITS = 5 (a dense unitary of 6 or more qubits)
 merges the folded operations greedily, in order, into blocks of at most 5
 qubits; each distinct block's matrix is the kernel run on its 32-column
-(or smaller) identity, and replay makes one kernel call per block.  A call
-on a (2^w, B) array gathers and scatters all of it whatever the local's
-size, so on many columns one 32x32 product beats the several 4x4 ones it
-replaces; at 6 qubits the block's flops outweigh the saved passes.  On
+(or smaller) identity, and the walk takes one step per block.  A step on
+a (2^w, B) array copies all of it whatever the matrix's size, so on many
+columns one 32x32 product beats the several 4x4 ones it replaces; at 6
+qubits the block's flops outweigh the saved passes.  On
 fewer columns than the block's identity, building the block costs about
 as much as the walk it saves, unless the gate list repeats: the width-7
 LCU encodings, walked fused, broke even at 16 columns and lost 4-18 % at
@@ -65,12 +80,15 @@ real Pauli coefficients r_P = Tr(P rho) (the Pauli-transfer form, e.g.
 Greenbaum, arXiv:1509.02921): rho = 2^-w sum_P r_P P, a unitary U becomes
 the real orthogonal matrix R[P, Q] = Tr(P U Q U^dag) / 2^k on the k qubits
 it touches, and the pair channel becomes diag(1, 1-p, ..., 1-p), which is
-multiplied into the R of its RZZ/CZ, so every gate is one real kernel call.
-The two Pauli indices of qubit q sit on the adjacent axes (2q, 2q+1): rho
-enters through one transpose to (row0, col0, row1, col1, ...) and one
-4x4 basis change per qubit, and leaves the same way.  Every gate and the
-channel are unital and trace preserving, so row 0 and column 0 of each R
-are set to e_0 exactly and r_I = Tr(rho) is carried untouched.
+multiplied into the R of its RZZ/CZ, so every gate is one real step.  The
+two Pauli indices of qubit q are axes 2q (row) and 2q+1 (column), so
+rho's own axis order (row0, ..., row_{w-1}, col0, ...) is the walk's start
+layout; w complex 4x4 basis changes, steps of the same program, turn rho
+into its Pauli vector, whose real walk runs in the two halves of the
+spare complex buffer, and w basis changes back and the final copy return
+rho in its own order.  Every gate and the channel are unital and trace
+preserving, so row 0 and column 0 of each R are set to e_0 exactly and
+r_I = Tr(rho) is carried untouched.
 """
 from __future__ import annotations
 
@@ -220,40 +238,84 @@ class NoiseModel:
 # Dense application helpers
 # ---------------------------------------------------------------------------
 
-def _tensor_apply(vec: np.ndarray, local: np.ndarray, axes: tuple[int, ...], work: np.ndarray) -> None:
-    """Apply a 2^k x 2^k operator in place to the given binary axes of a
-    C-contiguous (2^m,) or (2^m, B) array; local's first index belongs to
-    axes[0].
+def _relayout(src: tuple[int, ...], dst: tuple[int, ...], columns: int) -> tuple[tuple[int, ...], ...]:
+    """The (dims, order, shape) of one transposing copy,
+    np.copyto(b.reshape(shape), a.reshape(dims).transpose(order)), that takes
+    a flat array a whose binary axes lie in layout src into b in layout dst.
 
-    Axes count bits from the most significant bit of the C-order index,
-    so on a (2^w, 2^w) density matrix axes w..2w-1 are its column qubits,
-    and on a 4^w Pauli vector axes (2q, 2q+1) hold qubit q's Pauli index.
-
-    The untouched axes are grouped into at most k+1 blocks, so the
-    transposes have at most 2k+1 axes; the contraction is one matrix
-    product.  work is a flat buffer of vec's dtype and twice its size; the
-    operand is gathered into it, multiplied into its second half and
-    scattered back into vec, and nothing is allocated: on density-matrix
-    sized arrays, fresh temporaries per gate cost more in page faults than
-    the product itself.
+    A layout lists the axis held at each position, most significant first;
+    a batch of columns != 1 is one more axis that stays last.  Axes that are
+    adjacent and in order in both layouts are merged into one, so a copy
+    that moves k axes has at most 2k + 1.
     """
-    dims, pos = [], {}
-    prev = 0
-    for q in sorted(axes):
-        dims += [2 ** (q - prev), 2]
-        pos[q] = len(dims) - 1
-        prev = q + 1
-    dims.append(vec.size >> prev)
-    k = len(axes)
-    src = [pos[q] for q in axes]
-    order = src + [i for i in range(len(dims)) if i not in src]
-    moved = vec.reshape(dims).transpose(order)
-    cols = vec.size >> k
-    gathered = work[: vec.size].reshape(moved.shape)
-    np.copyto(gathered, moved)
-    res = work[vec.size:].reshape(2**k, cols)
-    np.dot(local, gathered.reshape(2**k, cols), out=res)
-    np.copyto(moved, res.reshape(moved.shape))
+    perm = [src.index(a) for a in dst]  # the source position of each destination axis
+    if columns != 1:
+        perm.append(len(src))
+    starts = [0] + [j for j in range(1, len(perm)) if perm[j] != perm[j - 1] + 1]
+    sizes = [2 ** (end - j) for j, end in zip(starts, starts[1:] + [len(perm)])]
+    if columns != 1:
+        sizes[-1] = sizes[-1] // 2 * columns
+    by_source = sorted(range(len(starts)), key=lambda r: perm[starts[r]])
+    order = [0] * len(starts)
+    for i, r in enumerate(by_source):
+        order[r] = i
+    return tuple(sizes[r] for r in by_source), tuple(order), tuple(sizes)
+
+
+def _plan(
+    ops: list[tuple[np.ndarray, tuple[int, ...]]], start: tuple[int, ...], columns: int
+) -> tuple[list[tuple], tuple | None]:
+    """Plan the carried layout of a replay (module docstring): the steps
+    (matrix, axes, copy) and the final copy back to the start layout.
+
+    A step's copy is None when its axes already lead, in its own order;
+    otherwise it is the _relayout that brings them to the front, the other
+    axes keeping their order.  A matrix is never re-indexed, so every
+    product sums in the order of a gate-by-gate walk.  Plans are memoized
+    on (layout, axes), which the repeated copies of W share.
+    """
+    memo: dict[tuple, tuple] = {}
+    layout = start
+    steps = []
+    for local, axes in ops:
+        key = (layout, axes)
+        if key not in memo:
+            if layout[: len(axes)] == axes:
+                memo[key] = None, layout
+            else:
+                moved = axes + tuple(a for a in layout if a not in axes)
+                memo[key] = _relayout(layout, moved, columns), moved
+        copy, layout = memo[key]
+        steps.append((local, axes, copy))
+    return steps, None if layout == start else _relayout(layout, start, columns)
+
+
+def _replay(
+    steps: list[tuple], finish: tuple | None, cur: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one kernel: run planned steps on the flat state cur, with spare a
+    flat buffer of its size and dtype, and return (the buffer that holds the
+    result, the other one); the result is in the start layout when finish
+    is the plan's final copy.
+
+    A step is at most one transposing copy into the other buffer and one
+    np.dot of its matrix into the first; nothing is allocated.  On density-
+    matrix sized arrays fresh temporaries per gate cost more in page faults
+    than the product itself.
+    """
+    for local, _, copy in steps:
+        if copy is not None:
+            dims, order, shape = copy
+            np.copyto(spare.reshape(shape), cur.reshape(dims).transpose(order))
+            cur, spare = spare, cur
+        rows = len(local)
+        np.dot(local, cur.reshape(rows, -1), out=spare.reshape(rows, -1))
+        cur, spare = spare, cur
+    if finish is None:
+        return cur, spare
+    dims, order, shape = finish
+    np.copyto(spare.reshape(shape), cur.reshape(dims).transpose(order))
+    return spare, cur
 
 
 def _gate_local(gate: Gate) -> tuple[np.ndarray | None, tuple[int, ...], complex]:
@@ -313,22 +375,21 @@ def _pauli_transfer(sup: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pauli_basis_change(vec: np.ndarray, basis: np.ndarray, w: int, work: np.ndarray) -> None:
-    """Apply a 4x4 basis change to every qubit's axis pair (2q, 2q+1)."""
-    for q in range(w):
-        _tensor_apply(vec, basis, (2 * q, 2 * q + 1), work)
-
-
 def _compile(
-    circuit: Circuit, p_pair: float = 0.0, fuse: bool = False
-) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], complex]:
-    """Fold and memoize the native gate list once into a kernel program (module
-    docstring): the (matrix, axes) operations _walk replays with
-    _tensor_apply, and the scalar phase.  With p_pair > 0 each operation is
-    a folded unitary's real Pauli-transfer matrix on its qubits' axis pairs,
-    the pair channel's multiplied in after every RZZ/CZ, and the phase is 1;
-    with fuse the operations are merged into blocks by _fuse.  The matrices
-    are read-only.  A structural gate is compiled as decompose(circuit).
+    circuit: Circuit, p_pair: float = 0.0, columns: int = 1
+) -> tuple[list[tuple], tuple | None, complex]:
+    """Fold, memoize and plan the native gate list once (module docstring):
+    the steps and final copy _replay runs on a walk of the given column
+    count, and the scalar phase.
+
+    A walk of at least 2^_FUSE_QUBITS columns on a register wider than
+    _FUSE_QUBITS replays fused blocks (_fuse).  With p_pair > 0 the program
+    walks rho's real Pauli vector: w complex basis changes from rho's own
+    axis order, a folded unitary's real Pauli-transfer matrix on its
+    qubits' axis pairs per operation, the pair channel's multiplied in
+    after every RZZ/CZ, and w basis changes back; the phase is then 1.
+    The matrices are read-only.  A structural gate is compiled as
+    decompose(circuit).
     """
     if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
         circuit = decompose(circuit)
@@ -379,15 +440,23 @@ def _compile(
             folds[fold] = operation(local @ _kron(product(fold[1]), product(fold[2])), axes)
         program.append(folds[fold])
     program += [operation(product(run), (q,)) for q, run in pending.items()]
+    w = circuit.width
     if channel is not None:
-        return program, 1.0
-    return (_fuse(program) if fuse else program), phase
+        # rho's axes are (row0, ..., row_{w-1}, col0, ...): Pauli axes 2q and 2q+1
+        start = tuple(range(0, 2 * w, 2)) + tuple(range(1, 2 * w, 2))
+        basis, basis_inv = _PAULI_BASIS[4]
+        pairs = [(2 * q, 2 * q + 1) for q in range(w)]
+        program = [(basis, axes) for axes in pairs] + program + [(basis_inv, axes) for axes in pairs]
+        return *_plan(program, start, 1), 1.0
+    if columns >= 2**_FUSE_QUBITS and w > _FUSE_QUBITS:
+        program = _fuse(program)
+    return *_plan(program, tuple(range(w)), columns), phase
 
 
 def _fuse(program: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """Merge consecutive operations greedily, in order, into blocks of at most
     _FUSE_QUBITS qubits.  A block of several operations becomes one matrix on
-    its sorted qubits, built by running the kernel on the block's identity."""
+    its sorted qubits, built by replaying them on the block's identity."""
     blocks: list[tuple[set[int], list]] = []
     for op in program:
         if blocks and len(blocks[-1][0].union(op[1])) <= _FUSE_QUBITS:
@@ -405,10 +474,11 @@ def _fuse(program: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.nd
         key = tuple(map(id, members))  # the copies of W share their memoized operations
         if key not in built:
             index = {q: i for i, q in enumerate(qubits)}
-            m = np.eye(2 ** len(qubits), dtype=complex)
-            work = np.empty(2 * m.size, dtype=complex)
-            for local, axes in members:
-                _tensor_apply(m, local, tuple(index[q] for q in axes), work)
+            dim = 2 ** len(qubits)
+            steps, finish = _plan([(local, tuple(index[q] for q in axes)) for local, axes in members],
+                                  tuple(range(len(qubits))), dim)
+            m, _ = _replay(steps, finish, np.eye(dim, dtype=complex).reshape(-1), np.empty(dim * dim, dtype=complex))
+            m = m.reshape(dim, dim)
             m.setflags(write=False)
             built[key] = m
         fused.append((built[key], qubits))
@@ -418,49 +488,39 @@ def _fuse(program: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.nd
 def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndarray:
     """The one compile-and-replay walk behind every simulator (module docstring).
 
-    initial is a (2^w,) state or a (2^w, B) batch of columns, whose program
-    is fused when B >= 2^_FUSE_QUBITS and w > _FUSE_QUBITS.  With
+    initial is a (2^w,) state or a (2^w, B) batch of columns; with
     p_pair > 0 it is a Hermitian (2^w, 2^w) density matrix under per-gate
-    noise, walked as its real Pauli vector.  The Pauli vector and the
-    kernel's real work buffer live in the complex work buffer, so the
-    density walk holds no more memory than a complex one.
+    noise, walked as its real Pauli vector.  The walk holds two flat
+    buffers of initial's size: the state and the spare a step copies or
+    multiplies into.  The real Pauli vector and its spare are the two
+    halves of the complex buffer the state is not in, so the density walk
+    holds no more memory than a complex one.
     """
     w = circuit.width
+    shape = np.shape(initial)
     density = p_pair > 0.0
-    columns = 1 if np.ndim(initial) == 1 else np.shape(initial)[1]
-    fuse = not density and columns >= 2**_FUSE_QUBITS and w > _FUSE_QUBITS
-    program, phase = _compile(circuit, p_pair, fuse)
-    if density:
-        n, bits = 4**w, [2] * (2 * w)
-        interleave = [a for q in range(w) for a in (q, w + q)]  # (row0, col0, row1, col1, ...)
-        out = np.empty(n, dtype=complex)
-        np.copyto(out.reshape(bits), np.asarray(initial).reshape(bits).transpose(interleave))
-        work = np.empty(2 * n, dtype=complex)
-        basis, basis_inv = _PAULI_BASIS[4]
-        _pauli_basis_change(out, basis, w, work)
-        floats = work.view(float)
-        vec, vec_work = floats[:n], floats[n: 3 * n]
-        np.copyto(vec, out.real)
-    else:
-        out = vec = np.array(initial, dtype=complex, order="C")
-        vec_work = np.empty(2 * out.size, dtype=complex)
-    for local, axes in program:
-        _tensor_apply(vec, local, axes, vec_work)
-    if density:
-        np.copyto(out, vec)
-        _pauli_basis_change(out, basis_inv, w, work)
-        np.copyto(work[:n], out)
-        np.copyto(out.reshape(bits), work[:n].reshape(bits).transpose(np.argsort(interleave)))
-        return out.reshape(2**w, 2**w)
+    steps, finish, phase = _compile(circuit, p_pair, 1 if density or len(shape) == 1 else shape[1])
+    n = np.size(initial)
+    state, spare = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    np.copyto(state.reshape(shape), initial)
+    if density:  # w complex basis changes, the real walk, w basis changes back
+        state, spare = _replay(steps[:w], None, state, spare)
+        floats = spare.view(float)
+        np.copyto(floats[:n], state.real)
+        np.copyto(state, _replay(steps[w: len(steps) - w], None, floats[:n], floats[n:])[0])
+        steps = steps[len(steps) - w:]
+    out = _replay(steps, finish, state, spare)[0].reshape(shape)
     if phase != 1.0:
         np.multiply(phase, out, out=out)  # phase first: out *= phase rounds differently
     return out
 
 
 def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Noiseless statevector evolution of a (2^w,) state or (2^w, B) batch."""
-    if state.shape[0] != 2**circuit.width:
-        raise ValueError("statevector width does not match circuit")
+    """Noiseless statevector evolution of a (2^w,) state or (2^w, B) batch;
+    any other shape raises ValueError."""
+    shape = np.shape(state)
+    if len(shape) not in (1, 2) or shape[0] != 2**circuit.width:
+        raise ValueError(f"state of shape {shape} is not a (2^w,) state or (2^w, B) batch for width {circuit.width}")
     return _walk(circuit, state)
 
 
@@ -483,9 +543,9 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
         raise ValueError(f"qubits ({q0}, {q1}) are not a distinct pair of a width-{width} register")
     if rho.shape != (2**width, 2**width):
         raise ValueError(f"density matrix of shape {rho.shape} does not match width {width}")
-    out = np.array(rho, dtype=complex, order="C")
-    _tensor_apply(out, _depolarizing(p), (q0, q1, width + q0, width + q1), np.empty(2 * out.size, dtype=complex))
-    return out
+    steps, finish = _plan([(_depolarizing(p), (q0, q1, width + q0, width + q1))], tuple(range(2 * width)), 1)
+    out = np.array(rho, dtype=complex).reshape(-1)
+    return _replay(steps, finish, out, np.empty_like(out))[0].reshape(rho.shape)
 
 
 def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
@@ -625,9 +685,13 @@ def plus_state(n: int) -> np.ndarray:
 
 
 def with_ancilla_zero(psi_system: np.ndarray, n_ancilla: int) -> np.ndarray:
-    """|0^a> tensor |psi> in the ancilla-first layout."""
-    full = np.zeros(2**n_ancilla * psi_system.shape[0], dtype=complex)
-    full[: psi_system.shape[0]] = psi_system
+    """|0^a> tensor |psi> in the ancilla-first layout; ValueError unless psi
+    is a 1-D state whose length is a power of two."""
+    dim = len(psi_system) if np.ndim(psi_system) == 1 else 0
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"system state of shape {np.shape(psi_system)} is not a (2^n,) state")
+    full = np.zeros(2**n_ancilla * dim, dtype=complex)
+    full[:dim] = psi_system
     return full
 
 

@@ -27,22 +27,29 @@ from .operators import MAX_DENSE_QUBITS, PauliString, PauliSum
 _ANGLE_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class LCUPlan:
     """Branch data for W = A_dag B A; c is the coefficient one-norm.
 
     Building a plan raises ValueError unless it has K >= 1 branches, at
     most 2^a of them, with one amplitude and one sign of +1 or -1 each, and
-    Pauli strings that all act on one register.
+    Pauli strings that all act on one register.  A built plan cannot be
+    changed: it holds its signs and Paulis as tuples and its amplitudes as
+    a read-only copy.
     """
 
     a: int
     prep_amplitudes: np.ndarray  # K entries sqrt(|c_l| / c)
-    signs: list[int]
-    paulis: list[PauliString]
+    signs: tuple[int, ...]
+    paulis: tuple[PauliString, ...]
     c: float
 
     def __post_init__(self):
+        amplitudes = np.array(self.prep_amplitudes)
+        amplitudes.setflags(write=False)
+        object.__setattr__(self, "prep_amplitudes", amplitudes)
+        object.__setattr__(self, "signs", tuple(self.signs))
+        object.__setattr__(self, "paulis", tuple(self.paulis))
         k = len(self.paulis)
         if not isinstance(self.a, (int, np.integer)) or self.a < 0 or not 1 <= k <= 2**self.a:
             raise ValueError(f"need 1 <= K <= 2^a branches with an integer a >= 0, got K = {k}, a = {self.a!r}")

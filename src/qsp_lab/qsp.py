@@ -3,8 +3,9 @@
 The signal operator is the reflection W(x) = [[x, s], [s, -x]],
 s = sqrt(1-x^2), and the processed unitary is prod_k S(phi_k) W(x) with
 S(phi) = diag(e^{i phi}, e^{-i phi}); its top-left entry is the designed
-polynomial f(x).  One kernel, _carry, carries a row through the product
-over a grid of g values of x.  The rows r_k = (u_k, v_k) =
+polynomial f(x).  qsp_circuit builds the same product at gate level from a
+block encoding W, with APHASE for S.  One kernel, _carry, carries a row
+through the product over a grid of g values of x.  The rows r_k = (u_k, v_k) =
 r_0 S(phi_0) W ... S(phi_{k-1}) W are one (d+1, 2, g) complex array, and
 W's two rows over the grid, W_0 = [x, s] and W_1 = [s, -x], are built once
 per grid (_signal_rows, shape (2, 2, g)).  Each step scales the row,
@@ -41,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+
+from .circuits import Circuit, aphase
 
 # optimize_phases fits on _GRID_PER_DEGREE * (d + 1) Chebyshev nodes from
 # _RESTARTS starts (zero phases, then seeded random ones); each distinct
@@ -132,6 +135,24 @@ def qsp_scalar_unitary(x: float, phases: QSPPhases | np.ndarray) -> np.ndarray:
     # grid point j carries row j of the identity, so the last rows are U's transpose
     w = _signal_rows(np.full(2, float(np.clip(x, -1.0, 1.0))))
     return _carry(_phase_factors(phi), w, np.eye(2))[-1].T
+
+
+def qsp_circuit(encoding: Circuit, phases: QSPPhases | np.ndarray) -> Circuit:
+    """The QSP circuit prod_k APHASE(phi_k) W of the block encoding W, in
+    application order W, APHASE(phi_{d-1}), ..., W, APHASE(phi_0).
+
+    When W is a reflection (W^2 = I), APHASE(phi) acts as S(phi) on each of
+    its qubitized 2-D subspaces (Low & Chuang, arXiv:1610.06546), so the
+    circuit's ancilla-zero block is f(B), B that of W and f the [0, 0]
+    entry of qsp_scalar_unitary.  The circuit holds the APHASE gates
+    undecomposed.
+    """
+    phi = _checked_phases(phases.phases if isinstance(phases, QSPPhases) else phases)
+    out = Circuit(encoding.n_system, encoding.n_ancilla)
+    for p in phi[::-1]:
+        out.extend(encoding.gates)
+        out.append(aphase(float(p)))
+    return out
 
 
 def _f_values(phi: np.ndarray, xs: np.ndarray) -> np.ndarray:

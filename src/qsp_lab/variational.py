@@ -98,7 +98,7 @@ _NEWTON_FALLBACK_STEP = 0.05  # gradient step size when Newton finds no usable c
 _INIT_SCALE = 0.1  # half-width of the uniform draw of a random restart
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     method: str = "bfgs"  # bfgs | newton
     max_iters: int = 2000

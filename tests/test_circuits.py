@@ -32,7 +32,9 @@ from qsp_lab.circuits import (
     with_ancilla_zero,
 )
 from qsp_lab.errors import DecompositionRequiredError, DimensionError
-from qsp_lab.operators import MAX_DENSE_QUBITS, PauliString
+from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan
+from qsp_lab.operators import MAX_DENSE_QUBITS, PauliString, build_ising_chain, rescale, triangle_bounds
+from qsp_lab.qsp import qsp_circuit
 
 RNG = np.random.default_rng(20240817)
 
@@ -271,15 +273,21 @@ class TestDensityAndNoise:
         assert np.allclose(red, np.eye(4) / 4.0, atol=1e-12)
         assert np.allclose(partial_trace(out, (1,), 3), partial_trace(rho, (1,), 3), atol=1e-12)
 
-    def test_density_walk_one_kernel_call_per_gate(self, monkeypatch):
+    @staticmethod
+    def record_steps(monkeypatch, record):
+        """Wrap the replay kernel so that each planned step it runs is recorded."""
+        replay = cir._replay
         calls = []
-        kernel = cir._tensor_apply
 
-        def counting(vec, local, axes, work):
-            calls.append((local.dtype.kind, local.shape, axes))
-            kernel(vec, local, axes, work)
+        def recording(steps, finish, cur, spare):
+            calls.extend(record(cur, local, axes) for local, axes, _ in steps)
+            return replay(steps, finish, cur, spare)
 
-        monkeypatch.setattr(cir, "_tensor_apply", counting)
+        monkeypatch.setattr(cir, "_replay", recording)
+        return calls
+
+    def test_density_walk_one_step_per_gate(self, monkeypatch):
+        calls = self.record_steps(monkeypatch, lambda cur, local, axes: (local.dtype.kind, local.shape, axes))
         # N = 2 two-qubit gates; k = 2 qubits (0 and 2) end with single-qubit gates
         c = Circuit(3).extend([had(0), rx(1, 0.3), rzz(0, 1, 0.7), rz(2, 0.1), cz(1, 2), rx(0, 0.2), had(2)])
         rho = random_density(3, np.random.default_rng(19))
@@ -300,15 +308,8 @@ class TestDensityAndNoise:
             apply_density(c, rho, noise)
             assert calls == expected
 
-    def test_fused_walk_kernel_calls_at_width_7(self, monkeypatch):
-        calls = []
-        kernel = cir._tensor_apply
-
-        def counting(vec, local, axes, work):
-            calls.append((vec.shape, local.shape, axes))
-            kernel(vec, local, axes, work)
-
-        monkeypatch.setattr(cir, "_tensor_apply", counting)
+    def test_fused_walk_steps_at_width_7(self, monkeypatch):
+        calls = self.record_steps(monkeypatch, lambda cur, local, axes: (cur.size, local.shape, axes))
         # folded gates (0,1) (1,2) (2,3), then (5,6) (4,5) and the trailing rx on 6:
         # (5,6) would widen the first block to 6 qubits, so it starts a second
         c = Circuit(7).extend([
@@ -316,17 +317,17 @@ class TestDensityAndNoise:
         ])
         folded = [((4, 4), (0, 1)), ((4, 4), (1, 2)), ((4, 4), (2, 3)), ((4, 4), (5, 6)), ((4, 4), (4, 5)), ((2, 2), (6,))]
         # one-column walks and batches narrower than a block's identity are not
-        # fused: one call per folded gate
+        # fused: one step per folded gate
         for batch in (zero_state(7), np.eye(128, 16, dtype=complex)):
             calls.clear()
             apply_statevector(c, batch)
-            assert calls == [(batch.shape, shape, axes) for shape, axes in folded]
+            assert calls == [(batch.size, shape, axes) for shape, axes in folded]
         # a 32-column walk builds each block on its identity, on the block's
-        # sorted qubits (0..3 and 4..6), then makes one call per block
-        build = [((16, 16), shape, axes) for shape, axes in folded[:3]] + [
-            ((8, 8), (4, 4), (1, 2)), ((8, 8), (4, 4), (0, 1)), ((8, 8), (2, 2), (2,)),
+        # sorted qubits (0..3 and 4..6), then takes one step per block
+        build = [(16 * 16, shape, axes) for shape, axes in folded[:3]] + [
+            (8 * 8, (4, 4), (1, 2)), (8 * 8, (4, 4), (0, 1)), (8 * 8, (2, 2), (2,)),
         ]
-        replay = [((128, 32), (16, 16), (0, 1, 2, 3)), ((128, 32), (8, 8), (4, 5, 6))]
+        replay = [(128 * 32, (16, 16), (0, 1, 2, 3)), (128 * 32, (8, 8), (4, 5, 6))]
         calls.clear()
         apply_statevector(c, np.eye(128, 32, dtype=complex))
         assert calls == build + replay
@@ -669,9 +670,9 @@ class TestIndependentOracle:
         # widths 6-8 exceed _FUSE_QUBITS, so walks of 32 or more columns replay fused blocks
         rng = np.random.default_rng(120 + 10 * n_system + n_ancilla)
         c = oracle_circuit(n_system, n_ancilla, 300, rng)
-        program, _ = cir._compile(c, fuse=True)
+        steps, _, _ = cir._compile(c, columns=2**cir._FUSE_QUBITS)
         assert c.width > cir._FUSE_QUBITS and len(c) >= 300
-        assert sum(len(axes) > 2 for _, axes in program) >= 3
+        assert sum(len(axes) > 2 for _, axes, _ in steps) >= 3
         u = ref_unitary(c)
         assert np.abs(circuit_unitary(c) - u).max() < 1e-12
         for columns in (3, 2**cir._FUSE_QUBITS):  # unfused, fused
@@ -686,8 +687,8 @@ class TestIndependentOracle:
         # two 5-qubit blocks of three equal CZ matrices each, on different
         # relative axes: a block is reused only when its axes match too
         c = Circuit(7).extend([cz(0, 1), cz(0, 2), cz(3, 4), cz(5, 6), cz(4, 5), cz(2, 3)])
-        program, _ = cir._compile(c, fuse=True)
-        assert [axes for _, axes in program] == [(0, 1, 2, 3, 4), (2, 3, 4, 5, 6)]
+        steps, _, _ = cir._compile(c, columns=2**cir._FUSE_QUBITS)
+        assert [axes for _, axes, _ in steps] == [(0, 1, 2, 3, 4), (2, 3, 4, 5, 6)]
         assert np.abs(circuit_unitary(c) - ref_unitary(c)).max() < 1e-12
 
     def test_width_two_pair_is_whole_register(self):
@@ -845,3 +846,214 @@ class TestChannelAndReadoutInput:
     def test_sampling_rejects_zero_trace(self):
         with pytest.raises(ValueError):
             sample_pauli_measurement(np.zeros((4, 4), dtype=complex), PauliString("Z"), 10, 0, 1)
+
+
+class TestWalkInput:
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (2,), (8,), (2, 4), (), (1, 4)])
+    def test_apply_statevector_rejects_other_shapes(self, shape):
+        c = Circuit(2).extend([had(0), cz(0, 1)])
+        with pytest.raises(ValueError):
+            apply_statevector(c, np.ones(shape, dtype=complex))
+
+    def test_apply_statevector_accepts_states_and_batches(self):
+        c = Circuit(2).extend([had(0), cz(0, 1)])
+        u = ref_unitary(c)
+        for state in (np.ones(4, dtype=complex), np.ones((4, 3), dtype=complex), np.ones((4, 1)), [1, 0, 0, 0]):
+            out = apply_statevector(c, state)
+            assert out.shape == np.shape(state)
+            assert np.abs(out - u @ np.asarray(state)).max() < 1e-12
+
+    @pytest.mark.parametrize("psi", [np.ones(3), np.ones(6), np.ones(0), np.ones((2, 2)), np.array(1.0)])
+    def test_with_ancilla_zero_rejects_non_power_of_two_states(self, psi):
+        with pytest.raises(ValueError):
+            with_ancilla_zero(psi, 1)
+
+    def test_with_ancilla_zero_layout(self):
+        psi = random_state(2)
+        full = with_ancilla_zero(psi, 2)
+        assert full.shape == (16,) and np.array_equal(full[:4], psi) and not full[4:].any()
+        assert np.array_equal(with_ancilla_zero(np.ones(1), 0), np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit oracle: the gather/product/scatter walk.  Each operation is
+# applied by gathering its axes to the front of a copy, one product, and
+# scattering the result back into place, with the plan rebuilt per call.
+# The planned replay runs the same products on the same operands, so every
+# simulator must return the same bits.
+# ---------------------------------------------------------------------------
+
+def tensor_apply_oracle(vec, local, axes, work):
+    """The gather/product/scatter kernel: local on the given binary axes of a
+    C-contiguous (2^m,) or (2^m, B) array, in place; work has twice vec's size."""
+    dims, pos = [], {}
+    prev = 0
+    for q in sorted(axes):
+        dims += [2 ** (q - prev), 2]
+        pos[q] = len(dims) - 1
+        prev = q + 1
+    dims.append(vec.size >> prev)
+    k = len(axes)
+    src = [pos[q] for q in axes]
+    order = src + [i for i in range(len(dims)) if i not in src]
+    moved = vec.reshape(dims).transpose(order)
+    cols = vec.size >> k
+    gathered = work[: vec.size].reshape(moved.shape)
+    np.copyto(gathered, moved)
+    res = work[vec.size:].reshape(2**k, cols)
+    np.dot(local, gathered.reshape(2**k, cols), out=res)
+    np.copyto(moved, res.reshape(moved.shape))
+
+
+def fuse_oracle(program):
+    """The greedy fusion into blocks of at most _FUSE_QUBITS qubits, each
+    block built by the gather/product/scatter kernel on its identity."""
+    blocks = []
+    for op in program:
+        if blocks and len(blocks[-1][0].union(op[1])) <= cir._FUSE_QUBITS:
+            blocks[-1][0].update(op[1])
+            blocks[-1][1].append(op)
+        else:
+            blocks.append((set(op[1]), [op]))
+    fused = []
+    for qubits, members in blocks:
+        if len(members) == 1:
+            fused += members
+            continue
+        qubits = tuple(sorted(qubits))
+        index = {q: i for i, q in enumerate(qubits)}
+        m = np.eye(2 ** len(qubits), dtype=complex)
+        work = np.empty(2 * m.size, dtype=complex)
+        for local, axes in members:
+            tensor_apply_oracle(m, local, tuple(index[q] for q in axes), work)
+        fused.append((m, qubits))
+    return fused
+
+
+def walk_oracle(circuit, initial, p_pair=0.0):
+    """cir._walk without a carried layout, on the operations of the same
+    compile: rho interleaved by a transposed copy, a gather/product/scatter
+    call per basis change and per operation, and the interleave undone."""
+    w = circuit.width
+    density = p_pair > 0.0
+    columns = 1 if np.ndim(initial) == 1 else np.shape(initial)[1]
+    steps, _, phase = cir._compile(circuit, p_pair)
+    program = [(local, axes) for local, axes, _ in steps]
+    if not density and columns >= 2**cir._FUSE_QUBITS and w > cir._FUSE_QUBITS:
+        program = fuse_oracle(program)
+    if density:
+        program = program[w:len(program) - w]
+        n, bits = 4**w, [2] * (2 * w)
+        interleave = [a for q in range(w) for a in (q, w + q)]
+        out = np.empty(n, dtype=complex)
+        np.copyto(out.reshape(bits), np.asarray(initial).reshape(bits).transpose(interleave))
+        work = np.empty(2 * n, dtype=complex)
+        basis, basis_inv = cir._PAULI_BASIS[4]
+        for q in range(w):
+            tensor_apply_oracle(out, basis, (2 * q, 2 * q + 1), work)
+        floats = work.view(float)
+        vec, vec_work = floats[:n], floats[n: 3 * n]
+        np.copyto(vec, out.real)
+    else:
+        out = vec = np.array(initial, dtype=complex, order="C")
+        vec_work = np.empty(2 * out.size, dtype=complex)
+    for local, axes in program:
+        tensor_apply_oracle(vec, local, axes, vec_work)
+    if density:
+        np.copyto(out, vec)
+        for q in range(w):
+            tensor_apply_oracle(out, basis_inv, (2 * q, 2 * q + 1), work)
+        np.copyto(work[:n], out)
+        np.copyto(out.reshape(bits), work[:n].reshape(bits).transpose(np.argsort(interleave)))
+        return out.reshape(2**w, 2**w)
+    if phase != 1.0:
+        np.multiply(phase, out, out=out)
+    return out
+
+
+def depolarize_pair_oracle(rho, q0, q1, p, width):
+    out = np.array(rho, dtype=complex, order="C")
+    work = np.empty(2 * out.size, dtype=complex)
+    tensor_apply_oracle(out, cir._depolarizing(p), (q0, q1, width + q0, width + q1), work)
+    return out
+
+
+def walk_outputs(c, rng):
+    """Every simulator's output on c: statevector, batches below and at the
+    fusion width, the dense unitary, encoded_block, and rho under each noise."""
+    w = c.width
+    psi = random_state(w, rng)
+    rho = random_density(w, rng)
+    out = {
+        "statevector": apply_statevector(c, psi),
+        "batch 3": apply_statevector(c, np.stack([random_state(w, rng) for _ in range(3)], axis=1)),
+        "batch 40": apply_statevector(c, rng.normal(size=(2**w, 40)) + 1j * rng.normal(size=(2**w, 40))),
+        "unitary": circuit_unitary(c),
+        "encoded block": encoded_block(c),
+        "pure rho": apply_density(c, density_from_state(psi)),
+    }
+    for noise in NOISES:
+        out[noise] = apply_density(c, rho, noise)
+    return out
+
+
+class TestPlannedReplay:
+    """The carried-layout replay against the gather/product/scatter oracle, bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(c, seed, monkeypatch):
+        planned = walk_outputs(c, np.random.default_rng(seed))
+        monkeypatch.setattr(cir, "_walk", walk_oracle)
+        oracle = walk_outputs(c, np.random.default_rng(seed))
+        monkeypatch.undo()
+        assert planned.keys() == oracle.keys()
+        for name in planned:
+            assert np.array_equal(planned[name], oracle[name]), name
+
+    @pytest.mark.parametrize("n_system,n_ancilla", [(3, 0), (2, 2), (3, 2), (4, 2), (4, 3)])
+    def test_random_circuits(self, n_system, n_ancilla, monkeypatch):
+        # random pairs on a register of width 3-7, many of them off its most significant qubit
+        rng = np.random.default_rng(200 + 10 * n_system + n_ancilla)
+        c = oracle_circuit(n_system, n_ancilla, 40 * (n_system + n_ancilla), rng)
+        assert sum(min(g.qubits) > 0 for g in c.gates if len(g.qubits) == 2) >= 5
+        self.assert_bit_identical(c, n_system + n_ancilla, monkeypatch)
+
+    def test_qsp_circuit(self, monkeypatch):
+        # the 3-site chain's LCU encoding (a = 4, width 7) at d = 2
+        h = build_ising_chain(3, 1.0, [0.7, 1.1, 0.9], 0.3)
+        w = build_lcu_circuit(lcu_plan(rescale(h, triangle_bounds(h)).h_tilde)).circuit
+        c = decompose(qsp_circuit(w, np.array([0.4, -1.3])))
+        assert c.width == 7 and count_two_qubit_gates(c) > 200
+        self.assert_bit_identical(c, 7, monkeypatch)
+
+    def test_depolarize_pair(self):
+        rng = np.random.default_rng(201)
+        for width, pair in ((2, (1, 0)), (4, (1, 2)), (5, (3, 1))):
+            rho = random_density(width, rng)
+            out = depolarize_pair(rho, *pair, 0.3, width)
+            assert np.array_equal(out, depolarize_pair_oracle(rho, *pair, 0.3, width))
+
+    def test_leading_axes_make_no_copy(self, monkeypatch):
+        # the walk starts in the register's own order: (0, 1) leads twice, (1, 0)
+        # leads in the other order and (1, 2) not at all, so each of them is
+        # copied to the front; the second (1, 2) then leads
+        c = Circuit(3).extend([cz(0, 1), rzz(0, 1, 0.3), cz(1, 0), had(2), rzz(1, 2, 0.5), cz(1, 2)])
+        steps, finish, _ = cir._compile(c)
+        assert [(axes, copy is None) for _, axes, copy in steps] == [
+            ((0, 1), True), ((0, 1), True), ((1, 0), False), ((1, 2), False), ((1, 2), True),
+        ]
+        assert finish is not None  # the layout ends as (1, 2, 0)
+        copies = []
+        copyto = np.copyto
+
+        def counting(dst, src, *args, **kwargs):
+            copies.append(dst.size)
+            copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", counting)
+        psi = random_state(3)
+        out = apply_statevector(c, psi)
+        monkeypatch.undo()
+        # the input's load, the two steps' copies and the final copy back
+        assert copies == [8, 8, 8, 8]
+        assert np.array_equal(out, walk_oracle(c, psi))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -99,13 +100,13 @@ class TestPlan:
     def test_single_term(self):
         plan = lcu_plan(PauliSum(1).add(1.0, "X"))
         assert plan.a == 0 and plan.c == 1.0
-        assert plan.paulis == [PauliString("X")] and plan.signs == [1]
+        assert plan.paulis == (PauliString("X"),) and plan.signs == (1,)
 
     def test_padded_four_site(self):
         plan = lcu_plan(ising4_rescaled(), pad_equal_weights=True)
         assert plan.a == 3 and plan.k == 8
         assert np.allclose(plan.prep_amplitudes, 1 / np.sqrt(8))
-        assert plan.signs[:4] == [1] * 4 and plan.signs[4:] == [-1] * 4
+        assert plan.signs[:4] == (1,) * 4 and plan.signs[4:] == (-1,) * 4
         assert sum(p.is_identity for p in plan.paulis) == 4
         assert plan.c == pytest.approx(1.0)
         assert abs(plan.prep_amplitudes @ plan.prep_amplitudes - 1.0) < 1e-12
@@ -114,7 +115,7 @@ class TestPlan:
         h = PauliSum(1).add(0.5, "X").add(-0.5, "Z")
         plan = lcu_plan(h)
         assert np.allclose(plan.prep_amplitudes, [1 / np.sqrt(2)] * 2)
-        assert plan.signs == [1, -1]
+        assert plan.signs == (1, -1)
         assert plan.c == pytest.approx(1.0)
 
     def test_zero_norm_rejected(self):
@@ -131,6 +132,23 @@ class TestPlan:
 
     def test_numpy_integer_fields_accepted(self):
         plan = LCUPlan(**{**K2, "a": np.int64(1), "signs": [np.int64(1), np.int32(-1)]})
+        assert np.allclose(circuit_unitary(naive_select_circuit(plan)), dense_select(plan), atol=1e-12)
+
+    def test_built_plan_cannot_be_mutated(self):
+        # a plan is checked once, when it is built, so nothing may change it afterwards
+        fields = {**K2, "signs": list(K2["signs"]), "paulis": list(K2["paulis"])}
+        plan = LCUPlan(**fields)
+        fields["signs"].append(1)  # the plan keeps copies of its inputs
+        fields["paulis"].append(PauliString("Y"))
+        assert plan.signs == (1, -1) and plan.paulis == (PauliString("X"), PauliString("Z"))
+        with pytest.raises(AttributeError):
+            plan.signs.append(1)
+        with pytest.raises(AttributeError):
+            plan.paulis.append(PauliString("ZZ"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.signs = [1, -1, 1]
+        with pytest.raises(ValueError):
+            plan.prep_amplitudes[0] = 1.0
         assert np.allclose(circuit_unitary(naive_select_circuit(plan)), dense_select(plan), atol=1e-12)
 
 

@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qsp_lab import qsp
+from qsp_lab.circuits import Circuit, aphase, count_two_qubit_gates, decompose, had
+from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan
+from qsp_lab.operators import build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import (
     QSPPhases,
     _f_and_jacobian,
     _f_values,
     _lm,
     optimize_phases,
+    qsp_circuit,
     qsp_scalar_unitary,
     validate_qsp_polynomial,
 )
@@ -187,6 +191,8 @@ def test_malformed_phases_rejected(phases):
         qsp_scalar_unitary(0.5, phases)
     with pytest.raises(ValueError):
         QSPPhases(phases, 1.0, (0.0, 1.0), 0.1)
+    with pytest.raises(ValueError):
+        qsp_circuit(Circuit(1, 1).append(had(0)), phases)
 
 
 def test_integer_phases_accepted():
@@ -295,3 +301,33 @@ def lp_lower_bound(d, t, interval, angles=16):
 def test_designer_epsilon_above_lp_lower_bound(d, t, interval):
     bound = lp_lower_bound(d, t, interval)
     assert 0.0 < bound <= DESIGNER_EPSILON[d, t, interval]
+
+
+# the 2-site chain's exact LCU encoding: W is a reflection with a = 3 ancillas
+TWO_SITE = build_ising_chain(2, 1.0, [0.7, 1.1], 0.3)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_qsp_circuit_block_is_f_of_the_encoded_block(d):
+    h_tilde = rescale(TWO_SITE, triangle_bounds(TWO_SITE)).h_tilde
+    w = build_lcu_circuit(lcu_plan(h_tilde)).circuit
+    phases = optimize_phases(d, 1.0)
+    circuit = qsp_circuit(w, phases)
+    lam, vecs = np.linalg.eigh(encoded_block(w))
+    f = np.array([qsp_scalar_unitary(x, phases)[0, 0] for x in lam])
+    assert np.abs(encoded_block(circuit) - (vecs * f) @ vecs.conj().T).max() < 1e-10
+    n_w = count_two_qubit_gates(decompose(w))
+    n_aphase = count_two_qubit_gates(decompose(Circuit(w.n_system, w.n_ancilla).append(aphase(0.3))))
+    assert (n_w, n_aphase) == (46, 5)
+    assert count_two_qubit_gates(decompose(circuit)) == d * (n_w + n_aphase)
+
+
+def test_qsp_circuit_application_order():
+    w = Circuit(1, 1).append(had(0))
+    phases = np.array([0.1, 0.2, 0.3, 0.4])
+    expected = []
+    for phi in (0.4, 0.3, 0.2, 0.1):
+        expected += [had(0), aphase(phi)]
+    assert qsp_circuit(w, phases).gates == expected
+    assert qsp_circuit(w, QSPPhases(phases, 1.0, (0.0, 1.0), 0.1)).gates == expected
+    assert w.gates == [had(0)]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,13 @@ class TestConfigValidation:
         config = OptimizerConfig(max_iters=np.int64(5), init_seed=np.int32(3), restarts=np.int64(1))
         res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, config)
         assert res.evals == len(res.trace) > 0
+
+    def test_config_cannot_be_mutated(self):
+        # a config is checked once, when it is built, so nothing may change it afterwards
+        config = OptimizerConfig(restarts=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.restarts = -1
+        assert config.restarts == 1
 
     @pytest.mark.parametrize("method", ["sgd", "BFGS", ""])
     def test_unknown_method_rejected(self, method):
