@@ -24,16 +24,18 @@ Carried layout.  The walk's array is not put back into register order
 after each operation: it stays in whatever axis order the last operation
 left it in.  At compile time _plan gives each operation its step, which is
 nothing when the operation's axes already lead, in its own order, and
-otherwise one transposing copy into the spare buffer that brings them to
-the front, the other axes keeping their order.  The step's product is one
-np.dot of the unchanged matrix into the other buffer, so the walk holds
-two state-sized buffers, and one final copy restores the start order.  A
-matrix is never re-indexed to match axes that lead in another order; the
-copy is made instead, so each product sums in the order of applying the
-operation in place, and every output is bit for bit that of gathering an
-operation's axes to the front, multiplying and scattering the result back
-(the oracle in tests/test_circuits.py).  A step makes at most one copy
-where that made two, and builds no plan.
+otherwise one axis permutation that brings them to the front, the other
+axes keeping their order: a transposing copy into the spare buffer of the
+state viewed as its binary axes and one trailing column axis.  The step's
+product is one np.dot of the unchanged matrix into the other buffer, so
+the walk holds two state-sized buffers, and one final permutation restores
+the start order.  The plan does not depend on the column count.  A matrix
+is never re-indexed to match axes that lead in another order; the copy is
+made instead, so each product sums in the order of applying the operation
+in place, and every output is bit for bit that of gathering an operation's
+axes to the front, multiplying and scattering the result back (the oracle
+in tests/test_circuits.py).  A step makes at most one copy where that made
+two, and builds no plan.
 
 Fold.  Single-qubit gates are not applied one at a time: each qubit keeps
 a pending run of them, whose 2x2 product is multiplied into the 4x4 of the
@@ -238,41 +240,20 @@ class NoiseModel:
 # Dense application helpers
 # ---------------------------------------------------------------------------
 
-def _relayout(src: tuple[int, ...], dst: tuple[int, ...], columns: int) -> tuple[tuple[int, ...], ...]:
-    """The (dims, order, shape) of one transposing copy,
-    np.copyto(b.reshape(shape), a.reshape(dims).transpose(order)), that takes
-    a flat array a whose binary axes lie in layout src into b in layout dst.
-
-    A layout lists the axis held at each position, most significant first;
-    a batch of columns != 1 is one more axis that stays last.  Axes that are
-    adjacent and in order in both layouts are merged into one, so a copy
-    that moves k axes has at most 2k + 1.
-    """
-    perm = [src.index(a) for a in dst]  # the source position of each destination axis
-    if columns != 1:
-        perm.append(len(src))
-    starts = [0] + [j for j in range(1, len(perm)) if perm[j] != perm[j - 1] + 1]
-    sizes = [2 ** (end - j) for j, end in zip(starts, starts[1:] + [len(perm)])]
-    if columns != 1:
-        sizes[-1] = sizes[-1] // 2 * columns
-    by_source = sorted(range(len(starts)), key=lambda r: perm[starts[r]])
-    order = [0] * len(starts)
-    for i, r in enumerate(by_source):
-        order[r] = i
-    return tuple(sizes[r] for r in by_source), tuple(order), tuple(sizes)
-
-
 def _plan(
-    ops: list[tuple[np.ndarray, tuple[int, ...]]], start: tuple[int, ...], columns: int
+    ops: list[tuple[np.ndarray, tuple[int, ...]]], start: tuple[int, ...]
 ) -> tuple[list[tuple], tuple | None]:
     """Plan the carried layout of a replay (module docstring): the steps
-    (matrix, axes, copy) and the final copy back to the start layout.
+    (matrix, axes, perm) and the perm of the final copy back to the start
+    layout, which lists the binary axis at each position, most significant
+    first.
 
-    A step's copy is None when its axes already lead, in its own order;
-    otherwise it is the _relayout that brings them to the front, the other
-    axes keeping their order.  A matrix is never re-indexed, so every
-    product sums in the order of a gate-by-gate walk.  Plans are memoized
-    on (layout, axes), which the repeated copies of W share.
+    A step's perm is None when its axes already lead, in its own order;
+    otherwise it is the transpose that brings them to the front, the other
+    axes keeping their order and the column axis staying last.  A matrix is
+    never re-indexed, so every product sums in the order of a gate-by-gate
+    walk.  Plans are memoized on (layout, axes), which the repeated copies
+    of W share.
     """
     memo: dict[tuple, tuple] = {}
     layout = start
@@ -280,14 +261,12 @@ def _plan(
     for local, axes in ops:
         key = (layout, axes)
         if key not in memo:
-            if layout[: len(axes)] == axes:
-                memo[key] = None, layout
-            else:
-                moved = axes + tuple(a for a in layout if a not in axes)
-                memo[key] = _relayout(layout, moved, columns), moved
-        copy, layout = memo[key]
-        steps.append((local, axes, copy))
-    return steps, None if layout == start else _relayout(layout, start, columns)
+            moved = axes + tuple(a for a in layout if a not in axes)
+            perm = None if moved == layout else tuple(map(layout.index, moved)) + (len(layout),)
+            memo[key] = perm, moved
+        perm, layout = memo[key]
+        steps.append((local, axes, perm))
+    return steps, None if layout == start else tuple(map(layout.index, start)) + (len(start),)
 
 
 def _replay(
@@ -296,25 +275,26 @@ def _replay(
     """The one kernel: run planned steps on the flat state cur, with spare a
     flat buffer of its size and dtype, and return (the buffer that holds the
     result, the other one); the result is in the start layout when finish
-    is the plan's final copy.
+    is the plan's final perm.
 
-    A step is at most one transposing copy into the other buffer and one
-    np.dot of its matrix into the first; nothing is allocated.  On density-
-    matrix sized arrays fresh temporaries per gate cost more in page faults
-    than the product itself.
+    A step is at most one transposing copy into the other buffer, of the
+    state viewed as (2,) * k + (columns,), and one np.dot of its matrix
+    into the first; nothing is allocated.  On density-matrix sized arrays
+    fresh temporaries per gate cost more in page faults than the product
+    itself.
     """
-    for local, _, copy in steps:
-        if copy is not None:
-            dims, order, shape = copy
-            np.copyto(spare.reshape(shape), cur.reshape(dims).transpose(order))
+    for local, _, perm in steps:
+        if perm is not None:
+            dims = (2,) * (len(perm) - 1) + (-1,)
+            np.copyto(spare.reshape(dims), cur.reshape(dims).transpose(perm))
             cur, spare = spare, cur
         rows = len(local)
         np.dot(local, cur.reshape(rows, -1), out=spare.reshape(rows, -1))
         cur, spare = spare, cur
     if finish is None:
         return cur, spare
-    dims, order, shape = finish
-    np.copyto(spare.reshape(shape), cur.reshape(dims).transpose(order))
+    dims = (2,) * (len(finish) - 1) + (-1,)
+    np.copyto(spare.reshape(dims), cur.reshape(dims).transpose(finish))
     return spare, cur
 
 
@@ -379,11 +359,11 @@ def _compile(
     circuit: Circuit, p_pair: float = 0.0, columns: int = 1
 ) -> tuple[list[tuple], tuple | None, complex]:
     """Fold, memoize and plan the native gate list once (module docstring):
-    the steps and final copy _replay runs on a walk of the given column
-    count, and the scalar phase.
+    the steps and final perm _replay runs, and the scalar phase.
 
-    A walk of at least 2^_FUSE_QUBITS columns on a register wider than
-    _FUSE_QUBITS replays fused blocks (_fuse).  With p_pair > 0 the program
+    The column count only selects fusion: a walk of at least
+    2^_FUSE_QUBITS columns on a register wider than _FUSE_QUBITS replays
+    fused blocks (_fuse).  With p_pair > 0 the program
     walks rho's real Pauli vector: w complex basis changes from rho's own
     axis order, a folded unitary's real Pauli-transfer matrix on its
     qubits' axis pairs per operation, the pair channel's multiplied in
@@ -447,10 +427,10 @@ def _compile(
         basis, basis_inv = _PAULI_BASIS[4]
         pairs = [(2 * q, 2 * q + 1) for q in range(w)]
         program = [(basis, axes) for axes in pairs] + program + [(basis_inv, axes) for axes in pairs]
-        return *_plan(program, start, 1), 1.0
+        return *_plan(program, start), 1.0
     if columns >= 2**_FUSE_QUBITS and w > _FUSE_QUBITS:
         program = _fuse(program)
-    return *_plan(program, tuple(range(w)), columns), phase
+    return *_plan(program, tuple(range(w))), phase
 
 
 def _fuse(program: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
@@ -476,7 +456,7 @@ def _fuse(program: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.nd
             index = {q: i for i, q in enumerate(qubits)}
             dim = 2 ** len(qubits)
             steps, finish = _plan([(local, tuple(index[q] for q in axes)) for local, axes in members],
-                                  tuple(range(len(qubits))), dim)
+                                  tuple(range(len(qubits))))
             m, _ = _replay(steps, finish, np.eye(dim, dtype=complex).reshape(-1), np.empty(dim * dim, dtype=complex))
             m = m.reshape(dim, dim)
             m.setflags(write=False)
@@ -543,7 +523,7 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
         raise ValueError(f"qubits ({q0}, {q1}) are not a distinct pair of a width-{width} register")
     if rho.shape != (2**width, 2**width):
         raise ValueError(f"density matrix of shape {rho.shape} does not match width {width}")
-    steps, finish = _plan([(_depolarizing(p), (q0, q1, width + q0, width + q1))], tuple(range(2 * width)), 1)
+    steps, finish = _plan([(_depolarizing(p), (q0, q1, width + q0, width + q1))], tuple(range(2 * width)))
     out = np.array(rho, dtype=complex).reshape(-1)
     return _replay(steps, finish, out, np.empty_like(out))[0].reshape(rho.shape)
 
@@ -686,10 +666,13 @@ def plus_state(n: int) -> np.ndarray:
 
 def with_ancilla_zero(psi_system: np.ndarray, n_ancilla: int) -> np.ndarray:
     """|0^a> tensor |psi> in the ancilla-first layout; ValueError unless psi
-    is a 1-D state whose length is a power of two."""
+    is a 1-D state whose length is a power of two and n_ancilla a
+    non-negative integer."""
     dim = len(psi_system) if np.ndim(psi_system) == 1 else 0
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"system state of shape {np.shape(psi_system)} is not a (2^n,) state")
+    if not isinstance(n_ancilla, (int, np.integer)) or n_ancilla < 0:
+        raise ValueError(f"n_ancilla must be a non-negative integer, got {n_ancilla!r}")
     full = np.zeros(2**n_ancilla * dim, dtype=complex)
     full[:dim] = psi_system
     return full
@@ -700,8 +683,14 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...], width: int) -> np.ndarray:
-    """Reduced density matrix on the kept qubits (original index order)."""
+    """Reduced density matrix on the kept qubits, indexed in keep's order:
+    keep[0] is the most significant bit of its index.  ValueError when a
+    kept qubit is out of range or repeated, or rho is not (2^w, 2^w)."""
     keep = list(keep)
+    if len(set(keep)) != len(keep) or not all(isinstance(q, (int, np.integer)) and 0 <= q < width for q in keep):
+        raise ValueError(f"keep {tuple(keep)} is not a set of distinct qubits of a width-{width} register")
+    if np.shape(rho) != (2**width, 2**width):
+        raise ValueError(f"density matrix of shape {np.shape(rho)} does not match width {width}")
     drop = [q for q in range(width) if q not in keep]
     perm_half = keep + drop
     perm = perm_half + [width + q for q in perm_half]

@@ -439,27 +439,24 @@ def layer_sweep(
     config: OptimizerConfig | None = None,
 ) -> dict[int, OptimizeResult]:
     """Best epsilon_BE per layer count, warm-starting each depth from the
-    previous optimum padded with zero-angle gates (an exact embedding, so
-    the optimal error is non-increasing in L)."""
+    previous optimum padded with zero-angle layers (an exact embedding, so
+    the optimal error is non-increasing in L); layer_range must be strictly
+    increasing, else ValueError."""
     config = config or OptimizerConfig()
+    depths = list(layer_range)
+    if any(lo >= hi for lo, hi in zip(depths, depths[1:])):
+        raise ValueError(f"layer_range must be strictly increasing, got {depths}")
     results: dict[int, OptimizeResult] = {}
-    prev: OptimizeResult | None = None
     n = h_tilde.n
-    for layers in layer_range:
-        warm = []
-        if prev is not None:
-            warm.append(_pad_layers(prev.theta, AnsatzSpec(n, a, layers - 1), AnsatzSpec(n, a, layers)))
+    for prev, layers in zip([None] + depths, depths):
+        warm = [] if prev is None else [_pad_layers(results[prev].theta, AnsatzSpec(n, a, prev), layers)]
         results[layers] = optimize(h_tilde, n, a, layers, config, initial_thetas=warm)
-        prev = results[layers]
     return results
 
 
-def _pad_layers(theta: np.ndarray, old: AnsatzSpec, new: AnsatzSpec) -> np.ndarray:
-    """Embed an L-layer parameter vector into L+1 layers with zero angles."""
-    if new.layers != old.layers + 1 or new.width != old.width:
-        raise ValueError("padding only supports adding one layer")
-    w = old.width
-    per_layer = 3 * w + (w - 1)
-    head = theta[: old.layers * per_layer]
-    tail = theta[old.layers * per_layer:]
-    return np.concatenate([head, np.zeros(per_layer), tail])
+def _pad_layers(theta: np.ndarray, old: AnsatzSpec, layers: int) -> np.ndarray:
+    """Embed old's parameter vector into `layers` >= old.layers layers: the
+    new layers hold zero angles and come before the final rotations."""
+    per_layer = 4 * old.width - 1  # 3w rotations and w - 1 RZZs
+    cut = old.layers * per_layer
+    return np.concatenate([theta[:cut], np.zeros((layers - old.layers) * per_layer), theta[cut:]])

@@ -863,10 +863,31 @@ class TestWalkInput:
             assert out.shape == np.shape(state)
             assert np.abs(out - u @ np.asarray(state)).max() < 1e-12
 
-    @pytest.mark.parametrize("psi", [np.ones(3), np.ones(6), np.ones(0), np.ones((2, 2)), np.array(1.0)])
-    def test_with_ancilla_zero_rejects_non_power_of_two_states(self, psi):
+    @pytest.mark.parametrize("psi, n_ancilla", [
+        (np.ones(3), 1), (np.ones(6), 1), (np.ones(0), 1), (np.ones((2, 2)), 1), (np.array(1.0), 1),
+        (np.ones(2), -1), (np.ones(2), 1.5), (np.ones(2), 2.0), (np.ones(2), "2"),
+    ])
+    def test_with_ancilla_zero_rejects_non_power_of_two_states(self, psi, n_ancilla):
+        # and ancilla counts that are negative or not integers
         with pytest.raises(ValueError):
-            with_ancilla_zero(psi, 1)
+            with_ancilla_zero(psi, n_ancilla)
+
+    def test_partial_trace_follows_keep_order(self):
+        # |01>: qubit 1 is set, so keep (1, 0) puts the weight at index 0b10
+        rho = density_from_state(np.eye(4, dtype=complex)[1])
+        assert np.array_equal(partial_trace(rho, (0, 1), 2), rho)
+        assert partial_trace(rho, (1, 0), 2)[2, 2] == 1.0
+        assert partial_trace(rho, (1,), 2)[1, 1] == 1.0
+
+    @pytest.mark.parametrize("keep", [(0, 0), (5,), (-1,), (2,), (1.0,)])
+    def test_partial_trace_rejects_bad_qubits(self, keep):
+        with pytest.raises(ValueError, match="keep"):
+            partial_trace(np.eye(4) / 4, keep, 2)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (8,), (16, 16)])
+    def test_partial_trace_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="does not match width"):
+            partial_trace(np.zeros(shape), (0,), 3)
 
     def test_with_ancilla_zero_layout(self):
         psi = random_state(2)
@@ -1036,13 +1057,10 @@ class TestPlannedReplay:
     def test_leading_axes_make_no_copy(self, monkeypatch):
         # the walk starts in the register's own order: (0, 1) leads twice, (1, 0)
         # leads in the other order and (1, 2) not at all, so each of them is
-        # copied to the front; the second (1, 2) then leads
+        # copied to the front; the second (1, 2) then leads.  A copy is one
+        # permutation of the three binary axes and the trailing column axis
         c = Circuit(3).extend([cz(0, 1), rzz(0, 1, 0.3), cz(1, 0), had(2), rzz(1, 2, 0.5), cz(1, 2)])
-        steps, finish, _ = cir._compile(c)
-        assert [(axes, copy is None) for _, axes, copy in steps] == [
-            ((0, 1), True), ((0, 1), True), ((1, 0), False), ((1, 2), False), ((1, 2), True),
-        ]
-        assert finish is not None  # the layout ends as (1, 2, 0)
+        planned = [((0, 1), None), ((0, 1), None), ((1, 0), (1, 0, 2, 3)), ((1, 2), (0, 2, 1, 3)), ((1, 2), None)]
         copies = []
         copyto = np.copyto
 
@@ -1050,10 +1068,16 @@ class TestPlannedReplay:
             copies.append(dst.size)
             copyto(dst, src, *args, **kwargs)
 
-        monkeypatch.setattr(np, "copyto", counting)
-        psi = random_state(3)
-        out = apply_statevector(c, psi)
-        monkeypatch.undo()
-        # the input's load, the two steps' copies and the final copy back
-        assert copies == [8, 8, 8, 8]
-        assert np.array_equal(out, walk_oracle(c, psi))
+        # a state and a 3-column batch take the same steps
+        for columns in (1, 3):
+            steps, finish, _ = cir._compile(c, columns=columns)
+            assert [(axes, perm) for _, axes, perm in steps] == planned
+            assert finish == (2, 0, 1, 3)  # the layout ends as (1, 2, 0)
+            psi = random_state(3) if columns == 1 else np.stack([random_state(3) for _ in range(columns)], axis=1)
+            copies.clear()
+            monkeypatch.setattr(np, "copyto", counting)
+            out = apply_statevector(c, psi)
+            monkeypatch.undo()
+            # the input's load, the two steps' copies and the final copy back
+            assert copies == [8 * columns] * 4
+            assert np.array_equal(out, walk_oracle(c, psi))

@@ -273,6 +273,20 @@ class TestLayerSweep:
         for lo, hi in zip(eps[1:], eps[:-1]):
             assert lo <= hi + 1e-3
 
+    def test_skipped_depth_is_warm_started(self):
+        # the 2-site chain on a = 1: L = 3 starts from L = 1's optimum padded
+        # with two zero-angle layers, so it can only do better
+        h = build_ising_chain(2, 1.0, [0.7, 1.1], 0.3)
+        ht = rescale(h, triangle_bounds(h), 0.0, 1.0).h_tilde
+        results = layer_sweep(ht, a=1, layer_range=[1, 3], config=OptimizerConfig(restarts=1, max_iters=30))
+        assert results.keys() == {1, 3}
+        assert results[3].epsilon_be <= results[1].epsilon_be + 1e-12
+
+    @pytest.mark.parametrize("layer_range", [[2, 1], [1, 1]])
+    def test_layer_range_not_increasing_rejected(self, layer_range):
+        with pytest.raises(ValueError, match="layer_range"):
+            layer_sweep(ising3_rescaled(), a=1, layer_range=layer_range)
+
 
 class TestConfigValidation:
     def test_negative_restarts_rejected(self):
