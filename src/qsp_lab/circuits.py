@@ -8,14 +8,14 @@ A gate is its kind, its qubits and its angle.  Native gate set: RX, RZ,
 RZZ, CZ, HAD, plus a bookkeeping GPHASE that carries the global phase exact
 synthesis requires.  APHASE, the ancilla-register phase
 exp(i*phi*(2|0..0><0..0| - 1)), is the one structural gate: decompose()
-is its only definition, expanding it into the native set, and the
-simulators run a circuit that holds one through decompose().
+is its only definition, and every walk and count_two_qubit_gates read a
+circuit that holds one as its decomposition, bit for bit (_native).
 
 Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
 state by I/4.  Single-qubit gates are noiseless.
 
-apply_statevector, circuit_unitary, lcu.encoded_block, apply_density and
+apply_statevector, circuit_unitary, encoded_block, apply_density and
 depolarize_pair share one walk in two steps: _compile turns the gate list
 once into a planned program of (matrix, axes) operations, and the one
 kernel, _replay, runs it.
@@ -94,20 +94,17 @@ r_I = Tr(rho) is carried untouched.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DecompositionRequiredError, DimensionError
-from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString
+from .errors import DimensionError
+from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString, _finite_real
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("APHASE",)
 # gate kind -> the length of its qubit list; GPHASE and APHASE act on whole registers
 _ARITY = {"RX": 1, "RZ": 1, "HAD": 1, "RZZ": 2, "CZ": 2, "GPHASE": 0, "APHASE": 0}
-# the types a gate angle may have (np.float64 is a float); a type test is cheap on the compile path
-_REAL_TYPES = (float, int, np.floating, np.integer)
 
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -138,7 +135,7 @@ class Gate:
             raise ValueError(f"qubit indices must be integers, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
-        if not (isinstance(self.angle, _REAL_TYPES) and math.isfinite(self.angle)):
+        if not _finite_real(self.angle):
             raise ValueError(f"gate angle must be a finite real number, got {self.angle!r}")
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} qubit indices, got {self.qubits}")
@@ -313,9 +310,7 @@ def _gate_local(gate: Gate) -> tuple[np.ndarray | None, tuple[int, ...], complex
         return np.diag([e.conjugate(), e, e, e.conjugate()]), gate.qubits, 1.0
     if kind == "CZ":
         return _CZ, gate.qubits, 1.0
-    if kind == "GPHASE":
-        return None, (), np.exp(1j * gate.angle)
-    raise DecompositionRequiredError(f"{kind} is not a native gate; decompose the circuit first")
+    return None, (), np.exp(1j * gate.angle)  # GPHASE
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -368,11 +363,9 @@ def _compile(
     axis order, a folded unitary's real Pauli-transfer matrix on its
     qubits' axis pairs per operation, the pair channel's multiplied in
     after every RZZ/CZ, and w basis changes back; the phase is then 1.
-    The matrices are read-only.  A structural gate is compiled as
-    decompose(circuit).
+    The matrices are read-only.  The gate list compiled is _native's.
     """
-    if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
-        circuit = decompose(circuit)
+    circuit = _native(circuit)
     channel = _pauli_transfer(_depolarizing(p_pair)) if p_pair > 0.0 else None
     gate_ids: dict[tuple, int] = {}
     entries: list[tuple[np.ndarray | None, tuple[int, ...], complex]] = []  # _gate_local of each id
@@ -504,12 +497,25 @@ def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return _walk(circuit, state)
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (desk-scale oracle): the walk of the
-    identity's 2^w columns, fused above _FUSE_QUBITS (module docstring)."""
+def _identity_columns(circuit: Circuit, k: int) -> np.ndarray:
+    """The walk of the identity's first k columns, (2^w, k); a width above
+    the dense cap raises DimensionError before anything is allocated."""
     if circuit.width > MAX_DENSE_QUBITS:
         raise DimensionError(f"width {circuit.width} exceeds the dense cap of {MAX_DENSE_QUBITS}")
-    return _walk(circuit, np.eye(2**circuit.width, dtype=complex))
+    return _walk(circuit, np.eye(2**circuit.width, k, dtype=complex))
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Dense unitary of the whole circuit (desk-scale oracle): all 2^w
+    identity columns, fused above _FUSE_QUBITS (module docstring)."""
+    return _identity_columns(circuit, 2**circuit.width)
+
+
+def encoded_block(circuit: Circuit) -> np.ndarray:
+    """(<0^a| x I) U (|0^a> x I) as a dense matrix: only the 2^n ancilla-zero
+    columns of U are walked.  Widths above the dense cap raise DimensionError."""
+    dim = 2**circuit.n_system
+    return _identity_columns(circuit, dim)[:dim]
 
 
 def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> np.ndarray:
@@ -542,7 +548,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     per_gate_depolarizing attaches a two-qubit depolarizing channel after
     every RZZ and CZ; global_depolarizing applies one channel at the end
     with p = 1-(1-p_tq)^N_TQ; p_tq = 0 (the default NoiseModel()) is exact
-    conjugation.
+    conjugation.  Every mode evolves an APHASE circuit as its decomposition.
 
     Per-gate noise walks rho's real Pauli coefficients Tr(P rho), so the
     result is exactly Hermitian and keeps Tr(rho) to roundoff of the final
@@ -555,9 +561,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
         raise ValueError(f"density matrix of shape {rho.shape} does not match width {circuit.width}")
     if not _is_hermitian(rho):
         raise ValueError("density matrix must be Hermitian and finite")
-    noisy = noise.p_tq > 0.0
-    if noisy and any(g.kind in STRUCTURAL_KINDS for g in circuit.gates):
-        raise DecompositionRequiredError("noisy simulation needs a decomposed circuit")
+    circuit, noisy = _native(circuit), noise.p_tq > 0.0
     if noisy and noise.mode == "per_gate_depolarizing":
         return _walk(circuit, rho, p_pair=noise.p_tq)
     lam, vecs = np.linalg.eigh(rho)
@@ -571,11 +575,8 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
 
 
 def count_two_qubit_gates(circuit: Circuit) -> int:
-    """Count RZZ and CZ gates; the circuit must be fully decomposed."""
-    for g in circuit.gates:
-        if g.kind in STRUCTURAL_KINDS:
-            raise DecompositionRequiredError(f"{g.kind} must be decomposed before counting")
-    return sum(1 for g in circuit.gates if g.kind in ("RZZ", "CZ"))
+    """Count RZZ and CZ gates, an APHASE gate's as decompose() expands it."""
+    return sum(1 for g in _native(circuit).gates if g.kind in ("RZZ", "CZ"))
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +655,11 @@ def decompose(circuit: Circuit) -> Circuit:
         else:
             out.append(g)
     return out
+
+
+def _native(circuit: Circuit) -> Circuit:
+    """The circuit, or decompose(circuit) when it holds a structural gate."""
+    return decompose(circuit) if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates) else circuit
 
 
 # ---------------------------------------------------------------------------

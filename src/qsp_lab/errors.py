@@ -13,9 +13,5 @@ class DegenerateSpectrumError(NumericalError):
     """Spectral bounds coincide; rescaling is undefined."""
 
 
-class DecompositionRequiredError(Exception):
-    """Operation needs a circuit decomposed into native gates."""
-
-
 class OptimizationError(NumericalError):
     """Optimizer hit a non-finite cost or diverged."""

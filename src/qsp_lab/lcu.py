@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as cir
-from .circuits import Circuit, Gate, _cx, _pauli_x, _phase1q, gphase, had, mcphase, rx, rz
-from .errors import DimensionError
-from .operators import MAX_DENSE_QUBITS, PauliString, PauliSum
+from .circuits import Circuit, Gate, _cx, _pauli_x, _phase1q, encoded_block, gphase, had, mcphase, rx, rz
+from .operators import PauliString, PauliSum
 
 _ANGLE_TOL = 1e-12
 
@@ -96,16 +95,6 @@ class BlockEncoding:
     @property
     def n_system(self) -> int:
         return self.circuit.n_system
-
-
-def encoded_block(circuit: Circuit) -> np.ndarray:
-    """(<0^a| x I) U (|0^a> x I) as a dense matrix: only the 2^n ancilla-zero
-    columns of U are walked.  Widths above the dense cap raise DimensionError,
-    as circuit_unitary does."""
-    if circuit.width > MAX_DENSE_QUBITS:
-        raise DimensionError(f"width {circuit.width} exceeds the dense cap of {MAX_DENSE_QUBITS}")
-    dim = 2**circuit.n_system
-    return cir.apply_statevector(circuit, np.eye(2**circuit.width, dim, dtype=complex))[:dim]
 
 
 def lcu_plan(h_tilde: PauliSum, pad_equal_weights: bool = False) -> LCUPlan:

@@ -7,6 +7,7 @@ matrices verifiable by direct diagonalization.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,8 @@ import numpy as np
 from .errors import DegenerateSpectrumError, DimensionError
 
 MAX_DENSE_QUBITS = 12
+# the types a real input may have (np.float64 is a float); a type test is cheap where gates are built
+_REAL_TYPES = (float, int, np.floating, np.integer)
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -21,6 +24,11 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _finite_real(x) -> bool:
+    """True when x is a finite float, int, numpy floating or numpy integer."""
+    return isinstance(x, _REAL_TYPES) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -81,13 +89,13 @@ class PauliSum:
     def _check_term(self, coeff: float, ps: PauliString) -> None:
         if ps.n != self.n:
             raise ValueError(f"term {ps} does not act on {self.n} qubits")
-        if not np.isfinite(coeff):
-            raise ValueError("coefficients must be finite reals")
+        if not _finite_real(coeff):
+            raise ValueError(f"coefficients must be finite reals, got {coeff!r}")
 
     def add(self, coeff: float, letters: str) -> "PauliSum":
-        term = (float(coeff), PauliString(letters))
-        self._check_term(*term)
-        self.terms.append(term)
+        ps = PauliString(letters)
+        self._check_term(coeff, ps)
+        self.terms.append((float(coeff), ps))
         return self
 
     def canonicalize(self) -> "PauliSum":
@@ -122,6 +130,9 @@ class SpectralBounds:
     lambda_plus: float
 
     def __post_init__(self):
+        for name in ("lambda_minus", "lambda_plus"):
+            if not _finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
         if self.lambda_minus > self.lambda_plus:
             raise ValueError("lambda_minus must not exceed lambda_plus")
 
@@ -199,8 +210,8 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
 
 def exact_propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition; ground truth everywhere.
-    A non-finite t raises ValueError."""
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    A t that is not a finite real number raises ValueError."""
+    if not _finite_real(t):
+        raise ValueError(f"time must be a finite real number, got {t!r}")
     eigvals, eigvecs = np.linalg.eigh(h.to_matrix())
     return (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T

@@ -44,6 +44,7 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import Circuit, aphase
+from .operators import _finite_real
 
 # optimize_phases fits on _GRID_PER_DEGREE * (d + 1) Chebyshev nodes from
 # _RESTARTS starts (zero phases, then seeded random ones); each distinct
@@ -144,8 +145,8 @@ def qsp_circuit(encoding: Circuit, phases: QSPPhases | np.ndarray) -> Circuit:
     When W is a reflection (W^2 = I), APHASE(phi) acts as S(phi) on each of
     its qubitized 2-D subspaces (Low & Chuang, arXiv:1610.06546), so the
     circuit's ancilla-zero block is f(B), B that of W and f the [0, 0]
-    entry of qsp_scalar_unitary.  The circuit holds the APHASE gates
-    undecomposed.
+    entry of qsp_scalar_unitary.  The APHASE gates stay undecomposed; the
+    simulators and count_two_qubit_gates read them as decompose() does.
     """
     phi = _checked_phases(phases.phases if isinstance(phases, QSPPhases) else phases)
     out = Circuit(encoding.n_system, encoding.n_ancilla)
@@ -185,8 +186,8 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
     wins by (epsilon, phase norm).
     """
     a, b = interval
-    if not np.isfinite(t_tilde):
-        raise ValueError("t_tilde must be finite")
+    if not _finite_real(t_tilde):
+        raise ValueError(f"t_tilde must be a finite real number, got {t_tilde!r}")
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("interval must satisfy 0 <= a < b <= 1")
     if not isinstance(d, (int, np.integer)) or d % 2 != 0 or d < 0:

@@ -62,7 +62,7 @@ import scipy.optimize
 from .circuits import Circuit, Gate, _is_hermitian, cz, rx, rz, rzz
 from .errors import OptimizationError
 from .lcu import BlockEncoding
-from .operators import PauliSum
+from .operators import PauliSum, _finite_real
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,10 @@ def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) ->
 
 
 def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> float:
-    """epsilon_BE^2 = F + Tr(H^2); clipped at zero against roundoff."""
+    """epsilon_BE^2 = F + Tr(H^2); clipped at zero against roundoff.  An F
+    that is not a finite real number raises ValueError."""
+    if not _finite_real(f_value):
+        raise ValueError(f"f_value must be a finite real number, got {f_value!r}")
     h = _hamiltonian(h_tilde)
     tr_h2 = float(np.real(np.trace(h @ h)))
     return float(np.sqrt(max(f_value + tr_h2, 0.0)))

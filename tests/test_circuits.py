@@ -31,7 +31,7 @@ from qsp_lab.circuits import (
     sample_pauli_measurement,
     with_ancilla_zero,
 )
-from qsp_lab.errors import DecompositionRequiredError, DimensionError
+from qsp_lab.errors import DimensionError
 from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan
 from qsp_lab.operators import MAX_DENSE_QUBITS, PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import qsp_circuit
@@ -156,21 +156,45 @@ class TestStructuralGates:
             assert np.allclose(circuit_unitary(dec), ref_unitary(c), atol=1e-10)
 
     def test_simulators_see_only_native_gates(self, monkeypatch):
-        seen = []
-        gate_local = cir._gate_local
+        # every walk builds its gates through _gate_local, and every walk and
+        # the count read their gate list through _native
+        seen, listed = [], []
+        gate_local, native = cir._gate_local, cir._native
 
         def recording(gate):
             seen.append(gate.kind)
             return gate_local(gate)
 
+        def listing(circuit):
+            out = native(circuit)
+            listed.extend(g.kind for g in out.gates)
+            return out
+
         monkeypatch.setattr(cir, "_gate_local", recording)
+        monkeypatch.setattr(cir, "_native", listing)
         c = Circuit(2, 2).extend([had(0), aphase(-0.7), rzz(1, 2, 0.4), aphase(0.3), cz(0, 3)])
         circuit_unitary(c)
         apply_statevector(c, zero_state(4))
-        apply_density(c, density_from_state(zero_state(4)))
+        for noise in NOISES:
+            apply_density(c, density_from_state(zero_state(4)), noise)
         assert seen and set(seen) <= set(NATIVE_KINDS)
-        with pytest.raises(DecompositionRequiredError):
-            gate_local(aphase(0.1))
+        listed.clear()
+        assert count_two_qubit_gates(c) == 4  # each a = 2 APHASE is one pair
+        assert listed and set(listed) <= set(NATIVE_KINDS)
+
+    @pytest.mark.parametrize("n_ancilla", [1, 2, 3])
+    def test_aphase_circuit_runs_as_its_decomposition(self, n_ancilla):
+        # noisy rho in both modes and the encoded block, bit for bit
+        rng = np.random.default_rng(115 + n_ancilla)
+        c = oracle_circuit(2, n_ancilla, 20, rng)
+        for i, phi in ((3, -1.3), (9, 0.61), (len(c.gates), 2.2)):
+            c.gates.insert(i, aphase(phi))
+        native = decompose(c)
+        assert count_two_qubit_gates(c) == count_two_qubit_gates(native)
+        assert np.array_equal(encoded_block(c), encoded_block(native))
+        rho = random_density(c.width, rng)
+        for noise in NOISES[1:]:
+            assert np.array_equal(apply_density(c, rho, noise), apply_density(native, rho, noise)), noise
 
     def test_mcx_and_mcphase(self):
         # CCX truth table
@@ -404,10 +428,10 @@ class TestCounting:
         c = Circuit(3).extend([rzz(0, 1, 0.3), cz(1, 2), had(0), rx(1, 0.2)])
         assert count_two_qubit_gates(c) == 2
 
-    def test_undecomposed_raises(self):
-        c = Circuit(2, 1).append(aphase(0.3))
-        with pytest.raises(DecompositionRequiredError):
-            count_two_qubit_gates(c)
+    def test_aphase_counted_as_decomposed(self):
+        # a = 3: each APHASE decomposes into mcphase on two controls, 5 pairs
+        c = Circuit(2, 3).extend([cz(0, 3), aphase(0.3), rzz(3, 4, 0.2), aphase(-0.8)])
+        assert count_two_qubit_gates(c) == 12 == count_two_qubit_gates(decompose(c))
 
     def test_aphase_cost_pinned(self):
         for a, expect in ((1, 0), (2, 1), (3, 5), (4, 17)):

@@ -70,8 +70,15 @@ class TestPauliSumAdd:
             PauliSum(2).add(1.0, "XYZ")
 
     def test_add_rejects_non_finite_coefficient(self):
-        with pytest.raises(ValueError):
-            PauliSum(1).add(float("nan"), "X")
+        # add and the constructor take finite reals only: a complex one would
+        # make a non-Hermitian matrix
+        for bad in (float("nan"), 1j, None):
+            with pytest.raises(ValueError):
+                PauliSum(1).add(bad, "X")
+            with pytest.raises(ValueError):
+                PauliSum(1, [(bad, PauliString("X"))])
+        assert PauliSum(1).add(np.float64(0.5), "X").terms[0][0] == 0.5
+        assert PauliSum(1, [(np.float32(0.5), PauliString("X"))]).to_matrix()[0, 1] == 0.5
 
 
 class TestBounds:
@@ -96,6 +103,11 @@ class TestBounds:
     def test_exact_zz(self):
         b = exact_extremes(PauliSum(2).add(1.0, "ZZ"))
         assert (b.lambda_minus, b.lambda_plus) == pytest.approx((-1.0, 1.0))
+
+    @pytest.mark.parametrize("bounds", [(np.nan, 1.0), (-1.0, np.inf), (-np.inf, 1.0), (0.0, 1j)])
+    def test_bounds_reject_non_finite(self, bounds):
+        with pytest.raises(ValueError, match="lambda_"):
+            SpectralBounds(*bounds)
 
     def test_triangle_encloses_exact(self):
         for h in (ising3(), ising4()):
@@ -171,6 +183,9 @@ class TestDenseOracles:
         with pytest.raises(DimensionError):
             PauliSum(13).add(1.0, "I" * 13).to_matrix()
 
+    def test_propagator_takes_numpy_time(self):
+        assert np.array_equal(exact_propagator(ising3(), np.float64(0.7)), exact_propagator(ising3(), 0.7))
+
     def test_propagator_t0(self):
         assert np.allclose(exact_propagator(ising3(), 0.0), np.eye(8), atol=1e-12)
 
@@ -191,7 +206,7 @@ class TestDenseOracles:
         ref = scipy.linalg.expm(-1j * 0.7 * h.to_matrix())
         assert np.allclose(u, ref, atol=1e-10)
 
-    @pytest.mark.parametrize("t", [float("nan"), np.inf, -np.inf])
+    @pytest.mark.parametrize("t", [float("nan"), np.inf, -np.inf, pytest.param(1j, id="non-real")])
     def test_propagator_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError):
             exact_propagator(ising3(), t)

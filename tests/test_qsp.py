@@ -77,7 +77,7 @@ def test_scalar_unitary_rejects_non_finite_signal(x):
         qsp_scalar_unitary(x, np.zeros(2))
 
 
-@pytest.mark.parametrize("d, t", [(0, np.nan), (2, np.inf), (2, -np.inf)])
+@pytest.mark.parametrize("d, t", [(0, np.nan), (2, np.inf), (2, -np.inf), pytest.param(2, 1j, id="2-non-real")])
 def test_optimize_phases_rejects_non_finite_time(d, t):
     with pytest.raises(ValueError):
         optimize_phases(d, t)
@@ -91,6 +91,10 @@ def test_optimize_phases_rejects_degree_that_is_not_a_nonnegative_even_integer(d
 
 def test_optimize_phases_accepts_numpy_integer_degree():
     assert optimize_phases(np.int64(2), 1.0).epsilon_poly == optimize_phases(2, 1.0).epsilon_poly
+
+
+def test_optimize_phases_accepts_numpy_float_time():
+    assert optimize_phases(2, np.float64(1.0)).t_tilde == 1.0
 
 
 def _reference_unitary(phi, x, k=None):

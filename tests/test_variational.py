@@ -148,6 +148,11 @@ class TestCostAndDerivatives:
         f_at_exact = -np.trace(h @ h).real
         assert epsilon_be_from_cost(f_at_exact, h) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf])
+    def test_epsilon_be_from_cost_rejects_non_finite_cost(self, f):
+        with pytest.raises(ValueError, match="f_value"):
+            epsilon_be_from_cost(f, np.diag([0.25, 0.75]).astype(complex))
+
     def test_cost_zero_block(self):
         h = np.diag([0.25, 0.75]).astype(complex)
         assert epsilon_be_from_cost(0.0, h) == pytest.approx(np.sqrt(np.trace(h @ h).real))
