@@ -227,8 +227,8 @@ class NoiseModel:
     mode: str = "per_gate_depolarizing"  # per_gate_depolarizing | global_depolarizing
 
     def __post_init__(self):
-        if not 0.0 <= self.p_tq < 1.0:
-            raise ValueError("p_tq must lie in [0, 1)")
+        if not (_finite_real(self.p_tq) and 0.0 <= self.p_tq < 1.0):
+            raise ValueError(f"p_tq must be a real number in [0, 1), got {self.p_tq!r}")
         if self.mode not in ("per_gate_depolarizing", "global_depolarizing"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
@@ -523,8 +523,8 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
 
     Returns a new array; rho is left unchanged.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    if not (_finite_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     if q0 == q1 or not (0 <= q0 < width and 0 <= q1 < width):
         raise ValueError(f"qubits ({q0}, {q1}) are not a distinct pair of a width-{width} register")
     if rho.shape != (2**width, 2**width):
@@ -536,8 +536,8 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
 
 def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """(1-p) rho + p I/dim on the full register."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    if not (_finite_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     dim = rho.shape[0]
     return (1.0 - p) * rho + p * np.eye(dim, dtype=complex) / dim
 

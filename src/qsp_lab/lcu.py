@@ -92,10 +92,6 @@ class BlockEncoding:
     def a(self) -> int:
         return self.circuit.n_ancilla
 
-    @property
-    def n_system(self) -> int:
-        return self.circuit.n_system
-
 
 def lcu_plan(h_tilde: PauliSum, pad_equal_weights: bool = False) -> LCUPlan:
     """Split a Pauli sum into prepare amplitudes, signs, and select branches.

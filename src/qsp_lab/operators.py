@@ -83,6 +83,8 @@ class PauliSum:
     terms: list[tuple[float, PauliString]] = field(default_factory=list)
 
     def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         for coeff, ps in self.terms:
             self._check_term(coeff, ps)
 

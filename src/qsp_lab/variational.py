@@ -40,16 +40,19 @@ Both walks take O(m D 2^n) work and keep (m+1) D 2^n complex numbers,
 299 KB at (n, a, L) = (3, 2, 3).  cost and ansatz_block run the backward
 walk alone, so F from cost and from cost_and_gradient are the same bits.
 Every function that takes the target H raises ValueError unless H is
-square, finite and Hermitian, and (2^n, 2^n) wherever the ansatz fixes n.  The Hessian alone walks the full
-prefixes, P_{j+1} = V_j P_j, and keeps the stack A_j = P_j^dag g_j P_j
-(V = P_m): dV_j = -i/2 V A_j and d2V_jk = -1/4 V A_hi A_lo
-(hi = max(j, k), lo = min(j, k)), so dW_j = -i/2 V [A_j, Z] V^dag and
+square, finite and Hermitian, and (2^n, 2^n) wherever the ansatz fixes n.
+
+The Hessian alone walks the full prefixes, P_{j+1} = V_j P_j, and keeps
+the stack A_j = P_j^dag g_j P_j (V = P_m): dV_j = -i/2 V A_j and
+d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k), lo = min(j, k)), so
+dW_j = -i/2 V [A_j, Z] V^dag and
 d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag,
 and the Hessian is pair traces over the stack.  The stack holds m * 4^w
 complex numbers: 1.2 MB at (n, a, L) = (3, 2, 3), about 120 MB at width 8
 with L = 3.
-Optimizers: BFGS (default) and Newton with an eigenvalue-cutoff
-pseudo-inverse.
+
+Optimizers: scipy's BFGS (default) and its trust-region Newton method
+("trust-exact") on the exact Hessian.
 """
 from __future__ import annotations
 
@@ -93,20 +96,19 @@ class AnsatzSpec:
 
 
 _GRAD_NORM_THRESHOLD = 1e-5  # converged below this gradient norm
-_HESSIAN_EIGEN_CUTOFF = 1e-5  # Newton inverts only curvature at or above this
-_NEWTON_FALLBACK_STEP = 0.05  # gradient step size when Newton finds no usable curvature
+_METHODS = {"bfgs": "BFGS", "newton": "trust-exact"}  # OptimizerConfig.method -> scipy method
 _INIT_SCALE = 0.1  # half-width of the uniform draw of a random restart
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "bfgs"  # bfgs | newton
+    method: str = "bfgs"  # bfgs | newton (trust-region Newton on the exact Hessian)
     max_iters: int = 2000
     init_seed: int = 0
     restarts: int = 10
 
     def __post_init__(self):
-        if self.method not in ("bfgs", "newton"):
+        if self.method not in _METHODS:
             raise ValueError(f"unknown optimizer method {self.method!r}")
         counts = (self.max_iters, self.init_seed, self.restarts)
         if not all(isinstance(k, (int, np.integer)) for k in counts):
@@ -339,26 +341,8 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # ---------------------------------------------------------------------------
-
-def _newton(fun_grad, hess_fun, theta, config):
-    f, g = fun_grad(theta)
-    for _ in range(config.max_iters):
-        if float(np.linalg.norm(g)) < _GRAD_NORM_THRESHOLD:
-            return theta, f, True
-        hmat = hess_fun(theta)
-        mu, vecs = np.linalg.eigh(hmat)
-        inv = np.zeros_like(mu)
-        keep = mu >= _HESSIAN_EIGEN_CUTOFF
-        inv[keep] = 1.0 / mu[keep]
-        step = vecs @ (inv * (vecs.T @ g))
-        if not np.any(keep):  # no usable curvature; fall back to a gradient step
-            step = _NEWTON_FALLBACK_STEP * g
-        theta = theta - step
-        f, g = fun_grad(theta)
-    return theta, f, False
-
 
 def optimize(
     h_tilde: PauliSum | np.ndarray,
@@ -399,20 +383,16 @@ def optimize(
             trace.append(f)
             return f, g
 
-        if config.method == "newton":
-            theta, f, ok = _newton(
-                fun_grad, lambda th: hessian(th, h, spec), theta0, config
-            )
-        else:
-            res = scipy.optimize.minimize(
-                fun_grad,
-                theta0,
-                jac=True,
-                method="BFGS",
-                options={"gtol": _GRAD_NORM_THRESHOLD, "maxiter": config.max_iters},
-            )
-            theta, f = res.x, float(res.fun)
-            ok = bool(res.success) or float(np.linalg.norm(res.jac)) < 10 * _GRAD_NORM_THRESHOLD
+        res = scipy.optimize.minimize(
+            fun_grad,
+            theta0,
+            jac=True,
+            hess=(lambda th: hessian(th, h, spec)) if config.method == "newton" else None,
+            method=_METHODS[config.method],
+            options={"gtol": _GRAD_NORM_THRESHOLD, "maxiter": config.max_iters},
+        )
+        theta, f = res.x, float(res.fun)
+        ok = bool(res.success) or float(np.linalg.norm(res.jac)) < 10 * _GRAD_NORM_THRESHOLD
         evals += len(trace)
         cand = OptimizeResult(theta, epsilon_be_from_cost(f, h), trace, ok)
         if best is None or cand.epsilon_be < best.epsilon_be:

@@ -196,6 +196,11 @@ class TestStructuralGates:
         for noise in NOISES[1:]:
             assert np.array_equal(apply_density(c, rho, noise), apply_density(native, rho, noise)), noise
 
+    def test_mcx_without_controls_is_x(self):
+        # X itself, with no global phase left over from its RX(pi) form
+        u = circuit_unitary(Circuit(2, 0).extend(mcx((), 1)))
+        assert np.allclose(u, np.kron(np.eye(2), [[0, 1], [1, 0]]), rtol=0, atol=1e-15)
+
     def test_mcx_and_mcphase(self):
         # CCX truth table
         c = Circuit(3, 0)
@@ -818,10 +823,15 @@ class TestChannelAndReadoutInput:
         with pytest.raises(ValueError):
             depolarize_pair(self.RHO, 0, 0, 0.5, 2)
 
-    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), 1j])
     def test_depolarize_pair_rejects_probability_outside_unit_interval(self, p):
         with pytest.raises(ValueError):
             depolarize_pair(self.RHO, 0, 1, p, 2)
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), 1j, 0.5 + 0j])
+    def test_global_depolarize_rejects_probability_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"p must be a real number in \[0, 1\]"):
+            global_depolarize(self.RHO, p)
 
     @pytest.mark.parametrize("pair", [(0, 2), (-1, 0)])
     def test_depolarize_pair_rejects_qubit_out_of_range(self, pair):
@@ -833,10 +843,17 @@ class TestChannelAndReadoutInput:
         with pytest.raises(ValueError):
             depolarize_pair(np.ones(shape, dtype=complex), 0, 1, 0.5, 2)
 
-    @pytest.mark.parametrize("p_tq, mode", [(0.1, "none"), (0.0, "none"), (0.1, "global"), (1.0, "global_depolarizing")])
+    @pytest.mark.parametrize("p_tq, mode", [
+        (0.1, "none"), (0.0, "none"), (0.1, "global"), (1.0, "global_depolarizing"),
+        (1j, "per_gate_depolarizing"), (0.1 + 0j, "per_gate_depolarizing"),
+        (float("nan"), "global_depolarizing"), ("0.1", "per_gate_depolarizing"),
+    ])
     def test_noise_model_rejects_unknown_mode_and_probability(self, p_tq, mode):
         with pytest.raises(ValueError):
             NoiseModel(p_tq, mode)
+
+    def test_noise_model_accepts_numpy_float_probability(self):
+        assert NoiseModel(np.float64(1e-3)).p_tq == 1e-3
 
     @pytest.mark.parametrize("shape", [(4, 16), (4, 4, 4)])
     def test_apply_density_rejects_non_square_rho(self, shape):

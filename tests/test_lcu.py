@@ -122,6 +122,17 @@ class TestPlan:
         with pytest.raises(ValueError):
             lcu_plan(PauliSum(1, [(0.0, PauliString("X"))]))
 
+    @pytest.mark.parametrize("terms, message", [
+        ([(0.5, "I")], "at least one non-identity term"),
+        ([(0.5, "X"), (0.25, "Z")], "equal non-identity magnitudes"),
+        ([(0.25, "I"), (0.5, "X")], "not a multiple of the branch weight"),
+        ([(0.5, "X"), (-0.5, "Y"), (0.5, "Z")], "padded branch count 3 is not a power of two"),
+    ], ids=["identity-only", "unequal", "fractional-identity", "three-branches"])
+    def test_padding_that_cannot_equalize_weights_rejected(self, terms, message):
+        h = PauliSum(1, [(c, PauliString(p)) for c, p in terms])
+        with pytest.raises(ValueError, match=message):
+            lcu_plan(h, pad_equal_weights=True)
+
     @pytest.mark.parametrize("bad", BAD_PLANS)
     @pytest.mark.parametrize("build", [multiplexor_compile, naive_select_circuit, build_lcu_circuit])
     def test_malformed_plan_rejected(self, build, bad):

@@ -53,6 +53,16 @@ class TestBuildIsingChain:
         with pytest.raises(ValueError):
             build_ising_chain(2, float("nan"), [1.0, 1.0], 0.0)
 
+    def test_zero_sites_rejected(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            build_ising_chain(0, 1.0, [], 0.0)
+
+
+@pytest.mark.parametrize("letters", ["", "XA", "xz", "Z Z"])
+def test_pauli_string_rejects_bad_letters(letters):
+    with pytest.raises(ValueError, match="invalid Pauli letters"):
+        PauliString(letters)
+
 
 class TestPauliStringSingle:
     def test_qubit_past_end_rejected(self):
@@ -79,6 +89,14 @@ class TestPauliSumAdd:
                 PauliSum(1, [(bad, PauliString("X"))])
         assert PauliSum(1).add(np.float64(0.5), "X").terms[0][0] == 0.5
         assert PauliSum(1, [(np.float32(0.5), PauliString("X"))]).to_matrix()[0, 1] == 0.5
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, "2", None])
+    def test_register_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            PauliSum(n)
+
+    def test_numpy_integer_register_size_accepted(self):
+        assert PauliSum(np.int64(2)).add(1.0, "ZZ").to_matrix().shape == (4, 4)
 
 
 class TestBounds:
@@ -108,6 +126,14 @@ class TestBounds:
     def test_bounds_reject_non_finite(self, bounds):
         with pytest.raises(ValueError, match="lambda_"):
             SpectralBounds(*bounds)
+
+    def test_bounds_reject_reversed_enclosure(self):
+        with pytest.raises(ValueError, match="must not exceed lambda_plus"):
+            SpectralBounds(1.0, -1.0)
+
+    def test_triangle_of_empty_sum_rejected(self):
+        with pytest.raises(ValueError, match="empty Hamiltonian"):
+            triangle_bounds(PauliSum(2))
 
     def test_triangle_encloses_exact(self):
         for h in (ising3(), ising4()):
@@ -163,6 +189,11 @@ class TestRescale:
         h = PauliSum(1).add(1.0, "I")
         with pytest.raises(DegenerateSpectrumError):
             rescale(h, SpectralBounds(1.0, 1.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.8, 0.2), (-0.1, 1.0), (0.0, 1.5)])
+    def test_target_interval_outside_unit_interval_rejected(self, a, b):
+        with pytest.raises(ValueError, match="need 0 <= a < b <= 1"):
+            rescale(ising3(), triangle_bounds(ising3()), a, b)
 
 
 class TestDenseOracles:

@@ -77,6 +77,30 @@ def test_scalar_unitary_rejects_non_finite_signal(x):
         qsp_scalar_unitary(x, np.zeros(2))
 
 
+@pytest.mark.parametrize("x", [1j, 0.5 + 0j, "0.5", None])
+def test_scalar_unitary_rejects_non_real_signal(x):
+    # a complex x must not be read as its real part
+    with pytest.raises(ValueError, match="signal value must be a finite real number"):
+        qsp_scalar_unitary(x, np.zeros(2))
+
+
+@pytest.mark.parametrize("interval", [(0.5, 0.2), (0.3, 0.3), (-0.1, 1.0), (0.0, 1.1), (0.0, 1j), (np.nan, 1.0)])
+def test_optimize_phases_rejects_bad_interval(interval):
+    with pytest.raises(ValueError, match="interval must hold two reals with 0 <= a < b <= 1"):
+        optimize_phases(2, 1.0, interval)
+
+
+def test_degree_zero_design_has_no_phases():
+    # f is the constant 1, so epsilon is max |1 - e^{-ixt}| on the fine grid,
+    # 2 sin(bt/2) at its right end when bt <= pi
+    t, (a, b) = 2.0, (0.1, 0.8)
+    phases = optimize_phases(0, t, (a, b))
+    xv = np.linspace(a, b, 10 * qsp._GRID_PER_DEGREE)
+    assert phases.degree == 0 and phases.phases.shape == (0,)
+    assert phases.epsilon_poly == np.max(np.abs(1.0 - np.exp(-1j * xv * t)))
+    assert phases.epsilon_poly == pytest.approx(2.0 * np.sin(b * t / 2.0), rel=1e-14)
+
+
 @pytest.mark.parametrize("d, t", [(0, np.nan), (2, np.inf), (2, -np.inf), pytest.param(2, 1j, id="2-non-real")])
 def test_optimize_phases_rejects_non_finite_time(d, t):
     with pytest.raises(ValueError):
@@ -202,6 +226,28 @@ def test_malformed_phases_rejected(phases):
 def test_integer_phases_accepted():
     assert np.array_equal(qsp_scalar_unitary(0.5, [0, 1]), qsp_scalar_unitary(0.5, [0.0, 1.0]))
     assert QSPPhases([0, 1], 1.0, (0.0, 1.0), 0.1).degree == 2
+
+
+def test_odd_degree_record_rejected():
+    with pytest.raises(ValueError, match="needs an even degree"):
+        QSPPhases(np.zeros(3), 1.0, (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_tilde", 1j), ("t_tilde", np.nan), ("t_tilde", None),
+    ("interval", (2, -1)), ("interval", (0.5, 0.2)), ("interval", (0.0, 1j)), ("interval", (-0.5, 0.5)),
+    ("interval", 0.5), ("interval", (0.1, 0.2, 0.3)), ("interval", "01"),
+    ("epsilon_poly", np.nan), ("epsilon_poly", -0.1), ("epsilon_poly", 0.1j),
+])
+def test_malformed_phase_record_rejected(field, value):
+    fields = dict(phases=np.zeros(2), t_tilde=1.0, interval=(0.0, 1.0), epsilon_poly=0.1)
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        QSPPhases(**{**fields, field: value})
+
+
+def test_numpy_float_record_fields_accepted():
+    record = QSPPhases(np.zeros(2), np.float64(1.0), (np.float64(0.2), 1), np.float64(0.0))
+    assert record.interval == (0.2, 1) and record.epsilon_poly == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

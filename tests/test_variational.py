@@ -254,9 +254,20 @@ class TestOptimize:
         assert res.epsilon_be <= baseline + 1e-3
 
     def test_newton_runs(self):
+        # trust-region Newton on the exact Hessian reaches the optimum BFGS reaches
         cfg = OptimizerConfig(method="newton", max_iters=40, restarts=2, init_seed=5)
         res = optimize(SMALL_H, 1, 1, 1, cfg)
-        assert res.epsilon_be < 1.0
+        bfgs = optimize(SMALL_H, 1, 1, 1, dataclasses.replace(cfg, method="bfgs"))
+        assert res.converged and bfgs.converged
+        assert abs(res.epsilon_be - bfgs.epsilon_be) < 1e-6
+
+    def test_newton_stopped_early_is_not_converged(self, monkeypatch):
+        calls = []
+        inner = variational.hessian
+        monkeypatch.setattr(variational, "hessian", lambda *args: calls.append(1) or inner(*args))
+        cfg = OptimizerConfig(method="newton", max_iters=1, restarts=2, init_seed=5)
+        assert not optimize(SMALL_H, 1, 1, 1, cfg).converged
+        assert calls  # the Newton step reads the exact Hessian
 
     def test_block_encoding_wrapper(self):
         ht = ising3_rescaled()
