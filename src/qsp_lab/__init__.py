@@ -13,6 +13,7 @@ Everything is dense and exactly verifiable.  The modules are:
   ansatz, with exact gradients and Hessians.
 - qsp: the scalar QSP product, phase factors for exp(-i x t) on an
   interval, and the QSP circuit of a block encoding.
+- errors: the exception types and the input rules every entry point checks.
 """
 
 __version__ = "0.1.0"

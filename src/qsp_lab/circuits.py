@@ -98,8 +98,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError
-from .operators import MAX_DENSE_QUBITS, PAULI_1Q, PauliString, _finite_real
+from .errors import dense, integer, qubits, real, register_matrix
+from .operators import PAULI_1Q, PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("APHASE",)
@@ -111,15 +111,6 @@ _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
 # widest block a multi-column complex walk fuses its folded gates into
 _FUSE_QUBITS = 5
-# bound on max|x - x^dag| relative to max|x| for an input that must be Hermitian
-_HERMITIAN_TOL = 1e-10
-
-
-def _is_hermitian(x: np.ndarray) -> bool:
-    """True when the square matrix x is finite and Hermitian to _HERMITIAN_TOL
-    of its largest entry."""
-    scale = np.abs(x).max()  # NaN or inf when any entry is
-    return bool(np.isfinite(scale)) and np.abs(x - x.conj().T).max() <= _HERMITIAN_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -131,12 +122,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not all(isinstance(q, (int, np.integer)) for q in self.qubits):
-            raise ValueError(f"qubit indices must be integers, got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError("gate qubits must be distinct")
-        if not _finite_real(self.angle):
-            raise ValueError(f"gate angle must be a finite real number, got {self.angle!r}")
+        qubits(self.qubits, "gate qubits")
+        real(self.angle, "gate angle")
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} qubit indices, got {self.qubits}")
 
@@ -176,9 +163,8 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        sizes = (self.n_system, self.n_ancilla)
-        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in sizes):
-            raise ValueError(f"register sizes must be non-negative integers, got {sizes}")
+        integer(self.n_system, "n_system")
+        integer(self.n_ancilla, "n_ancilla")
         for g in self.gates:
             self._check_gate(g)
 
@@ -227,8 +213,7 @@ class NoiseModel:
     mode: str = "per_gate_depolarizing"  # per_gate_depolarizing | global_depolarizing
 
     def __post_init__(self):
-        if not (_finite_real(self.p_tq) and 0.0 <= self.p_tq < 1.0):
-            raise ValueError(f"p_tq must be a real number in [0, 1), got {self.p_tq!r}")
+        real(self.p_tq, "p_tq", 0.0, 1.0, open_hi=True)
         if self.mode not in ("per_gate_depolarizing", "global_depolarizing"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
@@ -500,9 +485,7 @@ def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 def _identity_columns(circuit: Circuit, k: int) -> np.ndarray:
     """The walk of the identity's first k columns, (2^w, k); a width above
     the dense cap raises DimensionError before anything is allocated."""
-    if circuit.width > MAX_DENSE_QUBITS:
-        raise DimensionError(f"width {circuit.width} exceeds the dense cap of {MAX_DENSE_QUBITS}")
-    return _walk(circuit, np.eye(2**circuit.width, k, dtype=complex))
+    return _walk(circuit, np.eye(2 ** dense(circuit.width), k, dtype=complex))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -523,12 +506,9 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
 
     Returns a new array; rho is left unchanged.
     """
-    if not (_finite_real(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
-    if q0 == q1 or not (0 <= q0 < width and 0 <= q1 < width):
-        raise ValueError(f"qubits ({q0}, {q1}) are not a distinct pair of a width-{width} register")
-    if rho.shape != (2**width, 2**width):
-        raise ValueError(f"density matrix of shape {rho.shape} does not match width {width}")
+    real(p, "p", 0.0, 1.0)
+    qubits((q0, q1), "qubits", integer(width, "width"))
+    register_matrix(rho, width)
     steps, finish = _plan([(_depolarizing(p), (q0, q1, width + q0, width + q1))], tuple(range(2 * width)))
     out = np.array(rho, dtype=complex).reshape(-1)
     return _replay(steps, finish, out, np.empty_like(out))[0].reshape(rho.shape)
@@ -536,9 +516,8 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
 
 def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """(1-p) rho + p I/dim on the full register."""
-    if not (_finite_real(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
-    dim = rho.shape[0]
+    real(p, "p", 0.0, 1.0)
+    dim = len(register_matrix(rho))
     return (1.0 - p) * rho + p * np.eye(dim, dtype=complex) / dim
 
 
@@ -554,13 +533,10 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     result is exactly Hermitian and keeps Tr(rho) to roundoff of the final
     basis change; otherwise the eigenvectors of rho are walked as one
     batch (module docstring).  Single-qubit gates are folded into
-    two-qubit ones.  A rho that is not Hermitian to _HERMITIAN_TOL of its
-    largest entry raises ValueError.
+    two-qubit ones.  A rho that is not a finite Hermitian (2^w, 2^w)
+    matrix (errors.register_matrix) raises ValueError.
     """
-    if rho.shape != (2**circuit.width, 2**circuit.width):
-        raise ValueError(f"density matrix of shape {rho.shape} does not match width {circuit.width}")
-    if not _is_hermitian(rho):
-        raise ValueError("density matrix must be Hermitian and finite")
+    register_matrix(rho, circuit.width, hermitian=True)
     circuit, noisy = _native(circuit), noise.p_tq > 0.0
     if noisy and noise.mode == "per_gate_depolarizing":
         return _walk(circuit, rho, p_pair=noise.p_tq)
@@ -667,7 +643,7 @@ def _native(circuit: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def plus_state(n: int) -> np.ndarray:
-    return np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
+    return np.full(2 ** integer(n, "n"), 2.0 ** (-n / 2.0), dtype=complex)
 
 
 def with_ancilla_zero(psi_system: np.ndarray, n_ancilla: int) -> np.ndarray:
@@ -677,9 +653,7 @@ def with_ancilla_zero(psi_system: np.ndarray, n_ancilla: int) -> np.ndarray:
     dim = len(psi_system) if np.ndim(psi_system) == 1 else 0
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"system state of shape {np.shape(psi_system)} is not a (2^n,) state")
-    if not isinstance(n_ancilla, (int, np.integer)) or n_ancilla < 0:
-        raise ValueError(f"n_ancilla must be a non-negative integer, got {n_ancilla!r}")
-    full = np.zeros(2**n_ancilla * dim, dtype=complex)
+    full = np.zeros(2 ** integer(n_ancilla, "n_ancilla") * dim, dtype=complex)
     full[:dim] = psi_system
     return full
 
@@ -692,11 +666,8 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...], width: int) -> np.ndar
     """Reduced density matrix on the kept qubits, indexed in keep's order:
     keep[0] is the most significant bit of its index.  ValueError when a
     kept qubit is out of range or repeated, or rho is not (2^w, 2^w)."""
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or not all(isinstance(q, (int, np.integer)) and 0 <= q < width for q in keep):
-        raise ValueError(f"keep {tuple(keep)} is not a set of distinct qubits of a width-{width} register")
-    if np.shape(rho) != (2**width, 2**width):
-        raise ValueError(f"density matrix of shape {np.shape(rho)} does not match width {width}")
+    keep = qubits(list(keep), "keep", integer(width, "width"))
+    register_matrix(rho, width)
     drop = [q for q in range(width) if q not in keep]
     perm_half = keep + drop
     perm = perm_half + [width + q for q in perm_half]
@@ -716,12 +687,10 @@ def sample_pauli_measurement(
 
     Draws from the exact Born distribution; reproducible under the seed.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    integer(shots, "shots", positive=True)
     n_system = observable.n
-    dim_a, dim_s = 2**n_ancilla, 2**n_system
-    if rho.shape != (dim_a * dim_s, dim_a * dim_s):
-        raise ValueError(f"density matrix of shape {rho.shape} does not match the registers")
+    dim_a, dim_s = 2 ** integer(n_ancilla, "n_ancilla"), 2**n_system
+    register_matrix(rho, n_ancilla + n_system)
     pmat = observable.to_matrix()
     probs = np.empty((dim_a, 2))
     for b in range(dim_a):

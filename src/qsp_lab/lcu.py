@@ -21,6 +21,7 @@ import numpy as np
 
 from . import circuits as cir
 from .circuits import Circuit, Gate, _cx, _pauli_x, _phase1q, encoded_block, gphase, had, mcphase, rx, rz
+from .errors import integer
 from .operators import PauliString, PauliSum
 
 _ANGLE_TOL = 1e-12
@@ -50,8 +51,8 @@ class LCUPlan:
         object.__setattr__(self, "signs", tuple(self.signs))
         object.__setattr__(self, "paulis", tuple(self.paulis))
         k = len(self.paulis)
-        if not isinstance(self.a, (int, np.integer)) or self.a < 0 or not 1 <= k <= 2**self.a:
-            raise ValueError(f"need 1 <= K <= 2^a branches with an integer a >= 0, got K = {k}, a = {self.a!r}")
+        if not 1 <= k <= 2 ** integer(self.a, "a"):
+            raise ValueError(f"need 1 <= K <= 2^a branches, got K = {k}, a = {self.a}")
         if len(self.signs) != k or np.shape(self.prep_amplitudes) != (k,):
             raise ValueError(f"{k} branches need {k} signs and a ({k},) array of amplitudes")
         if any(s not in (1, -1) for s in self.signs):

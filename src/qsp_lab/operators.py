@@ -2,21 +2,16 @@
 
 Conventions: qubit 0 is the leftmost (most significant) tensor factor, so
 a computational basis index reads as the bitstring q0 q1 ... q_{n-1}.
-Everything here is dense and exact; the hard cap MAX_DENSE_QUBITS keeps
-matrices verifiable by direct diagonalization.
+Everything here is dense and exact; the hard cap MAX_DENSE_QUBITS, which
+callers import from here, keeps matrices verifiable by direct diagonalization.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DimensionError
-
-MAX_DENSE_QUBITS = 12
-# the types a real input may have (np.float64 is a float); a type test is cheap where gates are built
-_REAL_TYPES = (float, int, np.floating, np.integer)
+from .errors import MAX_DENSE_QUBITS, DegenerateSpectrumError, dense, integer, qubits, real, spectral_interval
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -24,11 +19,6 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def _finite_real(x) -> bool:
-    """True when x is a finite float, int, numpy floating or numpy integer."""
-    return isinstance(x, _REAL_TYPES) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -61,8 +51,7 @@ class PauliString:
 
     @staticmethod
     def single(n: int, qubit: int, letter: str) -> "PauliString":
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} outside [0, {n})")
+        qubits((qubit,), "qubit", integer(n, "n", positive=True))
         letters = ["I"] * n
         letters[qubit] = letter
         return PauliString("".join(letters))
@@ -83,16 +72,14 @@ class PauliSum:
     terms: list[tuple[float, PauliString]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        integer(self.n, "n", positive=True)
         for coeff, ps in self.terms:
             self._check_term(coeff, ps)
 
     def _check_term(self, coeff: float, ps: PauliString) -> None:
         if ps.n != self.n:
             raise ValueError(f"term {ps} does not act on {self.n} qubits")
-        if not _finite_real(coeff):
-            raise ValueError(f"coefficients must be finite reals, got {coeff!r}")
+        real(coeff, "coefficient")
 
     def add(self, coeff: float, letters: str) -> "PauliSum":
         ps = PauliString(letters)
@@ -115,9 +102,7 @@ class PauliSum:
 
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix of the Pauli sum."""
-        if self.n > MAX_DENSE_QUBITS:
-            raise DimensionError(f"{self.n} qubits exceeds the dense cap of {MAX_DENSE_QUBITS}")
-        dim = 2**self.n
+        dim = 2 ** dense(self.n)
         m = np.zeros((dim, dim), dtype=complex)
         for coeff, ps in self.terms:
             m += coeff * ps.to_matrix()
@@ -132,10 +117,7 @@ class SpectralBounds:
     lambda_plus: float
 
     def __post_init__(self):
-        for name in ("lambda_minus", "lambda_plus"):
-            if not _finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
-        if self.lambda_minus > self.lambda_plus:
+        if real(self.lambda_minus, "lambda_minus") > real(self.lambda_plus, "lambda_plus"):
             raise ValueError("lambda_minus must not exceed lambda_plus")
 
 
@@ -157,19 +139,19 @@ class RescaledHamiltonian:
 
 def build_ising_chain(n: int, coupling: float, fields_x: list[float], field_z: float) -> PauliSum:
     """Open-boundary Ising chain: -J sum Z_i Z_{i+1} - sum h_i X_i - m sum Z_i."""
-    if n < 1:
+    if integer(n, "n") == 0:
         raise ValueError("need at least one site")
     if len(fields_x) != n:
         raise ValueError(f"expected {n} transverse fields, got {len(fields_x)}")
-    h = PauliSum(n)
+    h, coupling = PauliSum(n), real(coupling, "coupling")  # checked once: a 1-site chain has no ZZ term
     for i in range(n - 1):
         letters = ["I"] * n
         letters[i] = letters[i + 1] = "Z"
         h.add(-coupling, "".join(letters))
     for i in range(n):
-        h.add(-float(fields_x[i]), PauliString.single(n, i, "X").letters)
+        h.add(-real(fields_x[i], "fields_x"), PauliString.single(n, i, "X").letters)
     for i in range(n):
-        h.add(-float(field_z), PauliString.single(n, i, "Z").letters)
+        h.add(-real(field_z, "field_z"), PauliString.single(n, i, "Z").letters)
     return h
 
 
@@ -193,8 +175,7 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
     The output is canonical (PauliSum.canonicalize), and its identity term
     carries the shift a - lambda_- (b-a)/(lambda_+ - lambda_-).
     """
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
+    a, b = spectral_interval((a, b))
     span = bounds.lambda_plus - bounds.lambda_minus
     if span <= 0.0:
         raise DegenerateSpectrumError("spectral bounds coincide; cannot rescale")
@@ -213,7 +194,6 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
 def exact_propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition; ground truth everywhere.
     A t that is not a finite real number raises ValueError."""
-    if not _finite_real(t):
-        raise ValueError(f"time must be a finite real number, got {t!r}")
+    real(t, "time")
     eigvals, eigvecs = np.linalg.eigh(h.to_matrix())
     return (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T

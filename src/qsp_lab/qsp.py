@@ -44,7 +44,7 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import Circuit, aphase
-from .operators import _finite_real
+from .errors import integer, real, spectral_interval
 
 # optimize_phases fits on _GRID_PER_DEGREE * (d + 1) Chebyshev nodes from
 # _RESTARTS starts (zero phases, then seeded random ones); each distinct
@@ -75,11 +75,9 @@ class QSPPhases:
         self.phases = _checked_phases(self.phases)
         if self.degree % 2 != 0:
             raise ValueError("the even-parity protocol needs an even degree")
-        if not _finite_real(self.t_tilde):
-            raise ValueError(f"t_tilde must be a finite real number, got {self.t_tilde!r}")
-        self.interval = _checked_interval(self.interval)
-        if not (_finite_real(self.epsilon_poly) and self.epsilon_poly >= 0.0):
-            raise ValueError(f"epsilon_poly must be a finite real number >= 0, got {self.epsilon_poly!r}")
+        real(self.t_tilde, "t_tilde")
+        self.interval = spectral_interval(self.interval)
+        real(self.epsilon_poly, "epsilon_poly", 0.0)
 
 
 def _checked_phases(phases) -> np.ndarray:
@@ -88,14 +86,6 @@ def _checked_phases(phases) -> np.ndarray:
     if phi.ndim != 1 or phi.dtype.kind not in "iuf" or not np.isfinite(phi).all():
         raise ValueError(f"phases must be a finite 1-D real array, got {phases!r}")
     return phi
-
-
-def _checked_interval(interval) -> tuple[float, float]:
-    """The interval as (a, b); ValueError unless it holds two reals with 0 <= a < b <= 1."""
-    reals = np.shape(interval) == (2,) and all(map(_finite_real, interval))
-    if not (reals and 0.0 <= interval[0] < interval[1] <= 1.0):
-        raise ValueError(f"interval must hold two reals with 0 <= a < b <= 1, got {interval!r}")
-    return interval[0], interval[1]
 
 
 # the start row (1, 0) at every grid point: f is entry 0 of its last row
@@ -144,8 +134,8 @@ def _jacobian(ee: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
 def qsp_scalar_unitary(x: float, phases: QSPPhases | np.ndarray) -> np.ndarray:
     """Product over k of S(phi_k) W(x); f(x) is the [0, 0] entry."""
     phi = _checked_phases(phases.phases if isinstance(phases, QSPPhases) else phases)
-    if not (_finite_real(x) and abs(x) <= 1.0 + 1e-12):
-        raise ValueError(f"signal value must be a finite real number in [-1, 1], got {x!r}")
+    if abs(real(x, "signal value")) > 1.0 + 1e-12:
+        raise ValueError(f"signal value must be in [-1, 1], got {x!r}")
     # grid point j carries row j of the identity, so the last rows are U's transpose
     w = _signal_rows(np.full(2, float(np.clip(x, -1.0, 1.0))))
     return _carry(_phase_factors(phi), w, np.eye(2))[-1].T
@@ -198,11 +188,10 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
     of them; the others compete with their first fit.  Best candidate
     wins by (epsilon, phase norm).
     """
-    if not _finite_real(t_tilde):
-        raise ValueError(f"t_tilde must be a finite real number, got {t_tilde!r}")
-    a, b = _checked_interval(interval)
-    if not isinstance(d, (int, np.integer)) or d % 2 != 0 or d < 0:
-        raise ValueError("degree must be a nonnegative even integer")
+    real(t_tilde, "t_tilde")
+    a, b = spectral_interval(interval)
+    if integer(d, "degree") % 2 != 0:
+        raise ValueError(f"degree must be even, got {d!r}")
     m = _GRID_PER_DEGREE * (d + 1)
     xv = np.linspace(a, b, 10 * m)
     wv, target_v = _signal_rows(xv), np.exp(-1j * xv * t_tilde)

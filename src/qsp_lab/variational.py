@@ -39,8 +39,8 @@ the gates before j (V = S_j P_j):
 Both walks take O(m D 2^n) work and keep (m+1) D 2^n complex numbers,
 299 KB at (n, a, L) = (3, 2, 3).  cost and ansatz_block run the backward
 walk alone, so F from cost and from cost_and_gradient are the same bits.
-Every function that takes the target H raises ValueError unless H is
-square, finite and Hermitian, and (2^n, 2^n) wherever the ansatz fixes n.
+Every function that takes the target H raises ValueError unless H is a
+finite Hermitian (2^n, 2^n) matrix (errors.register_matrix).
 
 The Hessian alone walks the full prefixes, P_{j+1} = V_j P_j, and keeps
 the stack A_j = P_j^dag g_j P_j (V = P_m): dV_j = -i/2 V A_j and
@@ -62,10 +62,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import Circuit, Gate, _is_hermitian, cz, rx, rz, rzz
-from .errors import OptimizationError
+from .circuits import Circuit, Gate, cz, rx, rz, rzz
+from .errors import OptimizationError, dense, integer, real, register_matrix
 from .lcu import BlockEncoding
-from .operators import PauliSum, _finite_real
+from .operators import PauliSum
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,8 @@ class AnsatzSpec:
     layers: int
 
     def __post_init__(self):
-        sizes = (self.n, self.a, self.layers)
-        if not all(isinstance(k, (int, np.integer)) for k in sizes):
-            raise ValueError(f"n, a and layers must be integers, got {sizes}")
-        if self.n < 1 or self.a < 0 or self.layers < 0:
-            raise ValueError(f"need n >= 1, a >= 0 and layers >= 0, got ({self.n}, {self.a}, {self.layers})")
+        dense(integer(self.n, "n", positive=True) + integer(self.a, "a"))
+        integer(self.layers, "layers")
 
     @property
     def width(self) -> int:
@@ -110,11 +107,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown optimizer method {self.method!r}")
-        counts = (self.max_iters, self.init_seed, self.restarts)
-        if not all(isinstance(k, (int, np.integer)) for k in counts):
-            raise ValueError(f"max_iters, init_seed and restarts must be integers, got {counts}")
-        if self.max_iters < 1 or self.init_seed < 0 or self.restarts < 0:
-            raise ValueError(f"need max_iters >= 1, init_seed >= 0 and restarts >= 0, got {counts}")
+        integer(self.max_iters, "max_iters", positive=True)
+        integer(self.init_seed, "init_seed")
+        integer(self.restarts, "restarts")
 
 
 @dataclass
@@ -241,16 +236,10 @@ def _block_of(y0: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonian(h_tilde: PauliSum | np.ndarray, n: int | None = None) -> np.ndarray:
-    """h_tilde as a dense matrix; ValueError unless it is square ((2^n, 2^n)
-    when n is given), finite and Hermitian to circuits' tolerance.  The
-    gradient's adjoint formula needs M = Wblk - H Hermitian."""
+    """h_tilde as a dense matrix, finite, Hermitian and (2^n, 2^n), any n when
+    n is None; the gradient's adjoint formula needs M = Wblk - H Hermitian."""
     h = h_tilde.to_matrix() if isinstance(h_tilde, PauliSum) else np.asarray(h_tilde)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or (n is not None and len(h) != 2**n):
-        want = "square" if n is None else f"{(2**n, 2**n)}"
-        raise ValueError(f"target of shape {h.shape} is not {want}")
-    if not _is_hermitian(h):
-        raise ValueError("target must be finite and Hermitian")
-    return h
+    return register_matrix(h, n, hermitian=True, name="target")
 
 
 def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
@@ -272,8 +261,7 @@ def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) ->
 def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> float:
     """epsilon_BE^2 = F + Tr(H^2); clipped at zero against roundoff.  An F
     that is not a finite real number raises ValueError."""
-    if not _finite_real(f_value):
-        raise ValueError(f"f_value must be a finite real number, got {f_value!r}")
+    real(f_value, "f_value")
     h = _hamiltonian(h_tilde)
     tr_h2 = float(np.real(np.trace(h @ h)))
     return float(np.sqrt(max(f_value + tr_h2, 0.0)))

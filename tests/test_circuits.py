@@ -889,6 +889,29 @@ class TestChannelAndReadoutInput:
             sample_pauli_measurement(np.zeros((4, 4), dtype=complex), PauliString("Z"), 10, 0, 1)
 
 
+# each input below was accepted, or refused with a TypeError or by accident, before every
+# entry point checked its arguments through the one rule of their kind in errors.py
+REFUSED_BY_A_RULE = [
+    pytest.param(lambda: plus_state(1.5), "^n must", id="plus_state-fractional-n"),
+    pytest.param(lambda: depolarize_pair(np.eye(4) / 4, 0.5, 1, 0.1, 2), "^qubits must", id="pair-fractional-qubit"),
+    pytest.param(lambda: depolarize_pair(np.eye(4) / 4, True, 0, 0.1, 2), "^qubits must", id="pair-bool-qubit"),
+    pytest.param(lambda: global_depolarize(np.ones(4), 0.1), r"^density matrix of shape \(4,\)", id="global-1d-rho"),
+    pytest.param(lambda: global_depolarize(np.eye(3), 0.1), r"^density matrix of shape \(3, 3\)", id="global-3x3-rho"),
+    pytest.param(lambda: partial_trace(np.eye(4) / 4, (True,), 2), "^keep must", id="partial-trace-bool-qubit"),
+    pytest.param(lambda: Gate("RX", (True,), 0.1), "^gate qubits must", id="gate-bool-qubit"),
+    pytest.param(lambda: Gate("RX", (0,), True), "^gate angle must", id="gate-bool-angle"),
+    pytest.param(lambda: with_ancilla_zero(np.ones(2), True), "^n_ancilla must", id="bool-ancilla-count"),
+    pytest.param(lambda: sample_pauli_measurement(np.eye(4) / 4, PauliString("Z"), 10, 0, 1.0), "^n_ancilla must",
+                 id="sampling-float-ancilla-count"),
+]
+
+
+@pytest.mark.parametrize("call, match", REFUSED_BY_A_RULE)
+def test_input_refused_naming_the_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestWalkInput:
     @pytest.mark.parametrize("shape", [(4, 2, 2), (2,), (8,), (2, 4), (), (1, 4)])
     def test_apply_statevector_rejects_other_shapes(self, shape):

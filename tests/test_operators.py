@@ -57,6 +57,15 @@ class TestBuildIsingChain:
         with pytest.raises(ValueError, match="at least one site"):
             build_ising_chain(0, 1.0, [], 0.0)
 
+    @pytest.mark.parametrize("args, match", [
+        ((2, 1.0, [0.1, 1j], 0.0), "^fields_x must"),
+        ((1.5, 1.0, [0.1], 0.0), "^n must"),
+        ((1, float("nan"), [0.1], 0.0), "^coupling must"),
+    ], ids=["complex-field", "fractional-n", "one-site-nan-coupling"])
+    def test_bad_argument_named(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            build_ising_chain(*args)
+
 
 @pytest.mark.parametrize("letters", ["", "XA", "xz", "Z Z"])
 def test_pauli_string_rejects_bad_letters(letters):
@@ -72,6 +81,10 @@ class TestPauliStringSingle:
     def test_negative_qubit_rejected(self):
         with pytest.raises(ValueError):
             PauliString.single(3, -1, "Z")
+
+    def test_fractional_qubit_rejected(self):
+        with pytest.raises(ValueError, match="^qubit must"):
+            PauliString.single(2, 1.5, "Z")
 
 
 class TestPauliSumAdd:
@@ -176,6 +189,17 @@ class TestRescale:
             eigs = np.linalg.eigvalsh(r.h_tilde.to_matrix())
             assert eigs.min() >= a - 1e-9 and eigs.max() <= b + 1e-9
 
+    @pytest.mark.parametrize("t", [0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.2, 0.9)])
+    @pytest.mark.parametrize("bounds", [triangle_bounds, exact_extremes])
+    def test_time_map(self, bounds, a, b, t):
+        # the docstring identity exp(-i time_factor t H_tilde) = exp(-i t global_phase_rate) exp(-i H t)
+        h = ising3()
+        r = rescale(h, bounds(h), a, b)
+        lhs = exact_propagator(r.h_tilde, r.time_factor * t)
+        rhs = np.exp(-1j * t * r.global_phase_rate) * exact_propagator(h, t)
+        assert np.abs(lhs - rhs).max() <= 1e-12
+
     def test_phase_identity(self):
         # exp(-i t_eff H_tilde) = exp(-i phi) exp(-i t H)
         h = ising3()
@@ -192,8 +216,12 @@ class TestRescale:
 
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.8, 0.2), (-0.1, 1.0), (0.0, 1.5)])
     def test_target_interval_outside_unit_interval_rejected(self, a, b):
-        with pytest.raises(ValueError, match="need 0 <= a < b <= 1"):
+        with pytest.raises(ValueError, match="interval must hold two reals with 0 <= a < b <= 1"):
             rescale(ising3(), triangle_bounds(ising3()), a, b)
+
+    def test_non_real_target_interval_rejected(self):
+        with pytest.raises(ValueError, match="^interval must"):
+            rescale(ising3(), triangle_bounds(ising3()), 1j, 1.0)
 
 
 class TestDenseOracles:

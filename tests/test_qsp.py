@@ -113,6 +113,17 @@ def test_optimize_phases_rejects_degree_that_is_not_a_nonnegative_even_integer(d
         optimize_phases(d, 1.0)
 
 
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_exact_fit_ends_the_lawson_polish(d, monkeypatch):
+    # at t = 0 the zero phases fit f = 1 exactly (W^2 = I), so the first start's polish
+    # stops before its first refit, and each later start's first fit is the same polynomial
+    calls = []
+    monkeypatch.setattr(qsp, "_lm", lambda *args: calls.append(args) or _lm(*args))
+    phases = optimize_phases(d, 0.0)
+    assert np.array_equal(phases.phases, np.zeros(d)) and phases.epsilon_poly <= 1e-15
+    assert len(calls) == qsp._RESTARTS
+
+
 def test_optimize_phases_accepts_numpy_integer_degree():
     assert optimize_phases(np.int64(2), 1.0).epsilon_poly == optimize_phases(2, 1.0).epsilon_poly
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, cz
 from qsp_lab.lcu import encoded_block
 from qsp_lab import variational
-from qsp_lab.errors import OptimizationError
+from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError, OptimizationError
 from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.variational import (
     AnsatzSpec,
@@ -321,6 +322,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(**{field: value})
 
+    def test_bool_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="^max_iters must"):
+            OptimizerConfig(max_iters=True)
+
     def test_numpy_integer_config_accepted(self):
         config = OptimizerConfig(max_iters=np.int64(5), init_seed=np.int32(3), restarts=np.int64(1))
         res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, config)
@@ -347,6 +352,20 @@ class TestConfigValidation:
     def test_non_integer_ansatz_shape_rejected(self, shape):
         with pytest.raises(ValueError):
             AnsatzSpec(*shape)
+
+    def test_ansatz_above_the_dense_cap_rejected_before_allocating(self):
+        # at (10, 3, 1) the gradient's adjoint stack would take about 12 GB and the Hessian's 97 GB
+        tracemalloc.start()
+        try:
+            for build in (lambda: AnsatzSpec(10, 3, 1), lambda: build_ansatz(10, 3, 1, np.zeros(90)),
+                          lambda: optimize(SMALL_H, MAX_DENSE_QUBITS, 1, 0)):
+                with pytest.raises(DimensionError):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert AnsatzSpec(MAX_DENSE_QUBITS - 1, 1, 0).width == MAX_DENSE_QUBITS
 
     def test_numpy_integer_ansatz_shape_accepted(self):
         assert AnsatzSpec(np.int64(1), np.int32(1), np.int64(1)).n_parameters == SMALL.n_parameters
