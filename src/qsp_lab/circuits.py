@@ -98,7 +98,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import dense, integer, qubits, real, register_matrix
+from .errors import dense, integer, qubits, real, register_matrix, register_state
 from .operators import PAULI_1Q, PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
@@ -476,10 +476,7 @@ def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndar
 def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Noiseless statevector evolution of a (2^w,) state or (2^w, B) batch;
     any other shape raises ValueError."""
-    shape = np.shape(state)
-    if len(shape) not in (1, 2) or shape[0] != 2**circuit.width:
-        raise ValueError(f"state of shape {shape} is not a (2^w,) state or (2^w, B) batch for width {circuit.width}")
-    return _walk(circuit, state)
+    return _walk(circuit, register_state(state, circuit.width, batch=True))
 
 
 def _identity_columns(circuit: Circuit, k: int) -> np.ndarray:
@@ -650,9 +647,7 @@ def with_ancilla_zero(psi_system: np.ndarray, n_ancilla: int) -> np.ndarray:
     """|0^a> tensor |psi> in the ancilla-first layout; ValueError unless psi
     is a 1-D state whose length is a power of two and n_ancilla a
     non-negative integer."""
-    dim = len(psi_system) if np.ndim(psi_system) == 1 else 0
-    if dim < 1 or dim & (dim - 1):
-        raise ValueError(f"system state of shape {np.shape(psi_system)} is not a (2^n,) state")
+    dim = len(register_state(psi_system, name="system state"))
     full = np.zeros(2 ** integer(n_ancilla, "n_ancilla") * dim, dtype=complex)
     full[:dim] = psi_system
     return full

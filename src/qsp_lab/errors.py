@@ -1,7 +1,8 @@
 """Shared exception types, and the input rules every entry point checks
-its arguments with: real, integer, qubits, spectral_interval and
-register_matrix return their input unchanged or raise ValueError naming
-the argument, and dense raises DimensionError."""
+its arguments with: real, integer, qubits, spectral_interval,
+register_state and register_matrix return their input unchanged or raise
+ValueError naming the argument, angles returns a parameter vector as a
+float array or raises ValueError, and dense raises DimensionError."""
 import math
 
 import numpy as np
@@ -64,6 +65,25 @@ def spectral_interval(iv) -> tuple:
     if not (np.shape(iv) == (2,) and all(map(_is_finite_real, iv)) and 0.0 <= iv[0] < iv[1] <= 1.0):
         raise ValueError(f"interval must hold two reals with 0 <= a < b <= 1, got {iv!r}")
     return iv[0], iv[1]
+
+
+def angles(theta, m: int) -> np.ndarray:
+    """theta as a float array, when it holds m finite angles (a parameter vector)."""
+    x = np.asarray(theta, dtype=float)
+    if x.shape != (m,) or not np.isfinite(x).all():
+        raise ValueError(f"theta must hold {m} finite angles, got an array of shape {x.shape}")
+    return x
+
+
+def register_state(x, width: int | None = None, *, batch: bool = False, name: str = "state"):
+    """x, when it is a (2^w,) state, or also a (2^w, B) batch when batch;
+    w = width, or any w when width is None."""
+    shape = np.shape(x)
+    side = shape[0] if len(shape) == 1 or (batch and len(shape) == 2) else 0
+    if side < 1 or side & (side - 1) or (width is not None and side != 2**width):
+        want = "(2^w,) state" + (" or (2^w, B) batch" if batch else "")
+        raise ValueError(f"{name} of shape {shape} is not a {want}" + ("" if width is None else f" for width {width}"))
+    return x
 
 
 def register_matrix(x, width: int | None = None, *, hermitian: bool = False, name: str = "density matrix"):

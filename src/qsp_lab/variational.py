@@ -8,42 +8,48 @@ and each application of W contains (a+n-1)(2L+1) two-qubit gates.
 
 The cost of encoding a target H is F(theta) = ||Wblk||_F^2
 - 2 Re Tr(H Wblk) with Wblk the ancilla-zero block, so that
-epsilon_BE^2 = F(theta) + Tr(H^2).
+epsilon_BE^2 = F(theta) + Tr(H^2).  F depends on V only through U = Pi V,
+its top 2^n rows (Pi keeps the ancilla-zero rows), since
+Wblk = U Z U^dag with Z the CZ-ladder diagonal.
 
-Every parameter is the angle of one gate V_j = exp(-i theta_j g_j / 2)
-of V = V_{m-1} ... V_0, with generator g_j = X, Z or ZZ.  Each generator
-squares to I, so V_j = cos(theta_j/2) I - i sin(theta_j/2) g_j, and each
-is a signed permutation of the basis: Z_q and Z_q Z_{q+1} are diagonal,
-row i multiplied by -1 to the parity of i's bits at those qubits, and
-X_q swaps the rows whose indices differ in bit q.  So g_j X is X with its
-rows sign-flipped or permuted, from a table built once per AnsatzSpec,
-and every entry is exactly what a matrix product with g_j's 0 and +-1
-entries gives.
+The block walk.  V = B_2L ... B_1 B_0: B_2c is triplet column c, the
+product over the qubits q of T_q = RX(theta_2) RZ(theta_1) RX(theta_0),
+applied as one Kronecker product per run of at most circuits._FUSE_QUBITS
+= 5 consecutive qubits; B_2l+1 is ladder l, the diagonal
+exp(-i/2 sum_k theta_k zz_k) with zz_k that of Z_k Z_k+1.  The walk keeps
+Y_k = (B_2L ... B_k)^dag Pi^T, D x 2^n (D = 2^w, w = n + a), at the 2L+2
+block boundaries, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1.  Y_0 = U^dag,
+so Wblk = Y_0^dag (z * Y_0) with z = diag Z.  cost, ansatz_block and
+cost_and_gradient read this one walk: F from cost and from
+cost_and_gradient are the same bits.
 
-F depends on V only through U = Pi V, its top 2^n rows (Pi keeps the
-ancilla-zero rows), since Wblk = U Z U^dag with Z the CZ-ladder diagonal.
-Derivatives are exact and come from two walks over the 2^n ancilla-zero
-columns (adjoint differentiation, Jones & Gacon, arXiv:2009.02823).
-With S_j = V_{m-1} ... V_j the gates from j on and P_j = V_{j-1} ... V_0
-the gates before j (V = S_j P_j):
+The gradient is exact (adjoint differentiation, Jones & Gacon,
+arXiv:2009.02823).  With M = Wblk - H, a forward walk from L_0 = Z U^dag M
+takes block k's output P_k = B_k L_k as L_k+1.  A parameter of block k
+with dB_k = -i/2 K' B_k has dF = 2 Re Tr[M dWblk] = 2 Im <Y_k+1, K' P_k>
+(Frobenius inner product).  Gates on different qubits commute, so in a
+triplet column K' acts on one qubit: with dT/dtheta_i = -i/2 K_i,
+K'_i = K_i T^dag, that is K'_0 = T X T^dag, K'_1 = RX(theta_2) Z RX(theta_2)^dag
+and K'_2 = X, whose Pauli coefficients c_is = Tr(sigma_s K'_i)/2 over
+s = X, Y, Z are (cos theta_1, sin theta_1 cos theta_2, sin theta_1 sin theta_2),
+(0, -sin theta_2, cos theta_2) and (1, 0, 0).  So
+dF/dtheta_i = 2 sum_s c_is Im Tr(sigma_s on q, R), R = P_k Y_k+1^dag, and
+these Pauli projections read only R_b = P_b Y_b^dag (at most 32 x 32), R's
+partial trace over the qubits outside q's run, with P_b and Y_b holding
+the run's qubits as rows: one matmul and one projection per run.  A
+ladder's w-1 entries are 2 Im(zz_k . s), s_i = sum_c conj(Y_ic) P_ic.  The
+walks keep the (2L+2) D 2^n complex numbers of Y, each run's L+1 Kronecker
+products and one R_b: 112 KB at (n, a, L) = (3, 2, 3).
 
-- the backward walk starts from Y_m = Pi^T and applies
-  V_j^dag = cos(theta_j/2) I + i sin(theta_j/2) g_j for j = m-1, ..., 0,
-  keeping every Y_j = S_j^dag Pi^T, a D x 2^n array (D = 2^w, w = n + a).
-  Y_0 = U^dag, so Wblk = Y_0^dag (z * Y_0) with z = diag Z;
-- the forward walk starts from L_0 = Z U^dag M with M = Wblk - H and
-  applies L_{j+1} = V_j L_j.  As dV/dtheta_j = -i/2 S_j g_j P_j,
-  dF/dtheta_j = 2 Re Tr[M dWblk_j] = 2 Im <Y_j, g_j L_j> (Frobenius inner
-  product), and g_j L_j is the product the update needs anyway.
-
-Both walks take O(m D 2^n) work and keep (m+1) D 2^n complex numbers,
-299 KB at (n, a, L) = (3, 2, 3).  cost and ansatz_block run the backward
-walk alone, so F from cost and from cost_and_gradient are the same bits.
 Every function that takes the target H raises ValueError unless H is a
-finite Hermitian (2^n, 2^n) matrix (errors.register_matrix).
+finite Hermitian (2^n, 2^n) matrix (errors.register_matrix), and every
+one that takes theta unless it holds m finite angles (errors.angles).
 
-The Hessian alone walks the full prefixes, P_{j+1} = V_j P_j, and keeps
-the stack A_j = P_j^dag g_j P_j (V = P_m): dV_j = -i/2 V A_j and
+The Hessian alone still walks V = V_m-1 ... V_0 gate by gate, each
+V_j = exp(-i theta_j g_j / 2) = cos(theta_j/2) I - i sin(theta_j/2) g_j with
+generator g_j = X, Z or ZZ, a signed permutation of the basis applied from
+a table built once per AnsatzSpec.  It keeps the prefixes P_j+1 = V_j P_j
+and the stack A_j = P_j^dag g_j P_j (V = P_m): dV_j = -i/2 V A_j and
 d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k), lo = min(j, k)), so
 dW_j = -i/2 V [A_j, Z] V^dag and
 d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag,
@@ -62,8 +68,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import Circuit, Gate, cz, rx, rz, rzz
-from .errors import OptimizationError, dense, integer, real, register_matrix
+from .circuits import _FUSE_QUBITS, Circuit, Gate, cz, rx, rz, rzz
+from .errors import OptimizationError, angles, dense, integer, real, register_matrix
 from .lcu import BlockEncoding
 from .operators import PauliSum
 
@@ -128,9 +134,7 @@ class OptimizeResult:
 def _v_gate_sequence(spec: AnsatzSpec, theta: np.ndarray) -> list[Gate]:
     """The gates of V(theta) in application order, one per parameter."""
     w = spec.width
-    if len(theta) != spec.n_parameters:
-        raise ValueError(f"expected {spec.n_parameters} parameters, got {len(theta)}")
-    it = iter(theta)
+    it = iter(angles(theta, spec.n_parameters))
     gates: list[Gate] = []
     for layer in range(spec.layers + 1):
         for q in range(w):
@@ -146,7 +150,7 @@ def build_ansatz(n: int, a: int, layers: int, theta: np.ndarray) -> Circuit:
     As a circuit this applies V^dag first, then the CZ ladder, then V.
     """
     spec = AnsatzSpec(n, a, layers)
-    v = Circuit(n, a).extend(_v_gate_sequence(spec, np.asarray(theta, dtype=float)))
+    v = Circuit(n, a).extend(_v_gate_sequence(spec, theta))
     circuit = v.inverse()
     circuit.extend(cz(q, q + 1) for q in range(spec.width - 1))
     circuit.extend(v.gates)
@@ -192,18 +196,6 @@ def _generator_table(spec: AnsatzSpec) -> tuple[tuple[bool, np.ndarray], ...]:
     return tuple(table)
 
 
-def _checked_table(spec: AnsatzSpec, theta: np.ndarray) -> tuple[tuple[bool, np.ndarray], ...]:
-    """_generator_table(spec), after checking that theta has one finite angle
-    per row (the walks zip the two, which would truncate silently, and a
-    non-finite angle makes every output NaN)."""
-    table = _generator_table(spec)
-    if len(theta) != len(table):
-        raise ValueError(f"expected {len(table)} parameters, got {len(theta)}")
-    if not np.isfinite(theta).all():
-        raise ValueError("parameters must be finite")
-    return table
-
-
 def _apply_generator(flips: bool, action: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     """out = g x for the generator of one _generator_table row."""
     if flips:  # action is in range; the default mode="raise" copies out= through a buffer
@@ -212,22 +204,69 @@ def _apply_generator(flips: bool, action: np.ndarray, x: np.ndarray, out: np.nda
         np.multiply(action, x, out=out)
 
 
-def _adjoint_columns(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """The backward walk of the module docstring: the (m+1, D, 2^n) array
-    of Y_j = S_j^dag Pi^T, from Y_m = Pi^T by Y_j = V_j^dag Y_{j+1}."""
-    table = _checked_table(spec, theta)
-    dim = 2**spec.width
-    ys = np.empty((len(table) + 1, dim, 2**spec.n), dtype=complex)
-    ys[-1] = np.eye(dim, 2**spec.n)
-    views = list(ys)
-    gy = np.empty_like(ys[0])
-    cos, isin = np.cos(theta / 2), 1j * np.sin(theta / 2)
-    for j in range(len(table) - 1, -1, -1):
-        _apply_generator(*table[j], views[j + 1], gy)
-        np.multiply(cos[j], views[j + 1], out=views[j])
-        gy *= isin[j]
-        views[j] += gy
-    return ys
+_I2 = np.eye(2)
+_XZX = np.array([[[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]])[:, None, None]  # a triplet's generators
+
+
+@functools.lru_cache(maxsize=16)
+def _walk_tables(spec: AnsatzSpec) -> tuple:
+    """What the block walk reads of spec, as (triplets, ladders, zz, z, runs):
+    theta's indices of the triplet angles, (3, L+1, w) for theta_i of column c
+    at qubit q, and of the ladders' RZZ angles, (L, w-1); the (w-1, D)
+    diagonals zz_k of Z_k Z_k+1; the CZ-ladder diagonal z; and per run of at
+    most _FUSE_QUBITS qubits [lo, hi), (lo, hi, shape, flat, phases), where
+    shape views a D-row array as (2^lo, 2^(hi-lo), rest) and, for the run's
+    qubit i and s = X, Y, Z, Tr(sigma_s R_b) = sum_r phases[s, i, r]
+    R_b.flat[flat[s, i, r]]: sigma_s is a signed permutation, with the entry
+    phases[s, i, r] in row r."""
+    w, per_layer = spec.width, 4 * spec.width - 1  # 3w rotations and w - 1 RZZs
+    idx = np.arange(spec.n_parameters)
+    layers = idx[: spec.layers * per_layer].reshape(spec.layers, per_layer)
+    triplets = np.concatenate([layers[:, : 3 * w], idx[None, len(layers) * per_layer:]])
+    triplets = triplets.reshape(-1, w, 3).transpose(2, 0, 1)
+    pairs = 3 << np.arange(w - 2, -1, -1)  # qubits k and k + 1 are bits w-1-k and w-2-k
+    zz = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**w) & pairs[:, None]) % 2)
+    runs = []
+    for lo in range(0, w, _FUSE_QUBITS):
+        b = min(_FUSE_QUBITS, w - lo)
+        rows = np.arange(2**b)
+        masks = 1 << np.arange(b - 1, -1, -1)[:, None]  # qubit lo+i is bit b-1-i of the run's row
+        signs = 1 - 2 * ((rows & masks) > 0)  # Z's diagonal; Y's entries are -i times it
+        flat = np.stack([rows ^ masks, rows ^ masks, np.broadcast_to(rows, (b, 2**b))]) * 2**b + rows
+        runs.append((lo, lo + b, (2**lo, 2**b, -1), flat, np.stack([np.ones_like(signs), -1j * signs, signs])))
+    tables = (triplets, layers[:, 3 * w:], zz, _czbar_diagonal(w))
+    for table in tables + tuple(t for run in runs for t in run[3:]):
+        table.flags.writeable = False
+    return tables + (tuple(runs),)
+
+
+def _walk(spec: AnsatzSpec, theta: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The block walk of the module docstring at a checked theta: per run the
+    (L+1, 2^b, 2^b) Kronecker products of its qubits' triplets T, the (L, D)
+    ladder diagonals, and the (2L+2, D, 2^n) array of
+    Y_k = (B_2L ... B_k)^dag Pi^T, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1."""
+    triplets, ladders, zz, _, runs = _walk_tables(spec)
+    half = theta[triplets, None, None] / 2
+    rx0, rz1, rx2 = np.cos(half) * _I2 - 1j * np.sin(half) * _XZX
+    t = rx2 @ rz1 @ rx0
+    krons = []
+    for lo, hi, *_ in runs:
+        k = t[:, hi - 1]
+        for q in range(hi - 2, lo - 1, -1):  # T_q (x) k, the larger factor innermost
+            k = (t[:, q, :, None, :, None] * k[:, None, :, None, :]).reshape(len(t), 2 * k.shape[1], -1)
+        krons.append(k)
+    diagonals = np.exp(-0.5j * (theta[ladders] @ zz))
+    ys = np.empty((2 * spec.layers + 2, 2**spec.width, 2**spec.n), dtype=complex)
+    ys[-1] = np.eye(*ys.shape[1:])
+    for k in range(2 * spec.layers, -1, -1):
+        if k % 2:
+            np.multiply(diagonals[k // 2, :, None].conj(), ys[k + 1], out=ys[k])
+            continue
+        y = ys[k + 1]
+        for (_, _, shape, *_), kron in zip(runs, krons):
+            y = kron[k // 2].conj().T @ y.reshape(shape)
+        ys[k] = y.reshape(ys.shape[1:])
+    return krons, diagonals, ys
 
 
 def _block_of(y0: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -235,21 +274,29 @@ def _block_of(y0: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y0.conj().T @ (z[:, None] * y0)
 
 
-def _hamiltonian(h_tilde: PauliSum | np.ndarray, n: int | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class _Target:
+    matrix: np.ndarray  # a target _hamiltonian has checked: optimize checks it once, not per evaluation
+
+
+def _hamiltonian(h_tilde: PauliSum | np.ndarray | _Target, n: int | None = None) -> np.ndarray:
     """h_tilde as a dense matrix, finite, Hermitian and (2^n, 2^n), any n when
-    n is None; the gradient's adjoint formula needs M = Wblk - H Hermitian."""
+    n is None (of a _Target, only the shape is checked again); the gradient's
+    adjoint formula needs M = Wblk - H Hermitian."""
+    if isinstance(h_tilde, _Target):
+        return register_matrix(h_tilde.matrix, n, name="target")
     h = h_tilde.to_matrix() if isinstance(h_tilde, PauliSum) else np.asarray(h_tilde)
     return register_matrix(h, n, hermitian=True, name="target")
 
 
 def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
-    return float(np.linalg.norm(block) ** 2 - 2.0 * np.real(np.trace(h @ block)))
+    return float(np.vdot(block, block).real - 2.0 * np.einsum("ij,ji->", h, block).real)
 
 
 def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """The block of W from the backward walk."""
-    y0 = _adjoint_columns(spec, np.asarray(theta, dtype=float))[0]
-    return _block_of(y0, _czbar_diagonal(spec.width))
+    """The block of W from the block walk."""
+    y0 = _walk(spec, angles(theta, spec.n_parameters))[2][0]
+    return _block_of(y0, _walk_tables(spec)[3])
 
 
 def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> float:
@@ -268,25 +315,34 @@ def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> floa
 
 
 def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> tuple[float, np.ndarray]:
-    """F and its gradient dF/dtheta_j = 2 Im <Y_j, g_j L_j> from the
-    backward and forward walks of the module docstring."""
+    """F and its gradient from the block walk and the forward walk of the
+    module docstring: per triplet column the Pauli projections of each
+    run's R_b, per ladder s."""
     h = _hamiltonian(h_tilde, spec.n)
-    theta = np.asarray(theta, dtype=float)
-    ys = _adjoint_columns(spec, theta)
-    z = _czbar_diagonal(spec.width)
+    theta = angles(theta, spec.n_parameters)
+    triplets, ladders, zz, z, runs = _walk_tables(spec)
+    krons, diagonals, ys = _walk(spec, theta)
     block = _block_of(ys[0], z)
     f = _block_cost(block, h)
-    lj = z[:, None] * (ys[0] @ (block - h))
-    gl = np.empty_like(lj)
-    nxt = np.empty_like(lj)
-    grad = np.empty(len(theta))
-    cos, isin = np.cos(theta / 2), 1j * np.sin(theta / 2)
-    for j, (row, y) in enumerate(zip(_generator_table(spec), ys)):
-        _apply_generator(*row, lj, gl)
-        grad[j] = np.vdot(y, gl).imag
-        np.multiply(cos[j], lj, out=nxt)
-        gl *= isin[j]
-        np.subtract(nxt, gl, out=lj)
+    p = z[:, None] * (ys[0] @ (block - h))
+    projections = np.empty(triplets.shape, dtype=complex)  # Tr(sigma_s on q, R) per column
+    s = np.empty_like(diagonals)
+    for k, y in enumerate(ys[1:]):
+        if k % 2:
+            p = diagonals[k // 2, :, None] * p
+            s[k // 2] = np.einsum("ic,ic->i", y.conj(), p)
+            continue
+        for (_, _, shape, *_), kron in zip(runs, krons):
+            p = kron[k // 2] @ p.reshape(shape)
+        p = p.reshape(y.shape)
+        for lo, hi, shape, flat, phases in runs:
+            pb, yb = (x.reshape(shape).swapaxes(0, 1).reshape(2 ** (hi - lo), -1) for x in (p, y))
+            projections[:, k // 2, lo:hi] = (phases * (pb @ yb.conj().T).ravel()[flat]).sum(2)
+    ux, uy, uz = projections.imag  # times the Pauli coefficients c_is of the module docstring
+    (_, cos1, cos2), (_, sin1, sin2) = np.cos(theta[triplets]), np.sin(theta[triplets])
+    grad = np.empty(spec.n_parameters)
+    grad[triplets] = [cos1 * ux + sin1 * (cos2 * uy + sin2 * uz), cos2 * uz - sin2 * uy, ux]
+    grad[ladders] = (s @ zz.T).imag
     return f, 2.0 * grad
 
 
@@ -305,8 +361,8 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
     result exactly symmetric.
     """
     h = _hamiltonian(h_tilde, spec.n)
-    theta = np.asarray(theta, dtype=float)
-    table = _checked_table(spec, theta)
+    theta = angles(theta, spec.n_parameters)
+    table = _generator_table(spec)
     p = np.eye(2**spec.width, dtype=complex)  # P_j, from P_0 = I to P_m = V
     gp = np.empty_like(p)
     a = np.empty((len(table),) + p.shape, dtype=complex)
@@ -348,11 +404,9 @@ def optimize(
     config = config or OptimizerConfig()
     spec = AnsatzSpec(n, a, layers)
     h = _hamiltonian(h_tilde, spec.n)
+    target = _Target(h)  # checked here, once for every evaluation
 
-    starts = [np.asarray(theta0, dtype=float) for theta0 in initial_thetas or []]
-    for theta0 in starts:
-        if theta0.shape != (spec.n_parameters,) or not np.isfinite(theta0).all():
-            raise ValueError(f"a warm start must hold {spec.n_parameters} finite angles")
+    starts = [angles(theta0, spec.n_parameters) for theta0 in initial_thetas or []]
     for r in range(config.restarts):
         rng = np.random.default_rng(config.init_seed + r)
         starts.append(rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=spec.n_parameters))
@@ -365,7 +419,7 @@ def optimize(
         trace: list[float] = []
 
         def fun_grad(theta):
-            f, g = cost_and_gradient(theta, h, spec)
+            f, g = cost_and_gradient(theta, target, spec)
             if not np.isfinite(f):
                 raise OptimizationError("non-finite cost encountered")
             trace.append(f)

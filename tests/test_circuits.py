@@ -936,6 +936,17 @@ class TestWalkInput:
         with pytest.raises(ValueError):
             with_ancilla_zero(psi, n_ancilla)
 
+    @pytest.mark.parametrize("call, shape", [
+        pytest.param(lambda x: apply_statevector(Circuit(2), x), (2, 2, 1), id="apply_statevector-3d"),
+        pytest.param(lambda x: apply_statevector(Circuit(2), x), (8,), id="apply_statevector-wrong-width"),
+        pytest.param(lambda x: with_ancilla_zero(x, 1), (3,), id="with_ancilla_zero-not-a-power-of-two"),
+        pytest.param(lambda x: with_ancilla_zero(x, 1), (2, 1), id="with_ancilla_zero-batch"),
+    ])
+    def test_state_shape_is_one_rule(self, call, shape):
+        # both callers refuse through errors.register_state, with its message
+        with pytest.raises(ValueError, match=rf"state of shape \({shape[0]},.* is not a \(2\^w,\) state"):
+            call(np.ones(shape, dtype=complex))
+
     def test_partial_trace_follows_keep_order(self):
         # |01>: qubit 1 is set, so keep (1, 0) puts the weight at index 0b10
         rho = density_from_state(np.eye(4, dtype=complex)[1])

@@ -33,10 +33,25 @@ def ising3_rescaled():
 
 
 SMALL = AnsatzSpec(n=1, a=1, layers=1)
+# shapes where the column walk could go wrong: width 1, whose ladders hold no
+# RZZ; no ladder at all; and widths 6 and 7, two runs of qubits of which the
+# second does not lead
+COLUMN_WALK_EDGES = [(1, 0, 0), (1, 0, 2), (2, 1, 0), (2, 4, 1), (3, 4, 1)]
 SMALL_H = build_ising_chain(1, 1.0, [0.4], 0.2).to_matrix() / 2.0
 # targets of the wrong size for SMALL's n = 1; a 1x1 one would broadcast
 # against the 2x2 block
 BAD_SIZES = [pytest.param(np.array([[0.3]]), id="1x1"), pytest.param(np.eye(4) / 4, id="4x4")]
+# every entry point that takes theta, and the one message of errors.angles they raise
+THETA_ENTRY_POINTS = [
+    pytest.param(lambda th: build_ansatz(SMALL.n, SMALL.a, SMALL.layers, th), id="build_ansatz"),
+    pytest.param(lambda th: cost(th, SMALL_H, SMALL), id="cost"),
+    pytest.param(lambda th: cost_and_gradient(th, SMALL_H, SMALL), id="cost_and_gradient"),
+    pytest.param(lambda th: hessian(th, SMALL_H, SMALL), id="hessian"),
+    pytest.param(lambda th: ansatz_block(SMALL, th), id="ansatz_block"),
+    pytest.param(lambda th: optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1), [th]),
+                 id="optimize-warm-start"),
+]
+ANGLES_RULE = f"^theta must hold {SMALL.n_parameters} finite angles"
 # targets no entry point takes
 BAD_TARGETS = [
     pytest.param(np.zeros((2, 4)), id="non-square"),
@@ -76,39 +91,20 @@ class TestAnsatz:
             build_ansatz(2, 1, 1, np.zeros(5))
 
     @pytest.mark.parametrize("extra", [-1, 1])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda th: cost(th, SMALL_H, SMALL),
-            lambda th: cost_and_gradient(th, SMALL_H, SMALL),
-            lambda th: hessian(th, SMALL_H, SMALL),
-            lambda th: ansatz_block(SMALL, th),
-        ],
-        ids=["cost", "cost_and_gradient", "hessian", "ansatz_block"],
-    )
+    @pytest.mark.parametrize("call", THETA_ENTRY_POINTS)
     def test_parameter_count_mismatch_every_entry_point(self, call, extra):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=ANGLES_RULE):
             call(np.zeros(SMALL.n_parameters + extra))
 
     @pytest.mark.parametrize("angle", [float("nan"), np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda th: cost(th, SMALL_H, SMALL),
-            lambda th: cost_and_gradient(th, SMALL_H, SMALL),
-            lambda th: hessian(th, SMALL_H, SMALL),
-            lambda th: ansatz_block(SMALL, th),
-            lambda th: optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1), [th]),
-        ],
-        ids=["cost", "cost_and_gradient", "hessian", "ansatz_block", "optimize-warm-start"],
-    )
+    @pytest.mark.parametrize("call", THETA_ENTRY_POINTS)
     def test_non_finite_theta_every_entry_point(self, call, angle, monkeypatch):
         calls = []
         inner = variational.cost_and_gradient
         monkeypatch.setattr(variational, "cost_and_gradient", lambda *args: calls.append(1) or inner(*args))
         theta = np.zeros(SMALL.n_parameters)
         theta[3] = angle
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=ANGLES_RULE):
             call(theta)
         assert not calls  # optimize rejects the warm start before any evaluation
 
@@ -132,7 +128,7 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             epsilon_be_from_cost(0.0, bad)
 
-    @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)] + COLUMN_WALK_EDGES)
     def test_circuit_matches_dense_block(self, n, a, layers):
         # the dense walk's rotation identity against the circuit gate table
         spec = AnsatzSpec(n, a, layers)
@@ -473,7 +469,7 @@ def shift_rule_gradient(theta, h, spec):
 class TestGradientOracle:
     # at a = 0 the adjoint walk's columns are the whole register; (3, 2, 3)
     # is the benchmark's largest shape
-    @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (2, 1, 1), (3, 2, 2), (3, 2, 3)])
+    @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (2, 1, 1), (3, 2, 2), (3, 2, 3)] + COLUMN_WALK_EDGES)
     def test_matches_shift_rule(self, n, a, layers):
         spec = AnsatzSpec(n, a, layers)
         h = {1: SMALL_H, 2: build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix(), 3: ising3_rescaled().to_matrix()}[n]
