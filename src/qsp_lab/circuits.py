@@ -654,6 +654,8 @@ def with_ancilla_zero(psi_system: np.ndarray, n_ancilla: int) -> np.ndarray:
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of a (2^w,) state; ValueError for any other shape."""
+    register_state(psi)
     return np.outer(psi, psi.conj())
 
 
@@ -683,6 +685,7 @@ def sample_pauli_measurement(
     Draws from the exact Born distribution; reproducible under the seed.
     """
     integer(shots, "shots", positive=True)
+    integer(seed, "seed")
     n_system = observable.n
     dim_a, dim_s = 2 ** integer(n_ancilla, "n_ancilla"), 2**n_system
     register_matrix(rho, n_ancilla + n_system)

@@ -19,6 +19,9 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k for k mod 4
+# a string's bits: 1 at the letters with an X part (X, Y), and at those with a Z part (Z, Y)
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,20 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, c in enumerate(self.letters) if c != "I")
 
+    def _signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, entries): column j of the matrix holds its one nonzero entry,
+        entries[j], in row rows[j].  P|j> = i^#Y (-1)^|j & z| |j ^ x>, with x
+        the bit mask of the X and Y letters and z that of the Z and Y letters."""
+        x = int(self.letters.translate(_X_BITS), 2)  # qubit 0 is the most significant bit
+        z = int(self.letters.translate(_Z_BITS), 2)
+        j = np.arange(2**self.n)
+        signs = 1.0 - 2.0 * (np.bitwise_count(j & z) % 2)  # in floats: bitwise_count is unsigned
+        return j ^ x, _I_POWERS[self.letters.count("Y") % 4] * signs
+
     def to_matrix(self) -> np.ndarray:
-        m = PAULI_1Q[self.letters[0]]
-        for c in self.letters[1:]:
-            m = np.kron(m, PAULI_1Q[c])
+        rows, entries = self._signed_permutation()
+        m = np.zeros((len(rows), len(rows)), dtype=complex)
+        m[rows, np.arange(len(rows))] = entries
         return m
 
     @staticmethod
@@ -104,8 +117,10 @@ class PauliSum:
         """Dense Hermitian matrix of the Pauli sum."""
         dim = 2 ** dense(self.n)
         m = np.zeros((dim, dim), dtype=complex)
+        columns = np.arange(dim)
         for coeff, ps in self.terms:
-            m += coeff * ps.to_matrix()
+            rows, entries = ps._signed_permutation()
+            m[rows, columns] += coeff * entries
         return m
 
 

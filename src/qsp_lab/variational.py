@@ -21,7 +21,8 @@ Y_k = (B_2L ... B_k)^dag Pi^T, D x 2^n (D = 2^w, w = n + a), at the 2L+2
 block boundaries, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1.  Y_0 = U^dag,
 so Wblk = Y_0^dag (z * Y_0) with z = diag Z.  cost, ansatz_block and
 cost_and_gradient read this one walk: F from cost and from
-cost_and_gradient are the same bits.
+cost_and_gradient are the same bits.  The forward application of a block,
+B_k X, is written once (_forward), for the gradient and the Hessian.
 
 The gradient is exact (adjoint differentiation, Jones & Gacon,
 arXiv:2009.02823).  With M = Wblk - H, a forward walk from L_0 = Z U^dag M
@@ -45,11 +46,12 @@ Every function that takes the target H raises ValueError unless H is a
 finite Hermitian (2^n, 2^n) matrix (errors.register_matrix), and every
 one that takes theta unless it holds m finite angles (errors.angles).
 
-The Hessian alone still walks V = V_m-1 ... V_0 gate by gate, each
-V_j = exp(-i theta_j g_j / 2) = cos(theta_j/2) I - i sin(theta_j/2) g_j with
-generator g_j = X, Z or ZZ, a signed permutation of the basis applied from
-a table built once per AnsatzSpec.  It keeps the prefixes P_j+1 = V_j P_j
-and the stack A_j = P_j^dag g_j P_j (V = P_m): dV_j = -i/2 V A_j and
+The Hessian runs the same forward walk from L_0 = I, so that
+P_k = B_k ... B_0 and V = P_2L, and keeps the stack A_j = P_k^dag K'_j P_k
+for each parameter j of block k: K'_j is the triplet's K'_i above on its
+qubit q, the three of a qubit applied as one broadcast product on P_k
+viewed as (2^q, 2, rest), or zz_j for a ladder.  Then dV_j = -i/2 V A_j,
+and as the parameters are numbered in V's application order,
 d2V_jk = -1/4 V A_hi A_lo (hi = max(j, k), lo = min(j, k)), so
 dW_j = -i/2 V [A_j, Z] V^dag and
 d2W_jk = 1/4 V (A_j Z A_k + A_k Z A_j - A_hi A_lo Z - Z A_lo A_hi) V^dag,
@@ -68,10 +70,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import _FUSE_QUBITS, Circuit, Gate, cz, rx, rz, rzz
+from .circuits import _FUSE_QUBITS, Circuit, cz, rx, rz, rzz
 from .errors import OptimizationError, angles, dense, integer, real, register_matrix
 from .lcu import BlockEncoding
-from .operators import PauliSum
+from .operators import PAULI_1Q, PauliSum
 
 
 @dataclass(frozen=True)
@@ -131,26 +133,19 @@ class OptimizeResult:
     evals: int = 0
 
 
-def _v_gate_sequence(spec: AnsatzSpec, theta: np.ndarray) -> list[Gate]:
-    """The gates of V(theta) in application order, one per parameter."""
-    w = spec.width
-    it = iter(angles(theta, spec.n_parameters))
-    gates: list[Gate] = []
-    for layer in range(spec.layers + 1):
-        for q in range(w):
-            gates += [rx(q, next(it)), rz(q, next(it)), rx(q, next(it))]
-        if layer < spec.layers:
-            gates += [rzz(q, q + 1, next(it)) for q in range(w - 1)]
-    return gates
-
-
 def build_ansatz(n: int, a: int, layers: int, theta: np.ndarray) -> Circuit:
     """Gate-level W(theta) = V CZbar V^dag on the ancilla-first register.
 
     As a circuit this applies V^dag first, then the CZ ladder, then V.
     """
     spec = AnsatzSpec(n, a, layers)
-    v = Circuit(n, a).extend(_v_gate_sequence(spec, theta))
+    it = iter(angles(theta, spec.n_parameters))
+    v = Circuit(n, a)
+    for layer in range(layers + 1):  # V's gates in application order, one per parameter
+        for q in range(spec.width):
+            v.extend([rx(q, next(it)), rz(q, next(it)), rx(q, next(it))])
+        if layer < layers:
+            v.extend([rzz(q, q + 1, next(it)) for q in range(spec.width - 1)])
     circuit = v.inverse()
     circuit.extend(cz(q, q + 1) for q in range(spec.width - 1))
     circuit.extend(v.gates)
@@ -174,38 +169,9 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.reshape(m, -1) @ y.transpose(0, 2, 1).reshape(m, -1).T
 
 
-@functools.lru_cache(maxsize=16)
-def _generator_table(spec: AnsatzSpec) -> tuple[tuple[bool, np.ndarray], ...]:
-    """How each generator g_j of _v_gate_sequence acts on the rows of a
-    D-row array X, as (flips, action).  For X_q, flips is True and row i
-    of g_j X is row action[i] = i ^ 2^(w-1-q) of X.  For Z_q and Z_q Z_{q+1},
-    flips is False and row i of g_j X is row i of X times action[i], -1 to
-    the parity of i's bits at the gate's qubits.  Qubit q is bit w-1-q of
-    the row index, as in circuits (ancilla first, most significant first)."""
-    w = spec.width
-    rows = np.arange(2**w)
-    table = []
-    for g in _v_gate_sequence(spec, np.zeros(spec.n_parameters)):
-        mask = sum(1 << (w - 1 - q) for q in g.qubits)
-        if g.kind == "RX":
-            action = rows ^ mask
-        else:
-            action = (1.0 - 2.0 * (np.bitwise_count(rows & mask) % 2)).astype(complex)[:, None]
-        action.flags.writeable = False
-        table.append((g.kind == "RX", action))
-    return tuple(table)
-
-
-def _apply_generator(flips: bool, action: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out = g x for the generator of one _generator_table row."""
-    if flips:  # action is in range; the default mode="raise" copies out= through a buffer
-        x.take(action, axis=0, out=out, mode="clip")
-    else:
-        np.multiply(action, x, out=out)
-
-
 _I2 = np.eye(2)
-_XZX = np.array([[[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]])[:, None, None]  # a triplet's generators
+_XYZ = np.stack([PAULI_1Q[s] for s in "XYZ"])  # sigma_s, s = X, Y, Z
+_XZX = _XYZ[[0, 2, 0], None, None]  # a triplet's generators
 
 
 @functools.lru_cache(maxsize=16)
@@ -240,22 +206,38 @@ def _walk_tables(spec: AnsatzSpec) -> tuple:
     return tables + (tuple(runs),)
 
 
-def _walk(spec: AnsatzSpec, theta: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The block walk of the module docstring at a checked theta: per run the
-    (L+1, 2^b, 2^b) Kronecker products of its qubits' triplets T, the (L, D)
-    ladder diagonals, and the (2L+2, D, 2^n) array of
-    Y_k = (B_2L ... B_k)^dag Pi^T, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1."""
+def _blocks(spec: AnsatzSpec, theta: np.ndarray) -> tuple[list[tuple[tuple, np.ndarray]], np.ndarray]:
+    """V's blocks at a checked theta, as _forward applies them: per run its
+    view shape and the (L+1, 2^b, 2^b) Kronecker products of its qubits'
+    triplets T, and the (L, D) ladder diagonals."""
     triplets, ladders, zz, _, runs = _walk_tables(spec)
     half = theta[triplets, None, None] / 2
     rx0, rz1, rx2 = np.cos(half) * _I2 - 1j * np.sin(half) * _XZX
     t = rx2 @ rz1 @ rx0
     krons = []
-    for lo, hi, *_ in runs:
+    for lo, hi, shape, *_ in runs:
         k = t[:, hi - 1]
         for q in range(hi - 2, lo - 1, -1):  # T_q (x) k, the larger factor innermost
             k = (t[:, q, :, None, :, None] * k[:, None, :, None, :]).reshape(len(t), 2 * k.shape[1], -1)
-        krons.append(k)
-    diagonals = np.exp(-0.5j * (theta[ladders] @ zz))
+        krons.append((shape, k))
+    return krons, np.exp(-0.5j * (theta[ladders] @ zz))
+
+
+def _forward(blocks: tuple, k: int, x: np.ndarray) -> np.ndarray:
+    """B_k x for a D-row array x, with blocks = _blocks(spec, theta)."""
+    krons, diagonals = blocks
+    if k % 2:
+        return diagonals[k // 2, :, None] * x
+    y = x
+    for shape, kron in krons:
+        y = kron[k // 2] @ y.reshape(shape)
+    return y.reshape(x.shape)
+
+
+def _walk(spec: AnsatzSpec, blocks: tuple) -> np.ndarray:
+    """The backward walk of the module docstring: the (2L+2, D, 2^n) array of
+    Y_k = (B_2L ... B_k)^dag Pi^T, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1."""
+    krons, diagonals = blocks
     ys = np.empty((2 * spec.layers + 2, 2**spec.width, 2**spec.n), dtype=complex)
     ys[-1] = np.eye(*ys.shape[1:])
     for k in range(2 * spec.layers, -1, -1):
@@ -263,10 +245,10 @@ def _walk(spec: AnsatzSpec, theta: np.ndarray) -> tuple[list[np.ndarray], np.nda
             np.multiply(diagonals[k // 2, :, None].conj(), ys[k + 1], out=ys[k])
             continue
         y = ys[k + 1]
-        for (_, _, shape, *_), kron in zip(runs, krons):
+        for shape, kron in krons:
             y = kron[k // 2].conj().T @ y.reshape(shape)
         ys[k] = y.reshape(ys.shape[1:])
-    return krons, diagonals, ys
+    return ys
 
 
 def _block_of(y0: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -295,7 +277,7 @@ def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
 
 def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     """The block of W from the block walk."""
-    y0 = _walk(spec, angles(theta, spec.n_parameters))[2][0]
+    y0 = _walk(spec, _blocks(spec, angles(theta, spec.n_parameters)))[0]
     return _block_of(y0, _walk_tables(spec)[3])
 
 
@@ -321,20 +303,18 @@ def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: A
     h = _hamiltonian(h_tilde, spec.n)
     theta = angles(theta, spec.n_parameters)
     triplets, ladders, zz, z, runs = _walk_tables(spec)
-    krons, diagonals, ys = _walk(spec, theta)
+    blocks = _blocks(spec, theta)
+    ys = _walk(spec, blocks)
     block = _block_of(ys[0], z)
     f = _block_cost(block, h)
     p = z[:, None] * (ys[0] @ (block - h))
     projections = np.empty(triplets.shape, dtype=complex)  # Tr(sigma_s on q, R) per column
-    s = np.empty_like(diagonals)
+    s = np.empty((spec.layers, len(z)), dtype=complex)
     for k, y in enumerate(ys[1:]):
+        p = _forward(blocks, k, p)
         if k % 2:
-            p = diagonals[k // 2, :, None] * p
             s[k // 2] = np.einsum("ic,ic->i", y.conj(), p)
             continue
-        for (_, _, shape, *_), kron in zip(runs, krons):
-            p = kron[k // 2] @ p.reshape(shape)
-        p = p.reshape(y.shape)
         for lo, hi, shape, flat, phases in runs:
             pb, yb = (x.reshape(shape).swapaxes(0, 1).reshape(2 ** (hi - lo), -1) for x in (p, y))
             projections[:, k // 2, lo:hi] = (phases * (pb @ yb.conj().T).ravel()[flat]).sum(2)
@@ -350,7 +330,8 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
     """Exact Hessian of F in closed form.
 
     dW_j and d2W_jk are the module docstring's, in the stack
-    A_j = P_j^dag g_j P_j.  With U the top rows of V (so
+    A_j = P_k^dag K'_j P_k of the forward walk's prefixes P_k = B_k ... B_0,
+    read from the blocks of the walk.  With U the top rows of V (so
     Wblk = U Z U^dag), E_j = U [A_j, Z] U^dag and M = U^dag (Wblk - H) U,
 
         d2F_jk = 2 Re <dWblk_j, dWblk_k> + 2 Re Tr[(Wblk - H) d2Wblk_jk]
@@ -362,16 +343,24 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
     """
     h = _hamiltonian(h_tilde, spec.n)
     theta = angles(theta, spec.n_parameters)
-    table = _generator_table(spec)
-    p = np.eye(2**spec.width, dtype=complex)  # P_j, from P_0 = I to P_m = V
-    gp = np.empty_like(p)
-    a = np.empty((len(table),) + p.shape, dtype=complex)
-    cos, isin = np.cos(theta / 2), 1j * np.sin(theta / 2)
-    for j, row in enumerate(table):
-        _apply_generator(*row, p, gp)
-        np.matmul(p.conj().T, gp, out=a[j])
-        p = cos[j] * p - isin[j] * gp
-    z = _czbar_diagonal(spec.width)
+    triplets, ladders, zz, z, _ = _walk_tables(spec)
+    angle12 = theta[triplets[1:]]
+    (cos1, cos2), (sin1, sin2) = np.cos(angle12), np.sin(angle12)
+    zero = np.zeros_like(cos1)
+    coefficients = np.array([[cos1, sin1 * cos2, sin1 * sin2], [zero, -sin2, cos2], [zero + 1, zero, zero]])  # c_is
+    kprime = np.einsum("is...,sab->...iab", coefficients, _XYZ)  # (L+1, w, 3, 2, 2): K'_i per column and qubit
+    blocks = _blocks(spec, theta)
+    p = np.eye(2**spec.width, dtype=complex)  # P_k, from I to P_2L = V
+    a = np.empty((spec.n_parameters,) + p.shape, dtype=complex)
+    kp = np.empty((spec.width, 3) + p.shape, dtype=complex)  # K'_i P_k per qubit of a column
+    for k in range(2 * spec.layers + 1):
+        p = _forward(blocks, k, p)
+        if k % 2:
+            a[ladders[k // 2]] = p.conj().T @ (zz[:, :, None] * p)
+            continue
+        for q in range(spec.width):  # qubit q's K'_0..2 act on P as (2^q, 2, .)
+            np.matmul(kprime[k // 2, q, :, None], p.reshape(2**q, 2, -1), out=kp[q].reshape(3, 2**q, 2, -1))
+        a[triplets[:, k // 2].T] = p.conj().T @ kp
     u = p[: 2**spec.n]
     m_mat = u.conj().T @ (_block_of(u.conj().T, z) - h) @ u
     e = (u @ (a * (z[None, :] - z[:, None])) @ u.conj().T).reshape(len(a), -1)

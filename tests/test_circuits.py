@@ -903,6 +903,12 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: with_ancilla_zero(np.ones(2), True), "^n_ancilla must", id="bool-ancilla-count"),
     pytest.param(lambda: sample_pauli_measurement(np.eye(4) / 4, PauliString("Z"), 10, 0, 1.0), "^n_ancilla must",
                  id="sampling-float-ancilla-count"),
+    pytest.param(lambda: sample_pauli_measurement(np.eye(4) / 4, PauliString("Z"), 10, 1.5, 1), "^seed must",
+                 id="sampling-fractional-seed"),
+    pytest.param(lambda: sample_pauli_measurement(np.eye(4) / 4, PauliString("Z"), 10, True, 1), "^seed must",
+                 id="sampling-bool-seed"),
+    pytest.param(lambda: density_from_state(np.ones((2, 2))), r"^state of shape \(2, 2\)", id="density-2d-state"),
+    pytest.param(lambda: density_from_state(np.ones(3)), r"^state of shape \(3,\)", id="density-length-3-state"),
 ]
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qsp_lab.errors import DegenerateSpectrumError, DimensionError
 from qsp_lab.operators import (
+    PAULI_1Q,
     PauliString,
     PauliSum,
     SpectralBounds,
@@ -224,7 +227,39 @@ class TestRescale:
             rescale(ising3(), triangle_bounds(ising3()), 1j, 1.0)
 
 
+def kron_of_letters(letters):
+    """Independent oracle: the Kronecker product of the letters' 2x2 matrices."""
+    m = np.eye(1)
+    for c in letters:
+        m = np.kron(m, PAULI_1Q[c])
+    return m
+
+
+def seeded_strings(width, count=30):
+    rng = np.random.default_rng(60 + width)
+    return ["".join(rng.choice(list("IXYZ"), width)) for _ in range(count)]
+
+
 class TestDenseOracles:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_every_string_matches_kron(self, width):
+        for letters in map("".join, itertools.product("IXYZ", repeat=width)):
+            assert np.array_equal(PauliString(letters).to_matrix(), kron_of_letters(letters)), letters
+
+    @pytest.mark.parametrize("width", [4, 5])
+    def test_seeded_strings_match_kron(self, width):
+        for letters in seeded_strings(width):
+            assert np.array_equal(PauliString(letters).to_matrix(), kron_of_letters(letters)), letters
+
+    def test_sum_with_repeated_strings_matches_kron(self):
+        letters = seeded_strings(3, 6) * 2 + ["YYY", "YYY", "III"]
+        coeffs = np.random.default_rng(66).normal(size=len(letters))
+        expect = np.zeros((8, 8), dtype=complex)
+        for c, s in zip(coeffs, letters):
+            expect += c * kron_of_letters(s)
+        h = PauliSum(3, [(float(c), PauliString(s)) for c, s in zip(coeffs, letters)])
+        assert np.array_equal(h.to_matrix(), expect)
+
     def test_identity_matrix(self):
         assert np.allclose(PauliSum(1).add(1.0, "I").to_matrix(), np.eye(2))
 

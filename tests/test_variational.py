@@ -8,13 +8,11 @@ from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, cz
 from qsp_lab.lcu import encoded_block
 from qsp_lab import variational
 from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError, OptimizationError
-from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
+from qsp_lab.operators import build_ising_chain, rescale, triangle_bounds
 from qsp_lab.variational import (
     AnsatzSpec,
     OptimizerConfig,
     _czbar_diagonal,
-    _generator_table,
-    _v_gate_sequence,
     ansatz_block,
     build_ansatz,
     cost,
@@ -435,10 +433,10 @@ def shift_rule_hessian(theta, h, spec):
 
 
 class TestHessianOracle:
-    @pytest.mark.parametrize("n, a, layers", [(2, 1, 1), (3, 2, 1)])
+    @pytest.mark.parametrize("n, a, layers", [(2, 1, 1), (3, 2, 1)] + COLUMN_WALK_EDGES)
     def test_matches_shift_rule(self, n, a, layers):
         spec = AnsatzSpec(n, a, layers)
-        h = ising3_rescaled().to_matrix() if n == 3 else build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix()
+        h = {1: SMALL_H, 2: build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix(), 3: ising3_rescaled().to_matrix()}[n]
         theta = np.random.default_rng(30 + n).uniform(-np.pi, np.pi, spec.n_parameters)
         hm = hessian(theta, h, spec)
         assert np.array_equal(hm, hm.T)
@@ -484,22 +482,3 @@ class TestGradientOracle:
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, spec.n_parameters)
             assert cost_and_gradient(theta, h, spec)[0] == cost(theta, h, spec)
-
-
-@pytest.mark.parametrize("n, a", [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2)])
-def test_generator_table_matches_pauli_matrices(n, a):
-    # every table row, applied as the walk applies it, against the dense
-    # Pauli string of that gate's generator times M; both are exact
-    spec = AnsatzSpec(n, a, 1)
-    w = spec.width
-    rng = np.random.default_rng(50 + w)
-    m = rng.normal(size=(2**w, 2**w)) + 1j * rng.normal(size=(2**w, 2**w))
-    gates = _v_gate_sequence(spec, np.zeros(spec.n_parameters))
-    table = _generator_table(spec)
-    assert len(table) == len(gates)
-    for g, (flips, action) in zip(gates, table):
-        letters = ["I"] * w
-        for q in g.qubits:
-            letters[q] = "X" if g.kind == "RX" else "Z"
-        expect = PauliString("".join(letters)).to_matrix() @ m
-        assert np.array_equal(m[action] if flips else action * m, expect)
