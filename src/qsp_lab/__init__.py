@@ -2,8 +2,10 @@
 
 Everything is dense and exactly verifiable.  The modules are:
 
-- operators: Pauli-sum Hamiltonians (Ising chains), spectral bounds,
-  rescaling into an interval [a, b] inside [0, 1], and dense propagators.
+- operators: the one encoding of a Pauli string (its X/Z bit masks, Y
+  count and signed permutation, which every other module reads),
+  Pauli-sum Hamiltonians (Ising chains), spectral bounds, rescaling into
+  an interval [a, b] inside [0, 1], and dense propagators.
 - circuits: the gate-level circuit IR, decomposition into the native
   gate set, statevector, unitary and density-matrix simulation under a
   two-qubit depolarizing noise model, and Pauli measurement sampling.

@@ -79,7 +79,8 @@ walk carries the (2^w, r) batch of the r eigenvectors numpy's rank rule
 keeps, and the output is sum_k lam_k U|v_k><v_k|U^dag, so a pure state
 costs one statevector walk.  Under per-gate noise rho is walked as its
 real Pauli coefficients r_P = Tr(P rho) (the Pauli-transfer form, e.g.
-Greenbaum, arXiv:1509.02921): rho = 2^-w sum_P r_P P, a unitary U becomes
+Greenbaum, arXiv:1509.02921), its basis the matrices of the 1- and 2-qubit
+PauliStrings: rho = 2^-w sum_P r_P P, a unitary U becomes
 the real orthogonal matrix R[P, Q] = Tr(P U Q U^dag) / 2^k on the k qubits
 it touches, and the pair channel becomes diag(1, 1-p, ..., 1-p), which is
 multiplied into the R of its RZZ/CZ, so every gate is one real step.  The
@@ -99,7 +100,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import dense, integer, qubits, real, register_matrix, register_state
-from .operators import PAULI_1Q, PauliString
+from .operators import PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
 STRUCTURAL_KINDS = ("APHASE",)
@@ -311,16 +312,16 @@ def _depolarizing(p: float) -> np.ndarray:
     return (1.0 - p) * np.eye(16, dtype=complex) + (p / 4.0) * np.outer(e, e)
 
 
-def _pauli_basis(paulis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, T^-1) for a stack of the 4^k k-qubit Paulis: T[P, r * 2^k + c] =
+def _pauli_basis(strings) -> tuple[np.ndarray, np.ndarray]:
+    """(T, T^-1) for the 4^k k-qubit PauliStrings, in the order given: T[P, r * 2^k + c] =
     P[c, r], so T vec(X) lists Tr(P X) over P, and T^-1 = T^dag / 2^k."""
+    paulis = np.array([PauliString(s).to_matrix() for s in strings])
     t = paulis.transpose(0, 2, 1).reshape(len(paulis), -1)
     return t, t.conj().T / len(paulis[0])
 
 
-_PAULIS = np.array([PAULI_1Q[c] for c in "IXYZ"])
 # superoperator size -> (T, T^-1), for one qubit and for a pair
-_PAULI_BASIS = {4: _pauli_basis(_PAULIS), 16: _pauli_basis(np.array([_kron(a, b) for a in _PAULIS for b in _PAULIS]))}
+_PAULI_BASIS = {4: _pauli_basis("IXYZ"), 16: _pauli_basis([a + b for a in "IXYZ" for b in "IXYZ"])}
 
 
 def _pauli_transfer(sup: np.ndarray) -> np.ndarray:
@@ -689,14 +690,12 @@ def sample_pauli_measurement(
     n_system = observable.n
     dim_a, dim_s = 2 ** integer(n_ancilla, "n_ancilla"), 2**n_system
     register_matrix(rho, n_ancilla + n_system)
-    pmat = observable.to_matrix()
-    probs = np.empty((dim_a, 2))
-    for b in range(dim_a):
-        block = rho[b * dim_s: (b + 1) * dim_s, b * dim_s: (b + 1) * dim_s]
-        tr = np.trace(block).real
-        ev = np.trace(pmat @ block).real
-        probs[b, 0] = (tr + ev) / 2.0  # outcome +1
-        probs[b, 1] = (tr - ev) / 2.0  # outcome -1
+    # the ancilla-diagonal blocks B_b as (b, row, col); Tr(P B) = sum_j entries[j] B[j, rows[j]]
+    rows, entries = observable.signed_permutation()
+    anc, j = np.arange(dim_a)[:, None], np.arange(dim_s)
+    blocks = rho.reshape(dim_a, dim_s, dim_a, dim_s)
+    tr, ev = blocks[anc, j, anc, j].sum(1).real, (blocks[anc, j, anc, rows] @ entries).real
+    probs = np.stack([tr + ev, tr - ev], axis=1) / 2.0  # outcomes +1 and -1
     flat = np.clip(probs.reshape(-1), 0.0, None)
     if not flat.sum() > 0.0:
         raise ValueError("density matrix has no positive probability to sample")

@@ -1,8 +1,8 @@
 """Shared exception types, and the input rules every entry point checks
 its arguments with: real, integer, qubits, spectral_interval,
 register_state and register_matrix return their input unchanged or raise
-ValueError naming the argument, angles returns a parameter vector as a
-float array or raises ValueError, and dense raises DimensionError."""
+ValueError naming the argument, angles returns a real vector as a float
+array or raises ValueError, and dense raises DimensionError."""
 import math
 
 import numpy as np
@@ -67,12 +67,15 @@ def spectral_interval(iv) -> tuple:
     return iv[0], iv[1]
 
 
-def angles(theta, m: int) -> np.ndarray:
-    """theta as a float array, when it holds m finite angles (a parameter vector)."""
-    x = np.asarray(theta, dtype=float)
-    if x.shape != (m,) or not np.isfinite(x).all():
-        raise ValueError(f"theta must hold {m} finite angles, got an array of shape {x.shape}")
-    return x
+def angles(x, name: str, m: int | None = None) -> np.ndarray:
+    """x as a float array, when it is a 1-D array of finite real numbers (an
+    integer or float dtype, never bool, str or complex), of length m when m
+    is given: a parameter vector, phases or an angle table."""
+    v = np.asarray(x)
+    if v.dtype.kind not in "iuf" or v.ndim != 1 or (m is not None and len(v) != m) or not np.isfinite(v).all():
+        want = "be a finite 1-D array of real angles" if m is None else f"hold {m} finite angles"
+        raise ValueError(f"{name} must {want}, got an array of shape {v.shape} and dtype {v.dtype}")
+    return v.astype(float, copy=False)
 
 
 def register_state(x, width: int | None = None, *, batch: bool = False, name: str = "state"):

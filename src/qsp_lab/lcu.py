@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as cir
+from . import errors
 from .circuits import Circuit, Gate, _cx, _pauli_x, _phase1q, encoded_block, gphase, had, mcphase, rx, rz
-from .errors import integer
 from .operators import PauliString, PauliSum
 
 _ANGLE_TOL = 1e-12
@@ -51,7 +51,7 @@ class LCUPlan:
         object.__setattr__(self, "signs", tuple(self.signs))
         object.__setattr__(self, "paulis", tuple(self.paulis))
         k = len(self.paulis)
-        if not 1 <= k <= 2 ** integer(self.a, "a"):
+        if not 1 <= k <= 2 ** errors.integer(self.a, "a"):
             raise ValueError(f"need 1 <= K <= 2^a branches, got K = {k}, a = {self.a}")
         if len(self.signs) != k or np.shape(self.prep_amplitudes) != (k,):
             raise ValueError(f"{k} branches need {k} signs and a ({k},) array of amplitudes")
@@ -181,11 +181,11 @@ def _gray_ucrz(controls: tuple[int, ...], target: int, w_by_mask: np.ndarray) ->
 def ucrz(controls: tuple[int, ...], target: int, alphas: np.ndarray) -> list[Gate]:
     """Uniformly controlled RZ: sum_x |x><x| RZ(alpha_x) on the target.
 
-    alphas is indexed so that controls[0] is the most significant bit.
+    alphas is indexed so that controls[0] is the most significant bit; ValueError
+    unless the qubits are distinct and alphas holds 2^len(controls) finite angles.
     """
-    if len(alphas) != 2 ** len(controls):
-        raise ValueError(f"{len(controls)} controls need {2 ** len(controls)} angles, got {len(alphas)}")
-    return _gray_ucrz(controls, target, _walsh(alphas))
+    errors.qubits((*controls, target), "controls and target")
+    return _gray_ucrz(controls, target, _walsh(errors.angles(alphas, "alphas", 2 ** len(controls))))
 
 
 def ucry(controls: tuple[int, ...], target: int, alphas: np.ndarray) -> list[Gate]:
@@ -202,11 +202,10 @@ def diagonal_gates(qubits: tuple[int, ...], phases: np.ndarray) -> list[Gate]:
     diag(e^{i p0}, e^{i p1}) = e^{i (p0+p1)/2} RZ(p1 - p0), so the rest is
     a diagonal on the other qubits and one uniformly controlled RZ.  The
     constant phase is emitted as a GPHASE so the result matches the
-    target with no global-phase slack.
+    target with no global-phase slack.  ValueError unless the qubits are
+    distinct and phases holds 2^len(qubits) finite angles.
     """
-    phases = np.asarray(phases, dtype=float)
-    if len(phases) != 2 ** len(qubits):
-        raise ValueError(f"{len(qubits)} qubits need {2 ** len(qubits)} phases, got {len(phases)}")
+    phases = errors.angles(phases, "phases", 2 ** len(errors.qubits(qubits, "qubits")))
     if not qubits:
         return [gphase(float(phases[0]))] if abs(phases[0]) > _ANGLE_TOL else []
     p0, p1 = phases[0::2], phases[1::2]
@@ -218,23 +217,16 @@ def diagonal_gates(qubits: tuple[int, ...], phases: np.ndarray) -> list[Gate]:
 # ---------------------------------------------------------------------------
 
 def _branch_tables(plan: LCUPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-branch X/Z exponent tables and the collected ancilla phase."""
-    n = plan.n_system
-    dim_a = 2**plan.a
-    bx = np.zeros((n, dim_a), dtype=float)
-    bz = np.zeros((n, dim_a), dtype=float)
-    anc_phase = np.zeros(dim_a)
-    for idx in range(plan.k):
-        p = plan.paulis[idx]
-        if plan.signs[idx] == -1:
-            anc_phase[idx] += np.pi
-        for q, letter in enumerate(p.letters):
-            if letter in ("X", "Y"):
-                bx[q, idx] = 1.0
-            if letter in ("Z", "Y"):
-                bz[q, idx] = 1.0
-            if letter == "Y":
-                anc_phase[idx] += np.pi / 2.0
+    """Per-branch X/Z exponent tables, (n, 2^a) with qubit q in row q, and the
+    collected ancilla phase: pi for a minus sign and pi/2 per Y letter, as
+    P = i^y X^x Z^z (PauliString.symplectic)."""
+    n, dim_a = plan.n_system, 2**plan.a
+    bx, bz, anc_phase = np.zeros((n, dim_a)), np.zeros((n, dim_a)), np.zeros(dim_a)
+    bits = np.arange(n - 1, -1, -1)  # qubit q is bit n-1-q of a mask
+    for idx, (p, sign) in enumerate(zip(plan.paulis, plan.signs)):
+        x, z, y = p.symplectic()
+        bx[:, idx], bz[:, idx] = (x >> bits) & 1, (z >> bits) & 1
+        anc_phase[idx] = np.pi * (sign == -1) + (np.pi / 2.0) * y
     return bx, bz, anc_phase
 
 
@@ -328,13 +320,13 @@ def naive_select_gate_count(plan: LCUPlan) -> int:
     return total
 
 
-def prep_gates(plan: LCUPlan, ancillas: tuple[int, ...]) -> list[Gate]:
-    """State preparation A with A|0^a> = sum_l amp_l |l>.
+def prep_gates(plan: LCUPlan) -> list[Gate]:
+    """State preparation A with A|0^a> = sum_l amp_l |l> on the ancillas 0..a-1.
 
     Equal amplitudes reduce to a Hadamard on every ancilla; otherwise a
     binary tree of uniformly controlled Y rotations loads the profile.
     """
-    a = len(ancillas)
+    a, ancillas = plan.a, tuple(range(plan.a))
     if a == 0:
         return []
     full = np.zeros(2**a)
@@ -360,7 +352,7 @@ def build_lcu_circuit(plan: LCUPlan) -> BlockEncoding:
     n, a = plan.n_system, plan.a
     select = multiplexor_compile(plan)
     circuit = Circuit(n, a)
-    prep = prep_gates(plan, circuit.ancilla_qubits)
+    prep = prep_gates(plan)
     prep_circuit = Circuit(n, a, list(prep))
     circuit.extend(prep)
     circuit.extend(select.gates)

@@ -2,8 +2,10 @@
 
 Conventions: qubit 0 is the leftmost (most significant) tensor factor, so
 a computational basis index reads as the bitstring q0 q1 ... q_{n-1}.
-Everything here is dense and exact; the hard cap MAX_DENSE_QUBITS, which
-callers import from here, keeps matrices verifiable by direct diagonalization.
+PauliString is the one definition of a Pauli operator: its binary
+symplectic form (symplectic) and its signed permutation are what every
+other module reads.  Everything here is dense and exact; the hard cap
+errors.MAX_DENSE_QUBITS keeps matrices verifiable by direct diagonalization.
 """
 from __future__ import annotations
 
@@ -11,14 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MAX_DENSE_QUBITS, DegenerateSpectrumError, dense, integer, qubits, real, spectral_interval
+from .errors import DegenerateSpectrumError, dense, integer, qubits, real, spectral_interval
 
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^k for k mod 4
 # a string's bits: 1 at the letters with an X part (X, Y), and at those with a Z part (Z, Y)
 _X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
@@ -46,18 +42,22 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, c in enumerate(self.letters) if c != "I")
 
-    def _signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+    def symplectic(self) -> tuple[int, int, int]:
+        """(x, z, y): the bit masks of the letters with an X part (X, Y) and of
+        those with a Z part (Z, Y), qubit 0 the most significant bit, and the
+        number of Y letters, so that the string is i^y X^x Z^z."""
+        return int(self.letters.translate(_X_BITS), 2), int(self.letters.translate(_Z_BITS), 2), self.letters.count("Y")
+
+    def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, entries): column j of the matrix holds its one nonzero entry,
-        entries[j], in row rows[j].  P|j> = i^#Y (-1)^|j & z| |j ^ x>, with x
-        the bit mask of the X and Y letters and z that of the Z and Y letters."""
-        x = int(self.letters.translate(_X_BITS), 2)  # qubit 0 is the most significant bit
-        z = int(self.letters.translate(_Z_BITS), 2)
+        entries[j], in row rows[j]: P|j> = i^y (-1)^|j & z| |j ^ x>."""
+        x, z, y = self.symplectic()
         j = np.arange(2**self.n)
         signs = 1.0 - 2.0 * (np.bitwise_count(j & z) % 2)  # in floats: bitwise_count is unsigned
-        return j ^ x, _I_POWERS[self.letters.count("Y") % 4] * signs
+        return j ^ x, _I_POWERS[y % 4] * signs
 
     def to_matrix(self) -> np.ndarray:
-        rows, entries = self._signed_permutation()
+        rows, entries = self.signed_permutation()
         m = np.zeros((len(rows), len(rows)), dtype=complex)
         m[rows, np.arange(len(rows))] = entries
         return m
@@ -119,7 +119,7 @@ class PauliSum:
         m = np.zeros((dim, dim), dtype=complex)
         columns = np.arange(dim)
         for coeff, ps in self.terms:
-            rows, entries = ps._signed_permutation()
+            rows, entries = ps.signed_permutation()
             m[rows, columns] += coeff * entries
         return m
 

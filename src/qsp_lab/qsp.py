@@ -44,7 +44,7 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import Circuit, aphase
-from .errors import integer, real, spectral_interval
+from .errors import angles, integer, real, spectral_interval
 
 # optimize_phases fits on _GRID_PER_DEGREE * (d + 1) Chebyshev nodes from
 # _RESTARTS starts (zero phases, then seeded random ones); each distinct
@@ -72,20 +72,12 @@ class QSPPhases:
         return len(self.phases)
 
     def __post_init__(self):
-        self.phases = _checked_phases(self.phases)
+        self.phases = angles(self.phases, "phases")
         if self.degree % 2 != 0:
             raise ValueError("the even-parity protocol needs an even degree")
         real(self.t_tilde, "t_tilde")
         self.interval = spectral_interval(self.interval)
         real(self.epsilon_poly, "epsilon_poly", 0.0)
-
-
-def _checked_phases(phases) -> np.ndarray:
-    """The phases as an array; ValueError unless they are a finite 1-D real array."""
-    phi = np.asarray(phases)
-    if phi.ndim != 1 or phi.dtype.kind not in "iuf" or not np.isfinite(phi).all():
-        raise ValueError(f"phases must be a finite 1-D real array, got {phases!r}")
-    return phi
 
 
 # the start row (1, 0) at every grid point: f is entry 0 of its last row
@@ -133,7 +125,7 @@ def _jacobian(ee: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def qsp_scalar_unitary(x: float, phases: QSPPhases | np.ndarray) -> np.ndarray:
     """Product over k of S(phi_k) W(x); f(x) is the [0, 0] entry."""
-    phi = _checked_phases(phases.phases if isinstance(phases, QSPPhases) else phases)
+    phi = angles(phases.phases if isinstance(phases, QSPPhases) else phases, "phases")
     if abs(real(x, "signal value")) > 1.0 + 1e-12:
         raise ValueError(f"signal value must be in [-1, 1], got {x!r}")
     # grid point j carries row j of the identity, so the last rows are U's transpose
@@ -151,7 +143,7 @@ def qsp_circuit(encoding: Circuit, phases: QSPPhases | np.ndarray) -> Circuit:
     entry of qsp_scalar_unitary.  The APHASE gates stay undecomposed; the
     simulators and count_two_qubit_gates read them as decompose() does.
     """
-    phi = _checked_phases(phases.phases if isinstance(phases, QSPPhases) else phases)
+    phi = angles(phases.phases if isinstance(phases, QSPPhases) else phases, "phases")
     out = Circuit(encoding.n_system, encoding.n_ancilla)
     for p in phi[::-1]:
         out.extend(encoding.gates)

@@ -73,7 +73,7 @@ import scipy.optimize
 from .circuits import _FUSE_QUBITS, Circuit, cz, rx, rz, rzz
 from .errors import OptimizationError, angles, dense, integer, real, register_matrix
 from .lcu import BlockEncoding
-from .operators import PAULI_1Q, PauliSum
+from .operators import PauliString, PauliSum
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def build_ansatz(n: int, a: int, layers: int, theta: np.ndarray) -> Circuit:
     As a circuit this applies V^dag first, then the CZ ladder, then V.
     """
     spec = AnsatzSpec(n, a, layers)
-    it = iter(angles(theta, spec.n_parameters))
+    it = iter(angles(theta, "theta", spec.n_parameters))
     v = Circuit(n, a)
     for layer in range(layers + 1):  # V's gates in application order, one per parameter
         for q in range(spec.width):
@@ -170,7 +170,7 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 _I2 = np.eye(2)
-_XYZ = np.stack([PAULI_1Q[s] for s in "XYZ"])  # sigma_s, s = X, Y, Z
+_XYZ = np.stack([PauliString(s).to_matrix() for s in "XYZ"])  # sigma_s, s = X, Y, Z
 _XZX = _XYZ[[0, 2, 0], None, None]  # a triplet's generators
 
 
@@ -182,24 +182,23 @@ def _walk_tables(spec: AnsatzSpec) -> tuple:
     diagonals zz_k of Z_k Z_k+1; the CZ-ladder diagonal z; and per run of at
     most _FUSE_QUBITS qubits [lo, hi), (lo, hi, shape, flat, phases), where
     shape views a D-row array as (2^lo, 2^(hi-lo), rest) and, for the run's
-    qubit i and s = X, Y, Z, Tr(sigma_s R_b) = sum_r phases[s, i, r]
-    R_b.flat[flat[s, i, r]]: sigma_s is a signed permutation, with the entry
-    phases[s, i, r] in row r."""
+    qubit i and s = X, Y, Z, Tr(sigma_s R_b) = sum_j phases[s, i, j]
+    R_b.flat[flat[s, i, j]]: with (rows, entries) sigma_s's signed
+    permutation, flat = rows 2^b + j and phases = conj(entries), sigma_s
+    being Hermitian."""
     w, per_layer = spec.width, 4 * spec.width - 1  # 3w rotations and w - 1 RZZs
     idx = np.arange(spec.n_parameters)
     layers = idx[: spec.layers * per_layer].reshape(spec.layers, per_layer)
     triplets = np.concatenate([layers[:, : 3 * w], idx[None, len(layers) * per_layer:]])
     triplets = triplets.reshape(-1, w, 3).transpose(2, 0, 1)
-    pairs = 3 << np.arange(w - 2, -1, -1)  # qubits k and k + 1 are bits w-1-k and w-2-k
-    zz = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**w) & pairs[:, None]) % 2)
+    ladder = [PauliString("I" * k + "ZZ" + "I" * (w - 2 - k)) for k in range(w - 1)]  # Z_k Z_k+1
+    zz = np.reshape([p.signed_permutation()[1].real for p in ladder], (w - 1, 2**w))
     runs = []
     for lo in range(0, w, _FUSE_QUBITS):
         b = min(_FUSE_QUBITS, w - lo)
-        rows = np.arange(2**b)
-        masks = 1 << np.arange(b - 1, -1, -1)[:, None]  # qubit lo+i is bit b-1-i of the run's row
-        signs = 1 - 2 * ((rows & masks) > 0)  # Z's diagonal; Y's entries are -i times it
-        flat = np.stack([rows ^ masks, rows ^ masks, np.broadcast_to(rows, (b, 2**b))]) * 2**b + rows
-        runs.append((lo, lo + b, (2**lo, 2**b, -1), flat, np.stack([np.ones_like(signs), -1j * signs, signs])))
+        perms = [PauliString.single(b, i, s).signed_permutation() for s in "XYZ" for i in range(b)]
+        rows, entries = (np.reshape(t, (3, b, 2**b)) for t in zip(*perms))
+        runs.append((lo, lo + b, (2**lo, 2**b, -1), rows * 2**b + np.arange(2**b), entries.conj()))
     tables = (triplets, layers[:, 3 * w:], zz, _czbar_diagonal(w))
     for table in tables + tuple(t for run in runs for t in run[3:]):
         table.flags.writeable = False
@@ -277,7 +276,7 @@ def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
 
 def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     """The block of W from the block walk."""
-    y0 = _walk(spec, _blocks(spec, angles(theta, spec.n_parameters)))[0]
+    y0 = _walk(spec, _blocks(spec, angles(theta, "theta", spec.n_parameters)))[0]
     return _block_of(y0, _walk_tables(spec)[3])
 
 
@@ -301,7 +300,7 @@ def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: A
     module docstring: per triplet column the Pauli projections of each
     run's R_b, per ladder s."""
     h = _hamiltonian(h_tilde, spec.n)
-    theta = angles(theta, spec.n_parameters)
+    theta = angles(theta, "theta", spec.n_parameters)
     triplets, ladders, zz, z, runs = _walk_tables(spec)
     blocks = _blocks(spec, theta)
     ys = _walk(spec, blocks)
@@ -342,7 +341,7 @@ def hessian(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec)
     result exactly symmetric.
     """
     h = _hamiltonian(h_tilde, spec.n)
-    theta = angles(theta, spec.n_parameters)
+    theta = angles(theta, "theta", spec.n_parameters)
     triplets, ladders, zz, z, _ = _walk_tables(spec)
     angle12 = theta[triplets[1:]]
     (cos1, cos2), (sin1, sin2) = np.cos(angle12), np.sin(angle12)
@@ -395,7 +394,7 @@ def optimize(
     h = _hamiltonian(h_tilde, spec.n)
     target = _Target(h)  # checked here, once for every evaluation
 
-    starts = [angles(theta0, spec.n_parameters) for theta0 in initial_thetas or []]
+    starts = [angles(theta0, "theta", spec.n_parameters) for theta0 in initial_thetas or []]
     for r in range(config.restarts):
         rng = np.random.default_rng(config.init_seed + r)
         starts.append(rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=spec.n_parameters))

@@ -31,9 +31,9 @@ from qsp_lab.circuits import (
     sample_pauli_measurement,
     with_ancilla_zero,
 )
-from qsp_lab.errors import DimensionError
+from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
 from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan
-from qsp_lab.operators import MAX_DENSE_QUBITS, PauliString, build_ising_chain, rescale, triangle_bounds
+from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import qsp_circuit
 
 RNG = np.random.default_rng(20240817)
@@ -479,6 +479,37 @@ class TestSampling:
         a = sample_pauli_measurement(rho, PauliString("X"), 500, 42, 2)
         b = sample_pauli_measurement(rho, PauliString("X"), 500, 42, 2)
         assert a == b
+
+    @pytest.mark.parametrize("letters, n_ancilla", [("Z", 2), ("XY", 1), ("YZX", 2), ("IY", 0)])
+    def test_block_probabilities_match_dense_traces(self, letters, n_ancilla, monkeypatch):
+        rng = np.random.default_rng(22)
+        dim_a, dim_s = 2**n_ancilla, 2 ** len(letters)
+        m = rng.normal(size=(dim_a * dim_s,) * 2) + 1j * rng.normal(size=(dim_a * dim_s,) * 2)
+        rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+        pm = kron_chain({q: _PAULIS["IXYZ".index(c)] for q, c in enumerate(letters)}, len(letters))
+        expect = []
+        for b in range(dim_a):
+            block = rho[b * dim_s: (b + 1) * dim_s, b * dim_s: (b + 1) * dim_s]
+            tr, ev = np.trace(block).real, np.trace(pm @ block).real
+            expect += [(tr + ev) / 2.0, (tr - ev) / 2.0]
+        expect = np.array(expect) / sum(expect)
+        drawn = []  # the Born distribution the sampler draws from
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = np.random.Generator(np.random.PCG64(seed))
+
+            def multinomial(self, shots, pvals):
+                drawn.append(pvals)
+                return self.rng.multinomial(shots, pvals)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        counts = sample_pauli_measurement(rho, PauliString(letters), 1000, 9, n_ancilla)
+        monkeypatch.undo()
+        assert np.abs(drawn[0] - expect).max() < 1e-14
+        keys = [(format(b, f"0{n_ancilla}b") if n_ancilla else "", o) for b in range(dim_a) for o in (1, -1)]
+        oracle = np.random.default_rng(9).multinomial(1000, expect)
+        assert counts == {k: int(c) for k, c in zip(keys, oracle) if c}
 
     def test_conditional_mean_matches_trace(self):
         rng = np.random.default_rng(19)

@@ -6,7 +6,7 @@ import pytest
 
 from qsp_lab import circuits as cir
 from qsp_lab.circuits import NATIVE_KINDS, Circuit, circuit_unitary, count_two_qubit_gates, decompose
-from qsp_lab.errors import DimensionError
+from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
 from qsp_lab.lcu import (
     LCUPlan,
     build_lcu_circuit,
@@ -21,7 +21,6 @@ from qsp_lab.lcu import (
     ucrz,
 )
 from qsp_lab.operators import (
-    MAX_DENSE_QUBITS,
     PauliString,
     PauliSum,
     build_ising_chain,
@@ -208,9 +207,19 @@ class TestGraySynthesis:
         lambda: ucrz((), 2, np.arange(2.0)),
         lambda: ucry((0, 1), 2, np.arange(2.0)),
         lambda: ucry((0,), 2, np.arange(4.0)),
+        # repeated qubits
+        lambda: ucrz((0, 0), 1, [0.1, 0.5, 0.2, 0.3]),
+        lambda: ucrz((0,), 0, [0.1, 0.5]),
+        lambda: diagonal_gates((0, 0), [0, 0.1, 0.2, 0.3]),
+        # tables that are not 1-D arrays of real numbers
+        lambda: diagonal_gates((0,), np.zeros((2, 1))),
+        lambda: ucry((0,), 1, np.zeros((2, 2))),
+        lambda: ucrz((0,), 1, [0.1j, 0.2]),
+        lambda: diagonal_gates((0,), np.array([0.1, 0.2 + 0.1j])),
+        lambda: ucry((0,), 1, ["0.1", "0.2"]),
     ])
-    def test_wrong_length_angle_table_rejected(self, build):
-        with pytest.raises(ValueError):
+    def test_malformed_synthesis_input_rejected(self, build):
+        with pytest.raises(ValueError, match="^(controls and target|qubits|alphas|phases) must"):
             build()
 
     def test_ucry_of_zero_angles_is_empty(self):
@@ -316,7 +325,7 @@ class TestBlockEncoding:
 
     def test_four_site_prep_is_hadamards(self):
         plan = lcu_plan(ising4_rescaled(), pad_equal_weights=True)
-        gates = prep_gates(plan, (0, 1, 2))
+        gates = prep_gates(plan)
         assert [g.kind for g in gates] == ["HAD"] * 3
 
     def test_four_site_compression_targets(self):

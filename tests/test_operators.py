@@ -6,7 +6,6 @@ import scipy.linalg
 
 from qsp_lab.errors import DegenerateSpectrumError, DimensionError
 from qsp_lab.operators import (
-    PAULI_1Q,
     PauliString,
     PauliSum,
     SpectralBounds,
@@ -227,11 +226,20 @@ class TestRescale:
             rescale(ising3(), triangle_bounds(ising3()), 1j, 1.0)
 
 
+# the oracle's own single-qubit Paulis, independent of the code it checks
+PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
 def kron_of_letters(letters):
     """Independent oracle: the Kronecker product of the letters' 2x2 matrices."""
     m = np.eye(1)
     for c in letters:
-        m = np.kron(m, PAULI_1Q[c])
+        m = np.kron(m, PAULI_2X2[c])
     return m
 
 
@@ -243,8 +251,23 @@ def seeded_strings(width, count=30):
 class TestDenseOracles:
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_every_string_matches_kron(self, width):
+        columns = np.arange(2**width)
         for letters in map("".join, itertools.product("IXYZ", repeat=width)):
-            assert np.array_equal(PauliString(letters).to_matrix(), kron_of_letters(letters)), letters
+            oracle = kron_of_letters(letters)
+            rows, entries = PauliString(letters).signed_permutation()
+            assert np.array_equal(oracle[rows, columns], entries), letters
+            assert np.array_equal(PauliString(letters).to_matrix(), oracle), letters
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_symplectic_form_reads_the_letters(self, width):
+        for letters in map("".join, itertools.product("IXYZ", repeat=width)):
+            x, z, y = PauliString(letters).symplectic()
+            bits = [(x >> (width - 1 - q) & 1, z >> (width - 1 - q) & 1) for q in range(width)]
+            assert bits == [(int(c in "XY"), int(c in "ZY")) for c in letters], letters
+            assert y == letters.count("Y")
+            x_part = kron_of_letters(["X" if bx else "I" for bx, _ in bits])
+            z_part = kron_of_letters(["Z" if bz else "I" for _, bz in bits])
+            assert np.array_equal(1j**y * x_part @ z_part, kron_of_letters(letters)), letters
 
     @pytest.mark.parametrize("width", [4, 5])
     def test_seeded_strings_match_kron(self, width):

@@ -94,6 +94,16 @@ class TestAnsatz:
         with pytest.raises(ValueError, match=ANGLES_RULE):
             call(np.zeros(SMALL.n_parameters + extra))
 
+    @pytest.mark.parametrize("theta", [
+        pytest.param(["0"] * SMALL.n_parameters, id="str"),
+        pytest.param([True] * SMALL.n_parameters, id="bool"),
+        pytest.param(np.full(SMALL.n_parameters, 0.1j), id="complex"),
+    ])
+    @pytest.mark.parametrize("call", THETA_ENTRY_POINTS)
+    def test_non_real_theta_every_entry_point(self, call, theta):
+        with pytest.raises(ValueError, match=ANGLES_RULE):
+            call(theta)
+
     @pytest.mark.parametrize("angle", [float("nan"), np.inf, -np.inf])
     @pytest.mark.parametrize("call", THETA_ENTRY_POINTS)
     def test_non_finite_theta_every_entry_point(self, call, angle, monkeypatch):
@@ -447,6 +457,21 @@ def test_czbar_diagonal_matches_cz_ladder():
     for width in range(1, 6):
         ladder = Circuit(width).extend(cz(q, q + 1) for q in range(width - 1))
         assert np.array_equal(_czbar_diagonal(width), np.diag(circuit_unitary(ladder)).real)
+
+
+@pytest.mark.parametrize("n, a, layers", [(2, 4, 1), (3, 4, 1)])
+def test_projection_tables_are_pauli_traces(n, a, layers):
+    sigmas = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]  # X, Y, Z
+    runs = variational._walk_tables(AnsatzSpec(n, a, layers))[-1]
+    assert len(runs) == 2
+    rng = np.random.default_rng(50 + n)
+    for lo, hi, _, flat, phases in runs:
+        b = hi - lo
+        r = rng.normal(size=(2**b, 2**b)) + 1j * rng.normal(size=(2**b, 2**b))
+        for s, sigma in enumerate(sigmas):
+            for i in range(b):
+                dense = np.kron(np.kron(np.eye(2**i), sigma), np.eye(2 ** (b - 1 - i)))
+                assert abs((phases[s, i] * r.flat[flat[s, i]]).sum() - np.trace(dense @ r)) < 1e-12
 
 
 def shift_rule_gradient(theta, h, spec):
