@@ -16,9 +16,9 @@ followed by a channel that with probability p_tq replaces the pair's
 state by I/4.  Single-qubit gates are noiseless.
 
 apply_statevector, circuit_unitary, encoded_block, apply_density and
-depolarize_pair share one walk in two steps: _compile turns the gate list
-once into a planned program of (matrix, axes) operations, and the one
-kernel, _replay, runs it.
+depolarize_pair share one walk in two steps: _compile plans the circuit's
+fold (_fold, kept per circuit: Memoize) as a program of (matrix, axes)
+operations, and the one kernel, _replay, runs it.
 
 Carried layout.  The walk's array is not put back into register order
 after each operation: it stays in whatever axis order the last operation
@@ -47,12 +47,16 @@ pending unitary was folded into.
 
 Memoize.  A QSP circuit is d copies of one block encoding W with a phase
 gate between them, so its folded gates repeat (the 3-site bench circuit at
-d=4 has 111 distinct ones among 563).  Within one compile each distinct
-(kind, qubits, angle) is built once, and each distinct fold (its pair gate
-and the two pending runs) is multiplied out, and under per-gate noise
-turned into its transfer matrix, once.  The copies share these read-only
-operations, and the program is bit-identical to one built gate by gate:
-the same arithmetic runs on the same inputs.
+d=4 has 111 distinct ones among 563).  Within one fold each distinct
+(kind, qubits, angle) is built once and each distinct fold (its pair gate
+and the two pending runs) is multiplied out once, and a per-gate noisy walk
+turns each distinct folded operation into its transfer matrix once.  The
+copies share these read-only operations, and the program is bit-identical
+to one built gate by gate: the same arithmetic runs on the same inputs.
+The Circuit keeps its fold, made before _native (an APHASE circuit is
+decomposed once for all its walks), while its register sizes and frozen
+gates compare equal to those it was made from; append, extend, assigning
+gates or an entry, or a new register size fold again.
 
 Fuse.  A complex walk of at least 2^_FUSE_QUBITS = 32 columns on a
 register wider than _FUSE_QUBITS = 5 (a dense unitary of 6 or more qubits)
@@ -159,9 +163,15 @@ def aphase(angle: float) -> Gate:
 
 @dataclass
 class Circuit:
+    """A gate list on n_ancilla + n_system qubits, ancillas first.  Its first
+    walk folds the gate list and keeps the fold, which later walks reuse
+    while the register sizes and gate list are unchanged (module docstring)."""
+
     n_system: int
     n_ancilla: int = 0
     gates: list[Gate] = field(default_factory=list)
+    # (n_system, n_ancilla, tuple(gates)) and the _fold made from them
+    _folded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         integer(self.n_system, "n_system")
@@ -336,23 +346,13 @@ def _pauli_transfer(sup: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compile(
-    circuit: Circuit, p_pair: float = 0.0, columns: int = 1
-) -> tuple[list[tuple], tuple | None, complex]:
-    """Fold, memoize and plan the native gate list once (module docstring):
-    the steps and final perm _replay runs, and the scalar phase.
-
-    The column count only selects fusion: a walk of at least
-    2^_FUSE_QUBITS columns on a register wider than _FUSE_QUBITS replays
-    fused blocks (_fuse).  With p_pair > 0 the program
-    walks rho's real Pauli vector: w complex basis changes from rho's own
-    axis order, a folded unitary's real Pauli-transfer matrix on its
-    qubits' axis pairs per operation, the pair channel's multiplied in
-    after every RZZ/CZ, and w basis changes back; the phase is then 1.
-    The matrices are read-only.  The gate list compiled is _native's.
-    """
-    circuit = _native(circuit)
-    channel = _pauli_transfer(_depolarizing(p_pair)) if p_pair > 0.0 else None
+def _fold(circuit: Circuit) -> tuple[tuple, complex]:
+    """The folded, memoized unitary program of (read-only matrix, qubits) of
+    _native's gate list, and its scalar phase, kept on the circuit while its
+    register sizes and gate list are unchanged (module docstring)."""
+    made_from = (circuit.n_system, circuit.n_ancilla, tuple(circuit.gates))
+    if circuit._folded is not None and circuit._folded[0] == made_from:
+        return circuit._folded[1]
     gate_ids: dict[tuple, int] = {}
     entries: list[tuple[np.ndarray | None, tuple[int, ...], complex]] = []  # _gate_local of each id
     folds: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
@@ -367,26 +367,14 @@ def _compile(
             m = entries[i][0] @ m
         return m
 
-    def operation(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The read-only program operation of folded unitary u."""
-        if channel is not None:
-            u = _pauli_transfer(_kron(u, u.conj()))
-            if len(qubits) == 2:
-                u = channel @ u
-            qubits = tuple(a for q in qubits for a in (2 * q, 2 * q + 1))
-        u.setflags(write=False)
-        return u, qubits
-
     phase = 1.0
     program = []
-    for g in circuit.gates:
+    for g in _native(circuit).gates:
         key = (g.kind, g.qubits, g.angle)
         i = gate_ids.get(key)
         if i is None:
             i = gate_ids[key] = len(entries)
             entries.append(_gate_local(g))
-            if entries[i][0] is not None:
-                entries[i][0].setflags(write=False)
         local, axes, scalar = entries[i]
         phase *= scalar
         if local is None:
@@ -396,16 +384,47 @@ def _compile(
             continue
         fold = (i, pending.pop(axes[0], ()), pending.pop(axes[1], ()))
         if fold not in folds:
-            folds[fold] = operation(local @ _kron(product(fold[1]), product(fold[2])), axes)
+            folds[fold] = local @ _kron(product(fold[1]), product(fold[2])), axes
         program.append(folds[fold])
-    program += [operation(product(run), (q,)) for q, run in pending.items()]
+    program += [(product(run), (q,)) for q, run in pending.items()]
+    for u, _ in program:
+        u.setflags(write=False)
+    circuit._folded = made_from, (tuple(program), phase)
+    return circuit._folded[1]
+
+
+def _compile(
+    circuit: Circuit, p_pair: float = 0.0, columns: int = 1
+) -> tuple[list[tuple], tuple | None, complex]:
+    """Plan the circuit's fold (_fold) for one walk: the steps and final
+    perm _replay runs, and the scalar phase.  The matrices are read-only.
+
+    The column count only selects fusion: a walk of at least
+    2^_FUSE_QUBITS columns on a register wider than _FUSE_QUBITS replays
+    fused blocks (_fuse).  With p_pair > 0 the program
+    walks rho's real Pauli vector: w complex basis changes from rho's own
+    axis order, a folded unitary's real Pauli-transfer matrix on its
+    qubits' axis pairs per operation, the pair channel's multiplied in
+    after every RZZ/CZ, and w basis changes back; the phase is then 1.
+    """
+    program, phase = _fold(circuit)
     w = circuit.width
-    if channel is not None:
+    if p_pair > 0.0:
+        channel = _pauli_transfer(_depolarizing(p_pair))
+        transfers: dict[int, tuple] = {}  # id of a fold operation (the copies of W share theirs) -> its step
+        for op in program:
+            if id(op) not in transfers:
+                u, qubits = op
+                r = _pauli_transfer(_kron(u, u.conj()))
+                r = channel @ r if len(qubits) == 2 else r
+                r.setflags(write=False)
+                transfers[id(op)] = r, tuple(a for q in qubits for a in (2 * q, 2 * q + 1))
         # rho's axes are (row0, ..., row_{w-1}, col0, ...): Pauli axes 2q and 2q+1
         start = tuple(range(0, 2 * w, 2)) + tuple(range(1, 2 * w, 2))
         basis, basis_inv = _PAULI_BASIS[4]
         pairs = [(2 * q, 2 * q + 1) for q in range(w)]
-        program = [(basis, axes) for axes in pairs] + program + [(basis_inv, axes) for axes in pairs]
+        program = [(basis, axes) for axes in pairs] + [transfers[id(op)] for op in program] + [
+            (basis_inv, axes) for axes in pairs]
         return *_plan(program, start), 1.0
     if columns >= 2**_FUSE_QUBITS and w > _FUSE_QUBITS:
         program = _fuse(program)
@@ -506,7 +525,7 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
     """
     real(p, "p", 0.0, 1.0)
     qubits((q0, q1), "qubits", integer(width, "width"))
-    register_matrix(rho, width)
+    rho = register_matrix(rho, width)
     steps, finish = _plan([(_depolarizing(p), (q0, q1, width + q0, width + q1))], tuple(range(2 * width)))
     out = np.array(rho, dtype=complex).reshape(-1)
     return _replay(steps, finish, out, np.empty_like(out))[0].reshape(rho.shape)
@@ -515,7 +534,8 @@ def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> 
 def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """(1-p) rho + p I/dim on the full register."""
     real(p, "p", 0.0, 1.0)
-    dim = len(register_matrix(rho))
+    rho = register_matrix(rho)
+    dim = len(rho)
     return (1.0 - p) * rho + p * np.eye(dim, dtype=complex) / dim
 
 
@@ -534,16 +554,16 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     two-qubit ones.  A rho that is not a finite Hermitian (2^w, 2^w)
     matrix (errors.register_matrix) raises ValueError.
     """
-    register_matrix(rho, circuit.width, hermitian=True)
-    circuit, noisy = _native(circuit), noise.p_tq > 0.0
+    rho = register_matrix(rho, circuit.width, hermitian=True)
+    noisy = noise.p_tq > 0.0
     if noisy and noise.mode == "per_gate_depolarizing":
         return _walk(circuit, rho, p_pair=noise.p_tq)
     lam, vecs = np.linalg.eigh(rho)
     keep = np.abs(lam) > len(lam) * np.finfo(float).eps * np.abs(lam).max()
     moved = _walk(circuit, vecs[:, keep])
     out = (moved * lam[keep]) @ moved.conj().T
-    if noisy:
-        n_tq = count_two_qubit_gates(circuit)
+    if noisy:  # every RZZ and CZ is one pair operation of the fold
+        n_tq = sum(len(qubits) == 2 for _, qubits in _fold(circuit)[0])
         out = global_depolarize(out, 1.0 - (1.0 - noise.p_tq) ** n_tq)
     return out
 
@@ -656,7 +676,7 @@ def with_ancilla_zero(psi_system: np.ndarray, n_ancilla: int) -> np.ndarray:
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| of a (2^w,) state; ValueError for any other shape."""
-    register_state(psi)
+    psi = register_state(psi)
     return np.outer(psi, psi.conj())
 
 
@@ -665,7 +685,7 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...], width: int) -> np.ndar
     keep[0] is the most significant bit of its index.  ValueError when a
     kept qubit is out of range or repeated, or rho is not (2^w, 2^w)."""
     keep = qubits(list(keep), "keep", integer(width, "width"))
-    register_matrix(rho, width)
+    rho = register_matrix(rho, width)
     drop = [q for q in range(width) if q not in keep]
     perm_half = keep + drop
     perm = perm_half + [width + q for q in perm_half]
@@ -689,7 +709,7 @@ def sample_pauli_measurement(
     integer(seed, "seed")
     n_system = observable.n
     dim_a, dim_s = 2 ** integer(n_ancilla, "n_ancilla"), 2**n_system
-    register_matrix(rho, n_ancilla + n_system)
+    rho = register_matrix(rho, n_ancilla + n_system)
     # the ancilla-diagonal blocks B_b as (b, row, col); Tr(P B) = sum_j entries[j] B[j, rows[j]]
     rows, entries = observable.signed_permutation()
     anc, j = np.arange(dim_a)[:, None], np.arange(dim_s)

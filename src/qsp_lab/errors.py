@@ -1,8 +1,10 @@
 """Shared exception types, and the input rules every entry point checks
-its arguments with: real, integer, qubits, spectral_interval,
-register_state and register_matrix return their input unchanged or raise
-ValueError naming the argument, angles returns a real vector as a float
-array or raises ValueError, and dense raises DimensionError."""
+its arguments with: real, integer, qubits and spectral_interval return
+their input unchanged or raise ValueError naming the argument,
+register_state and register_matrix return a numeric array-like (a nested
+list too) as np.asarray of it, which callers use in its place, or raise
+ValueError, angles returns a real vector as a float array or raises
+ValueError, and dense raises DimensionError."""
 import math
 
 import numpy as np
@@ -78,10 +80,19 @@ def angles(x, name: str, m: int | None = None) -> np.ndarray:
     return v.astype(float, copy=False)
 
 
-def register_state(x, width: int | None = None, *, batch: bool = False, name: str = "state"):
-    """x, when it is a (2^w,) state, or also a (2^w, B) batch when batch;
-    w = width, or any w when width is None."""
-    shape = np.shape(x)
+def _numeric(x, name: str) -> np.ndarray:
+    """np.asarray(x), when it holds integers, floats or complex numbers."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must hold numbers, got dtype {x.dtype}")
+    return x
+
+
+def register_state(x, width: int | None = None, *, batch: bool = False, name: str = "state") -> np.ndarray:
+    """np.asarray(x), when it is a numeric (2^w,) state, or also a (2^w, B)
+    batch when batch; w = width, or any w when width is None."""
+    x = _numeric(x, name)
+    shape = x.shape
     side = shape[0] if len(shape) == 1 or (batch and len(shape) == 2) else 0
     if side < 1 or side & (side - 1) or (width is not None and side != 2**width):
         want = "(2^w,) state" + (" or (2^w, B) batch" if batch else "")
@@ -89,10 +100,13 @@ def register_state(x, width: int | None = None, *, batch: bool = False, name: st
     return x
 
 
-def register_matrix(x, width: int | None = None, *, hermitian: bool = False, name: str = "density matrix"):
-    """x, when it is a (2^w, 2^w) array, w = width or any w when width is None,
-    and when hermitian also finite and Hermitian to _HERMITIAN_TOL of its largest entry."""
-    shape = np.shape(x)
+def register_matrix(x, width: int | None = None, *, hermitian: bool = False,
+                    name: str = "density matrix") -> np.ndarray:
+    """np.asarray(x), when it is a numeric (2^w, 2^w) array, w = width or any w
+    when width is None, and when hermitian also finite and Hermitian to
+    _HERMITIAN_TOL of its largest entry."""
+    x = _numeric(x, name)
+    shape = x.shape
     side = shape[0] if len(shape) == 2 else 0
     if shape != (side, side) or side < 1 or side & (side - 1) or (width is not None and side != 2**width):
         want = "(2^w, 2^w)" if width is None else f"width {width}"

@@ -266,7 +266,7 @@ def _hamiltonian(h_tilde: PauliSum | np.ndarray | _Target, n: int | None = None)
     adjoint formula needs M = Wblk - H Hermitian."""
     if isinstance(h_tilde, _Target):
         return register_matrix(h_tilde.matrix, n, name="target")
-    h = h_tilde.to_matrix() if isinstance(h_tilde, PauliSum) else np.asarray(h_tilde)
+    h = h_tilde.to_matrix() if isinstance(h_tilde, PauliSum) else h_tilde
     return register_matrix(h, n, hermitian=True, name="target")
 
 

@@ -35,6 +35,7 @@ from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
 from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan
 from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import qsp_circuit
+from qsp_lab.variational import AnsatzSpec, build_ansatz
 
 RNG = np.random.default_rng(20240817)
 
@@ -940,6 +941,9 @@ REFUSED_BY_A_RULE = [
                  id="sampling-bool-seed"),
     pytest.param(lambda: density_from_state(np.ones((2, 2))), r"^state of shape \(2, 2\)", id="density-2d-state"),
     pytest.param(lambda: density_from_state(np.ones(3)), r"^state of shape \(3,\)", id="density-length-3-state"),
+    pytest.param(lambda: apply_density(Circuit(1), [["a", "b"], ["c", "d"]]), "^density matrix must hold numbers",
+                 id="density-of-strings"),
+    pytest.param(lambda: apply_statevector(Circuit(1), ["a", "b"]), "^state must hold numbers", id="state-of-strings"),
 ]
 
 
@@ -947,6 +951,24 @@ REFUSED_BY_A_RULE = [
 def test_input_refused_naming_the_argument(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# every entry point takes a nested list as np.asarray of it
+AS_ARRAY = [
+    pytest.param(lambda rho: partial_trace(rho, (0,), 2), id="partial_trace"),
+    pytest.param(lambda rho: sample_pauli_measurement(rho, PauliString("Z"), 10, 0, 1), id="sample_pauli_measurement"),
+    pytest.param(lambda rho: apply_density(Circuit(1, 1).extend([had(0), cz(0, 1)]), rho), id="apply_density"),
+    pytest.param(lambda rho: global_depolarize(rho, 0.1), id="global_depolarize"),
+    pytest.param(lambda rho: depolarize_pair(rho, 0, 1, 0.1, 2), id="depolarize_pair"),
+    pytest.param(lambda rho: density_from_state(rho[1]), id="density_from_state"),
+]
+
+
+@pytest.mark.parametrize("call", AS_ARRAY)
+def test_nested_list_input(call):
+    rho = random_density(2, np.random.default_rng(308))
+    listed, expected = call(rho.tolist()), call(rho)
+    assert listed == expected if isinstance(expected, dict) else np.array_equal(listed, expected)
 
 
 class TestWalkInput:
@@ -1193,3 +1215,94 @@ class TestPlannedReplay:
             # the input's load, the two steps' copies and the final copy back
             assert copies == [8 * columns] * 4
             assert np.array_equal(out, walk_oracle(c, psi))
+
+
+def fresh_walk_oracle(circuit, initial, p_pair=0.0):
+    """walk_oracle on a new Circuit with the same registers and gates, so
+    that nothing a walk of circuit kept is read."""
+    return walk_oracle(Circuit(circuit.n_system, circuit.n_ancilla, list(circuit.gates)), initial, p_pair)
+
+
+def lcu_qsp_circuit(phases):
+    """The 2-site chain's LCU encoding (a = 3, width 5) under QSP, APHASE gates undecomposed."""
+    h = build_ising_chain(2, 1.0, [0.7, 1.1], 0.3)
+    return qsp_circuit(build_lcu_circuit(lcu_plan(rescale(h, triangle_bounds(h)).h_tilde)).circuit, phases)
+
+
+# each edit keeps the circuit valid; the APHASE gates make the fold depend on n_ancilla
+EDITS = {
+    "append": lambda c: c.append(rx(0, 0.3)),
+    "extend": lambda c: c.extend([cz(0, 2), had(1)]),
+    "assign gates": lambda c: setattr(c, "gates", c.gates[::-1]),
+    "assign an entry": lambda c: c.gates.__setitem__(3, rzz(1, 2, -0.8)),
+    "n_ancilla": lambda c: setattr(c, "n_ancilla", c.n_ancilla + 1),
+    "n_system": lambda c: setattr(c, "n_system", c.n_system + 1),
+}
+
+
+class TestFoldKept:
+    """A circuit is folded once; every later walk reuses the fold while the
+    register sizes and the gate list are unchanged."""
+
+    def test_one_fold_per_circuit(self, monkeypatch):
+        built = []
+        gate_local = cir._gate_local
+        monkeypatch.setattr(cir, "_gate_local", lambda gate: built.append(gate) or gate_local(gate))
+        rng = np.random.default_rng(301)
+        c = oracle_circuit(3, 3, 60, rng)  # width 6: circuit_unitary walks fused blocks
+        rho = random_density(c.width, rng)
+        apply_statevector(c, random_state(c.width, rng))
+        encoded_block(c)
+        circuit_unitary(c)
+        for noise in NOISES[1:]:
+            apply_density(c, rho, noise)
+        # one fold builds each distinct gate's table once
+        assert len(built) == len(set(built)) == len(set(c.gates))
+
+    def test_aphase_circuit_decomposed_once(self, monkeypatch):
+        c = lcu_qsp_circuit(np.array([0.4, -1.3, 0.2]))
+        calls = []
+        decompose_ = cir.decompose
+        monkeypatch.setattr(cir, "decompose", lambda circuit: calls.append(circuit) or decompose_(circuit))
+        rho = density_from_state(with_ancilla_zero(plus_state(c.n_system), c.n_ancilla))
+        circuit_unitary(c)
+        for noise in NOISES[1:]:
+            apply_density(c, rho, noise)
+        assert len(calls) == 1 and calls[0] is c
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_an_edit_folds_again(self, edit):
+        rng = np.random.default_rng(302)
+        c = oracle_circuit(2, 1, 30, rng)
+        for i, phi in ((4, -0.9), (17, 0.5)):
+            c.gates.insert(i, aphase(phi))
+        walk_outputs(c, np.random.default_rng(303))
+        EDITS[edit](c)
+        fresh = Circuit(c.n_system, c.n_ancilla, list(c.gates))
+        edited, expected = walk_outputs(c, np.random.default_rng(304)), walk_outputs(fresh, np.random.default_rng(304))
+        for name in expected:
+            assert np.array_equal(edited[name], expected[name]), name
+
+    @pytest.mark.parametrize("encoding", ["lcu", "variational"])
+    def test_global_channel_counts_the_two_qubit_gates(self, encoding):
+        rng = np.random.default_rng(305)
+        phases = np.array([0.3, -0.8, 1.1])
+        c = lcu_qsp_circuit(phases) if encoding == "lcu" else qsp_circuit(
+            build_ansatz(2, 2, 2, rng.uniform(-np.pi, np.pi, AnsatzSpec(2, 2, 2).n_parameters)), phases)
+        rho = random_density(c.width, rng)
+        n_tq = count_two_qubit_gates(c)
+        assert sum(len(qubits) == 2 for _, qubits in cir._fold(c)[0]) == n_tq
+        expected = global_depolarize(apply_density(c, rho), 1.0 - (1.0 - 1e-3) ** n_tq)
+        assert np.array_equal(apply_density(c, rho, NoiseModel(1e-3, "global_depolarizing")), expected)
+
+    def test_later_walks_match_the_oracle(self, monkeypatch):
+        rng = np.random.default_rng(306)
+        c = oracle_circuit(4, 2, 120, rng)  # width 6: the unitary and the 40-column batch are fused
+        c.gates.insert(50, aphase(0.7))
+        walks = [walk_outputs(c, np.random.default_rng(307)) for _ in range(3)]
+        monkeypatch.setattr(cir, "_walk", fresh_walk_oracle)
+        oracle = walk_outputs(c, np.random.default_rng(307))
+        monkeypatch.undo()
+        for walk in walks:
+            for name in oracle:
+                assert np.array_equal(walk[name], oracle[name]), name
