@@ -15,10 +15,11 @@ Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
 state by I/4.  Single-qubit gates are noiseless.
 
-apply_statevector, circuit_unitary, encoded_block, apply_density and
-depolarize_pair share one walk in two steps: _compile plans the circuit's
-fold (_fold, kept per circuit: Memoize) as a program of (matrix, axes)
-operations, and the one kernel, _replay, runs it.
+apply_statevector, circuit_unitary, encoded_block and apply_density share
+one walk in two steps: _compile plans the circuit's fold (_fold, kept per
+circuit: Memoize) as a program of (matrix, axes) operations, and the one
+kernel, _replay, runs it.  depolarize_pair plans its one channel with
+_plan and runs it with _replay.
 
 Carried layout.  The walk's array is not put back into register order
 after each operation: it stays in whatever axis order the last operation
@@ -103,7 +104,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import dense, integer, qubits, real, register_matrix, register_state
+from .errors import dense, entry, integer, qubits, real, register_matrix, register_state
 from .operators import PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
@@ -127,7 +128,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        qubits(self.qubits, "gate qubits")
+        if type(qubits(self.qubits, "gate qubits")) is not tuple:  # a list or an array: stored as a hashable tuple
+            object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         real(self.angle, "gate angle")
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} qubit indices, got {self.qubits}")
@@ -176,6 +178,7 @@ class Circuit:
     def __post_init__(self):
         integer(self.n_system, "n_system")
         integer(self.n_ancilla, "n_ancilla")
+        self.gates = list(self.gates)
         for g in self.gates:
             self._check_gate(g)
 
@@ -191,7 +194,7 @@ class Circuit:
         return self.n_ancilla + i
 
     def _check_gate(self, gate: Gate) -> None:
-        for q in gate.qubits:
+        for q in entry(gate, Gate, "gate").qubits:
             if not 0 <= q < self.width:
                 raise ValueError(f"qubit {q} out of range for width {self.width}")
 

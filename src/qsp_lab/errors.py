@@ -1,6 +1,6 @@
 """Shared exception types, and the input rules every entry point checks
-its arguments with: real, integer, qubits and spectral_interval return
-their input unchanged or raise ValueError naming the argument,
+its arguments with: real, integer, qubits, spectral_interval and entry
+return their input unchanged or raise ValueError naming the argument,
 register_state and register_matrix return a numeric array-like (a nested
 list too) as np.asarray of it, which callers use in its place, or raise
 ValueError, angles returns a real vector as a float array or raises
@@ -60,6 +60,13 @@ def qubits(qs, name: str, width: float = math.inf):
     if not (all(_is_integer(q) and 0 <= q < width for q in qs) and len(set(qs)) == len(qs)):
         raise ValueError(f"{name} must be distinct integers in [0, {width}), got {qs!r}")
     return qs
+
+
+def entry(x, kind: type, name: str):
+    """x, when it is an instance of kind: a Circuit's gate or a PauliSum's Pauli string."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {x!r}")
+    return x
 
 
 def spectral_interval(iv) -> tuple:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import circuits as cir
 from . import errors
@@ -138,14 +139,9 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     """Walsh coefficients of values over controls, controls[0] the most
     significant bit of the index: w[mask] is the weight of the parity
     character on {controls[i] : bit i of mask set}."""
-    m = int(np.log2(len(values)))
-    w = np.array(values, dtype=float)
-    for i in range(m):
-        w = w.reshape(-1, 2, 2**i)
-        w[:, 0], w[:, 1] = w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]
-        w = w.reshape(-1)
-    # reversing the axes of the (2,)*m tensor reverses the bit order of its index
-    return (w / len(values)).reshape((2,) * m).T.reshape(-1)
+    w = scipy.linalg.hadamard(len(values)) @ values / len(values)
+    # reversing the axes of the (2,)*m tensor, m = log2 len, reverses the bit order of its index
+    return w.reshape((2,) * (len(values).bit_length() - 1)).T.reshape(-1)
 
 
 def _gray_ucrz(controls: tuple[int, ...], target: int, w_by_mask: np.ndarray) -> list[Gate]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, dense, integer, qubits, real, spectral_interval
+from .errors import DegenerateSpectrumError, dense, entry, integer, qubits, real, spectral_interval
 
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^k for k mod 4
 # a string's bits: 1 at the letters with an X part (X, Y), and at those with a Z part (Z, Y)
@@ -65,6 +65,8 @@ class PauliString:
     @staticmethod
     def single(n: int, qubit: int, letter: str) -> "PauliString":
         qubits((qubit,), "qubit", integer(n, "n", positive=True))
+        if letter not in ("I", "X", "Y", "Z"):
+            raise ValueError(f"letter must be one of I, X, Y, Z, got {letter!r}")
         letters = ["I"] * n
         letters[qubit] = letter
         return PauliString("".join(letters))
@@ -86,11 +88,12 @@ class PauliSum:
 
     def __post_init__(self):
         integer(self.n, "n", positive=True)
+        self.terms = list(self.terms)
         for coeff, ps in self.terms:
             self._check_term(coeff, ps)
 
     def _check_term(self, coeff: float, ps: PauliString) -> None:
-        if ps.n != self.n:
+        if entry(ps, PauliString, "term").n != self.n:
             raise ValueError(f"term {ps} does not act on {self.n} qubits")
         real(coeff, "coefficient")
 

@@ -14,15 +14,15 @@ Wblk = U Z U^dag with Z the CZ-ladder diagonal.
 
 The block walk.  V = B_2L ... B_1 B_0: B_2c is triplet column c, the
 product over the qubits q of T_q = RX(theta_2) RZ(theta_1) RX(theta_0),
-applied as one Kronecker product per run of at most circuits._FUSE_QUBITS
-= 5 consecutive qubits; B_2l+1 is ladder l, the diagonal
+applied as one Kronecker product per run of at most _RUN_QUBITS = 5
+consecutive qubits; B_2l+1 is ladder l, the diagonal
 exp(-i/2 sum_k theta_k zz_k) with zz_k that of Z_k Z_k+1.  The walk keeps
 Y_k = (B_2L ... B_k)^dag Pi^T, D x 2^n (D = 2^w, w = n + a), at the 2L+2
 block boundaries, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1.  Y_0 = U^dag,
 so Wblk = Y_0^dag (z * Y_0) with z = diag Z.  cost, ansatz_block and
 cost_and_gradient read this one walk: F from cost and from
-cost_and_gradient are the same bits.  The forward application of a block,
-B_k X, is written once (_forward), for the gradient and the Hessian.
+cost_and_gradient are the same bits.  _forward is the one block step: this
+walk runs it on the blocks' adjoints, the forward walks below on the blocks.
 
 The gradient is exact (adjoint differentiation, Jones & Gacon,
 arXiv:2009.02823).  With M = Wblk - H, a forward walk from L_0 = Z U^dag M
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .circuits import _FUSE_QUBITS, Circuit, cz, rx, rz, rzz
+from .circuits import Circuit, cz, rx, rz, rzz
 from .errors import OptimizationError, angles, dense, integer, real, register_matrix
 from .lcu import BlockEncoding
 from .operators import PauliString, PauliSum
@@ -172,6 +172,7 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _I2 = np.eye(2)
 _XYZ = np.stack([PauliString(s).to_matrix() for s in "XYZ"])  # sigma_s, s = X, Y, Z
 _XZX = _XYZ[[0, 2, 0], None, None]  # a triplet's generators
+_RUN_QUBITS = 5  # widest run of qubits whose triplets _forward applies as one (32 x 32) Kronecker product
 
 
 @functools.lru_cache(maxsize=16)
@@ -180,7 +181,7 @@ def _walk_tables(spec: AnsatzSpec) -> tuple:
     theta's indices of the triplet angles, (3, L+1, w) for theta_i of column c
     at qubit q, and of the ladders' RZZ angles, (L, w-1); the (w-1, D)
     diagonals zz_k of Z_k Z_k+1; the CZ-ladder diagonal z; and per run of at
-    most _FUSE_QUBITS qubits [lo, hi), (lo, hi, shape, flat, phases), where
+    most _RUN_QUBITS qubits [lo, hi), (lo, hi, shape, flat, phases), where
     shape views a D-row array as (2^lo, 2^(hi-lo), rest) and, for the run's
     qubit i and s = X, Y, Z, Tr(sigma_s R_b) = sum_j phases[s, i, j]
     R_b.flat[flat[s, i, j]]: with (rows, entries) sigma_s's signed
@@ -194,8 +195,8 @@ def _walk_tables(spec: AnsatzSpec) -> tuple:
     ladder = [PauliString("I" * k + "ZZ" + "I" * (w - 2 - k)) for k in range(w - 1)]  # Z_k Z_k+1
     zz = np.reshape([p.signed_permutation()[1].real for p in ladder], (w - 1, 2**w))
     runs = []
-    for lo in range(0, w, _FUSE_QUBITS):
-        b = min(_FUSE_QUBITS, w - lo)
+    for lo in range(0, w, _RUN_QUBITS):
+        b = min(_RUN_QUBITS, w - lo)
         perms = [PauliString.single(b, i, s).signed_permutation() for s in "XYZ" for i in range(b)]
         rows, entries = (np.reshape(t, (3, b, 2**b)) for t in zip(*perms))
         runs.append((lo, lo + b, (2**lo, 2**b, -1), rows * 2**b + np.arange(2**b), entries.conj()))
@@ -223,7 +224,7 @@ def _blocks(spec: AnsatzSpec, theta: np.ndarray) -> tuple[list[tuple[tuple, np.n
 
 
 def _forward(blocks: tuple, k: int, x: np.ndarray) -> np.ndarray:
-    """B_k x for a D-row array x, with blocks = _blocks(spec, theta)."""
+    """B_k x for a D-row array x, with blocks = _blocks(spec, theta) (or B_k^dag x with their adjoint)."""
     krons, diagonals = blocks
     if k % 2:
         return diagonals[k // 2, :, None] * x
@@ -236,17 +237,11 @@ def _forward(blocks: tuple, k: int, x: np.ndarray) -> np.ndarray:
 def _walk(spec: AnsatzSpec, blocks: tuple) -> np.ndarray:
     """The backward walk of the module docstring: the (2L+2, D, 2^n) array of
     Y_k = (B_2L ... B_k)^dag Pi^T, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1."""
-    krons, diagonals = blocks
+    adjoint = [(shape, kron.conj().swapaxes(1, 2)) for shape, kron in blocks[0]], blocks[1].conj()
     ys = np.empty((2 * spec.layers + 2, 2**spec.width, 2**spec.n), dtype=complex)
     ys[-1] = np.eye(*ys.shape[1:])
     for k in range(2 * spec.layers, -1, -1):
-        if k % 2:
-            np.multiply(diagonals[k // 2, :, None].conj(), ys[k + 1], out=ys[k])
-            continue
-        y = ys[k + 1]
-        for shape, kron in krons:
-            y = kron[k // 2].conj().T @ y.reshape(shape)
-        ys[k] = y.reshape(ys.shape[1:])
+        ys[k] = _forward(adjoint, k, ys[k + 1])
     return ys
 
 
@@ -432,15 +427,15 @@ def optimize(
 
 
 def variational_block_encoding(
-    h_tilde: PauliSum,
+    h_tilde: PauliSum | np.ndarray,
     a: int,
     layers: int,
     config: OptimizerConfig | None = None,
-    initial_thetas: list[np.ndarray] | None = None,
 ) -> tuple[BlockEncoding, OptimizeResult]:
-    """Optimize the ansatz and wrap the winner as a BlockEncoding."""
-    n = h_tilde.n
-    result = optimize(h_tilde, n, a, layers, config, initial_thetas)
+    """Optimize the ansatz for any target optimize takes and wrap the winner as a BlockEncoding."""
+    h = _hamiltonian(h_tilde)
+    n = len(h).bit_length() - 1
+    result = optimize(h, n, a, layers, config)
     circuit = build_ansatz(n, a, layers, result.theta)
     return BlockEncoding(circuit=circuit, epsilon_be=result.epsilon_be, scale=1.0), result
 

@@ -605,6 +605,24 @@ class TestRegisterInput:
         c = Circuit(2).extend([rx(np.int64(1), 0.5), cz(np.int32(0), np.int64(1))])
         assert np.abs(circuit_unitary(c) - ref_unitary(Circuit(2).extend([rx(1, 0.5), cz(0, 1)]))).max() < 1e-12
 
+    @pytest.mark.parametrize("as_given", [list, np.array], ids=["list", "ndarray"])
+    def test_gate_qubits_stored_as_a_tuple(self, as_given):
+        gates = [had(0), rx(2, 0.4), rzz(1, 2, 0.7), cz(0, 2), rz(1, -0.3), rzz(0, 1, 1.1)]
+        given = [Gate(g.kind, as_given(g.qubits), g.angle) for g in gates]
+        assert given == gates and list(map(hash, given)) == list(map(hash, gates))
+        assert all(type(g.qubits) is tuple and all(type(q) is int for q in g.qubits) for g in given)
+        c, expected = Circuit(2, 1, given), Circuit(2, 1, gates)
+        assert c.inverse().gates == expected.inverse().gates
+        assert all(type(g.qubits) is tuple for g in c.inverse().gates)
+        assert count_two_qubit_gates(c) == count_two_qubit_gates(expected) == 3
+        outputs, reference = (walk_outputs(circuit, np.random.default_rng(309)) for circuit in (c, expected))
+        for name in reference:
+            assert np.array_equal(outputs[name], reference[name]), name
+
+    def test_gates_stored_as_a_list(self):
+        c = Circuit(1, 0, (rx(0, 1.0),)).append(rz(0, 0.5))
+        assert c.gates == [rx(0, 1.0), rz(0, 0.5)]
+
 
 # ---------------------------------------------------------------------------
 # Independent oracle: every gate embedded with np.kron, the two-qubit channel
@@ -932,6 +950,9 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: partial_trace(np.eye(4) / 4, (True,), 2), "^keep must", id="partial-trace-bool-qubit"),
     pytest.param(lambda: Gate("RX", (True,), 0.1), "^gate qubits must", id="gate-bool-qubit"),
     pytest.param(lambda: Gate("RX", (0,), True), "^gate angle must", id="gate-bool-angle"),
+    pytest.param(lambda: Circuit(1, 0, ["RX"]), "^gate must be a Gate", id="circuit-of-a-string"),
+    pytest.param(lambda: Circuit(1).append("RX"), "^gate must be a Gate", id="append-a-string"),
+    pytest.param(lambda: Circuit(1).extend([rx(0, 0.1), (0,)]), "^gate must be a Gate", id="extend-by-a-tuple"),
     pytest.param(lambda: with_ancilla_zero(np.ones(2), True), "^n_ancilla must", id="bool-ancilla-count"),
     pytest.param(lambda: sample_pauli_measurement(np.eye(4) / 4, PauliString("Z"), 10, 0, 1.0), "^n_ancilla must",
                  id="sampling-float-ancilla-count"),

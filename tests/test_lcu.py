@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsp_lab import circuits as cir
+from qsp_lab import lcu
 from qsp_lab.circuits import NATIVE_KINDS, Circuit, circuit_unitary, count_two_qubit_gates, decompose
 from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
 from qsp_lab.lcu import (
@@ -163,6 +164,16 @@ class TestPlan:
 
 
 class TestGraySynthesis:
+    @pytest.mark.parametrize("m", range(6))
+    def test_walsh_coefficients_are_the_parity_characters(self, m):
+        # w[mask] = 2^-m sum_x values[x] (-1)^(sum of the bits of x on the mask's controls),
+        # controls[0] the most significant bit of x and bit 0 of the mask
+        values = np.random.default_rng(30 + m).normal(size=2**m)
+        bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1  # bits[x, i]: control i of x
+        masks = (np.arange(2**m)[:, None] >> np.arange(m)) & 1  # masks[mask, i]: bit i of the mask
+        characters = 1 - 2 * ((masks @ bits.T) % 2)
+        assert np.abs(lcu._walsh(values) - characters @ values / 2**m).max() <= 1e-15
+
     def test_diagonal_exact(self):
         rng = np.random.default_rng(31)
         for m in (1, 2, 3, 4):

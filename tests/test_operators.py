@@ -75,6 +75,26 @@ def test_pauli_string_rejects_bad_letters(letters):
         PauliString(letters)
 
 
+# each input below raised AttributeError, or built a string of the wrong
+# width, before it was checked through an input rule of errors.py
+REFUSED_BY_A_RULE = [
+    pytest.param(lambda: PauliString.single(3, 1, ""), "^letter must", id="single-empty-letter"),
+    pytest.param(lambda: PauliString.single(2, 0, "XX"), "^letter must", id="single-two-letters"),
+    pytest.param(lambda: PauliSum(2, [(1.0, "XX")]), "^term must be a PauliString", id="sum-of-a-string"),
+]
+
+
+@pytest.mark.parametrize("call, match", REFUSED_BY_A_RULE)
+def test_input_refused_naming_the_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_terms_stored_as_a_list():
+    h = PauliSum(1, ((0.5, PauliString("X")),)).add(0.25, "Z")
+    assert h.terms == [(0.5, PauliString("X")), (0.25, PauliString("Z"))]
+
+
 class TestPauliStringSingle:
     def test_qubit_past_end_rejected(self):
         with pytest.raises(ValueError):

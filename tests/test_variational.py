@@ -284,6 +284,13 @@ class TestOptimize:
         direct = np.linalg.norm(encoded_block(enc.circuit) - ht.to_matrix())
         assert direct == pytest.approx(res.epsilon_be, abs=1e-8)
 
+    def test_block_encoding_of_a_dense_target(self):
+        ht = ising3_rescaled()
+        config = OptimizerConfig(max_iters=20, restarts=1, init_seed=3)
+        (enc, res), (dense_enc, dense_res) = (variational_block_encoding(h, 2, 1, config) for h in (ht, ht.to_matrix()))
+        assert dense_enc == enc and dense_res.epsilon_be == res.epsilon_be
+        assert np.array_equal(dense_res.theta, res.theta)
+
 
 class TestLayerSweep:
     def test_monotone_in_layers(self):
@@ -457,6 +464,19 @@ def test_czbar_diagonal_matches_cz_ladder():
     for width in range(1, 6):
         ladder = Circuit(width).extend(cz(q, q + 1) for q in range(width - 1))
         assert np.array_equal(_czbar_diagonal(width), np.diag(circuit_unitary(ladder)).real)
+
+
+@pytest.mark.parametrize("n, a, layers", [(3, 2, 3)] + COLUMN_WALK_EDGES)
+def test_backward_walk_steps_are_adjoint_blocks(n, a, layers):
+    # Y_k = B_k^dag Y_k+1, with B_k the dense matrix of the forward block step
+    spec = AnsatzSpec(n, a, layers)
+    blocks = variational._blocks(spec, np.random.default_rng(40 + n).uniform(-np.pi, np.pi, spec.n_parameters))
+    ys = variational._walk(spec, blocks)
+    identity = np.eye(2**spec.width, dtype=complex)
+    assert np.array_equal(ys[-1], identity[:, : 2**n])
+    for k in range(2 * layers + 1):
+        b_k = variational._forward(blocks, k, identity)
+        assert np.abs(ys[k] - b_k.conj().T @ ys[k + 1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("n, a, layers", [(2, 4, 1), (3, 4, 1)])
