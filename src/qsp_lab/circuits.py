@@ -57,7 +57,10 @@ to one built gate by gate: the same arithmetic runs on the same inputs.
 The Circuit keeps its fold, made before _native (an APHASE circuit is
 decomposed once for all its walks), while its register sizes and frozen
 gates compare equal to those it was made from; append, extend, assigning
-gates or an entry, or a new register size fold again.
+gates or an entry, or a new register size fold again.  A fold checks each
+entry's type and each distinct gate as append does, so a gate list edited
+past append is refused with append's ValueError, as count_two_qubit_gates
+refuses it.
 
 Fuse.  A complex walk of at least 2^_FUSE_QUBITS = 32 columns on a
 register wider than _FUSE_QUBITS = 5 (a dense unitary of 6 or more qubits)
@@ -375,7 +378,8 @@ def _fold(circuit: Circuit) -> tuple[tuple, complex]:
     for g in _native(circuit).gates:
         key = (g.kind, g.qubits, g.angle)
         i = gate_ids.get(key)
-        if i is None:
+        if i is None:  # a distinct gate, checked once as append checks it
+            circuit._check_gate(g)
             i = gate_ids[key] = len(entries)
             entries.append(_gate_local(g))
         local, axes, scalar = entries[i]
@@ -572,8 +576,12 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
 
 
 def count_two_qubit_gates(circuit: Circuit) -> int:
-    """Count RZZ and CZ gates, an APHASE gate's as decompose() expands it."""
-    return sum(1 for g in _native(circuit).gates if g.kind in ("RZZ", "CZ"))
+    """Count RZZ and CZ gates, an APHASE gate's as decompose() expands it;
+    ValueError for a gate list _fold refuses."""
+    gates = _native(circuit).gates
+    for g in {g.qubits: g for g in gates}.values():  # append's check reads only a gate's type and qubits
+        circuit._check_gate(g)
+    return sum(1 for g in gates if g.kind in ("RZZ", "CZ"))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +663,11 @@ def decompose(circuit: Circuit) -> Circuit:
 
 
 def _native(circuit: Circuit) -> Circuit:
-    """The circuit, or decompose(circuit) when it holds a structural gate."""
+    """The circuit, or decompose(circuit) when it holds a structural gate;
+    append's ValueError for an entry of its gate list that is not a Gate."""
+    if not all(issubclass(t, Gate) for t in set(map(type, circuit.gates))):
+        for g in circuit.gates:
+            entry(g, Gate, "gate")
     return decompose(circuit) if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates) else circuit
 
 
@@ -687,7 +699,7 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...], width: int) -> np.ndar
     """Reduced density matrix on the kept qubits, indexed in keep's order:
     keep[0] is the most significant bit of its index.  ValueError when a
     kept qubit is out of range or repeated, or rho is not (2^w, 2^w)."""
-    keep = qubits(list(keep), "keep", integer(width, "width"))
+    keep = list(qubits(keep, "keep", integer(width, "width")))
     rho = register_matrix(rho, width)
     drop = [q for q in range(width) if q not in keep]
     perm_half = keep + drop

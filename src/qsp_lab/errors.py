@@ -56,14 +56,17 @@ def integer(k, name: str, *, positive: bool = False):
 
 
 def qubits(qs, name: str, width: float = math.inf):
-    """qs, when it holds distinct integer qubit indices (not bools) in [0, width)."""
-    if not (all(_is_integer(q) and 0 <= q < width for q in qs) and len(set(qs)) == len(qs)):
-        raise ValueError(f"{name} must be distinct integers in [0, {width}), got {qs!r}")
+    """qs, when it is a tuple, a list or a 1-D array of distinct integer qubit
+    indices (not bools) in [0, width)."""
+    is_sequence = isinstance(qs, (tuple, list)) or isinstance(qs, np.ndarray) and qs.ndim == 1
+    if not (is_sequence and all(_is_integer(q) and 0 <= q < width for q in qs) and len(set(qs)) == len(qs)):
+        raise ValueError(f"{name} must be a sequence of distinct integers in [0, {width}), got {qs!r}")
     return qs
 
 
 def entry(x, kind: type, name: str):
-    """x, when it is an instance of kind: a Circuit's gate or a PauliSum's Pauli string."""
+    """x, when it is an instance of kind: a Circuit's gate, a PauliSum's Pauli
+    string or a Pauli string's letters."""
     if not isinstance(x, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {x!r}")
     return x

@@ -180,7 +180,7 @@ def ucrz(controls: tuple[int, ...], target: int, alphas: np.ndarray) -> list[Gat
     alphas is indexed so that controls[0] is the most significant bit; ValueError
     unless the qubits are distinct and alphas holds 2^len(controls) finite angles.
     """
-    errors.qubits((*controls, target), "controls and target")
+    errors.qubits((*errors.qubits(controls, "controls"), target), "controls and target")
     return _gray_ucrz(controls, target, _walsh(errors.angles(alphas, "alphas", 2 ** len(controls))))
 
 

@@ -27,7 +27,7 @@ class PauliString:
     letters: str
 
     def __post_init__(self):
-        if not self.letters or any(c not in "IXYZ" for c in self.letters):
+        if not entry(self.letters, str, "Pauli letters") or any(c not in "IXYZ" for c in self.letters):
             raise ValueError(f"invalid Pauli letters: {self.letters!r}")
 
     @property
@@ -89,8 +89,10 @@ class PauliSum:
     def __post_init__(self):
         integer(self.n, "n", positive=True)
         self.terms = list(self.terms)
-        for coeff, ps in self.terms:
-            self._check_term(coeff, ps)
+        for term in self.terms:
+            if not (isinstance(term, tuple) and len(term) == 2):
+                raise ValueError(f"term must be a (coefficient, PauliString) pair, got {term!r}")
+            self._check_term(*term)
 
     def _check_term(self, coeff: float, ps: PauliString) -> None:
         if entry(ps, PauliString, "term").n != self.n:
@@ -159,8 +161,8 @@ def build_ising_chain(n: int, coupling: float, fields_x: list[float], field_z: f
     """Open-boundary Ising chain: -J sum Z_i Z_{i+1} - sum h_i X_i - m sum Z_i."""
     if integer(n, "n") == 0:
         raise ValueError("need at least one site")
-    if len(fields_x) != n:
-        raise ValueError(f"expected {n} transverse fields, got {len(fields_x)}")
+    if np.shape(fields_x) != (n,):
+        raise ValueError(f"fields_x must hold {n} transverse fields, got {fields_x!r}")
     h, coupling = PauliSum(n), real(coupling, "coupling")  # checked once: a 1-site chain has no ZZ term
     for i in range(n - 1):
         letters = ["I"] * n

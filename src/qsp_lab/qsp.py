@@ -251,13 +251,9 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
 
 def validate_qsp_polynomial(phases: QSPPhases) -> dict:
     """Grid checks of the protocol conditions on 1000 points: parity and |f| <= 1."""
-    xs, ee = np.linspace(0.0, 1.0, 1000), _phase_factors(phases.phases)
-
-    def f(grid: np.ndarray) -> np.ndarray:
-        return _carry(ee, _signal_rows(grid), _F_START)[-1, 0]
-
-    parity_err = float(np.max(np.abs(f(-xs) - f(xs))))
-    max_abs = float(np.max(np.abs(f(np.linspace(-1.0, 1.0, 1000)))))
+    xs, phi = np.linspace(0.0, 1.0, 1000), phases.phases
+    parity_err = float(np.max(np.abs(_f_values(phi, -xs) - _f_values(phi, xs))))
+    max_abs = float(np.max(np.abs(_f_values(phi, np.linspace(-1.0, 1.0, 1000)))))
     return {
         "degree": phases.degree,
         "parity_error": parity_err,

@@ -110,14 +110,14 @@ class OptimizerConfig:
     method: str = "bfgs"  # bfgs | newton (trust-region Newton on the exact Hessian)
     max_iters: int = 2000
     init_seed: int = 0
-    restarts: int = 10
+    restarts: int = 10  # seeded random starts, at least one: optimize runs each and keeps the best
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown optimizer method {self.method!r}")
         integer(self.max_iters, "max_iters", positive=True)
         integer(self.init_seed, "init_seed")
-        integer(self.restarts, "restarts")
+        integer(self.restarts, "restarts", positive=True)
 
 
 @dataclass
@@ -377,28 +377,22 @@ def optimize(
     a: int,
     layers: int,
     config: OptimizerConfig | None = None,
-    initial_thetas: list[np.ndarray] | None = None,
 ) -> OptimizeResult:
     """Minimize the block-encoding cost over the reflection ansatz.
 
-    Runs seeded random restarts (plus any caller-provided warm starts)
-    and keeps the best epsilon_BE.
+    Runs config.restarts seeded random starts, restart r from
+    default_rng(init_seed + r).uniform(-_INIT_SCALE, _INIT_SCALE, m), and
+    keeps the best epsilon_BE.
     """
     config = config or OptimizerConfig()
     spec = AnsatzSpec(n, a, layers)
     h = _hamiltonian(h_tilde, spec.n)
     target = _Target(h)  # checked here, once for every evaluation
 
-    starts = [angles(theta0, "theta", spec.n_parameters) for theta0 in initial_thetas or []]
-    for r in range(config.restarts):
-        rng = np.random.default_rng(config.init_seed + r)
-        starts.append(rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=spec.n_parameters))
-
-    if not starts:
-        raise ValueError("nothing to optimize: restarts is 0 and no initial_thetas were given")
     best: OptimizeResult | None = None
     evals = 0
-    for theta0 in starts:
+    for r in range(config.restarts):
+        theta0 = np.random.default_rng(config.init_seed + r).uniform(-_INIT_SCALE, _INIT_SCALE, spec.n_parameters)
         trace: list[float] = []
 
         def fun_grad(theta):
@@ -439,32 +433,3 @@ def variational_block_encoding(
     circuit = build_ansatz(n, a, layers, result.theta)
     return BlockEncoding(circuit=circuit, epsilon_be=result.epsilon_be, scale=1.0), result
 
-
-def layer_sweep(
-    h_tilde: PauliSum,
-    a: int,
-    layer_range,
-    config: OptimizerConfig | None = None,
-) -> dict[int, OptimizeResult]:
-    """Best epsilon_BE per layer count, warm-starting each depth from the
-    previous optimum padded with zero-angle layers (an exact embedding, so
-    the optimal error is non-increasing in L); layer_range must be strictly
-    increasing, else ValueError."""
-    config = config or OptimizerConfig()
-    depths = list(layer_range)
-    if any(lo >= hi for lo, hi in zip(depths, depths[1:])):
-        raise ValueError(f"layer_range must be strictly increasing, got {depths}")
-    results: dict[int, OptimizeResult] = {}
-    n = h_tilde.n
-    for prev, layers in zip([None] + depths, depths):
-        warm = [] if prev is None else [_pad_layers(results[prev].theta, AnsatzSpec(n, a, prev), layers)]
-        results[layers] = optimize(h_tilde, n, a, layers, config, initial_thetas=warm)
-    return results
-
-
-def _pad_layers(theta: np.ndarray, old: AnsatzSpec, layers: int) -> np.ndarray:
-    """Embed old's parameter vector into `layers` >= old.layers layers: the
-    new layers hold zero angles and come before the final rotations."""
-    per_layer = 4 * old.width - 1  # 3w rotations and w - 1 RZZs
-    cut = old.layers * per_layer
-    return np.concatenate([theta[:cut], np.zeros((layers - old.layers) * per_layer), theta[cut:]])

@@ -32,7 +32,7 @@ from qsp_lab.circuits import (
     with_ancilla_zero,
 )
 from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
-from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan
+from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan, ucrz
 from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import qsp_circuit
 from qsp_lab.variational import AnsatzSpec, build_ansatz
@@ -949,6 +949,9 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: global_depolarize(np.eye(3), 0.1), r"^density matrix of shape \(3, 3\)", id="global-3x3-rho"),
     pytest.param(lambda: partial_trace(np.eye(4) / 4, (True,), 2), "^keep must", id="partial-trace-bool-qubit"),
     pytest.param(lambda: Gate("RX", (True,), 0.1), "^gate qubits must", id="gate-bool-qubit"),
+    pytest.param(lambda: Gate("RX", 0, 0.5), "^gate qubits must be a sequence", id="gate-qubit-not-in-a-sequence"),
+    pytest.param(lambda: partial_trace(np.eye(4) / 4, 0, 2), "^keep must be a sequence", id="partial-trace-keep-an-int"),
+    pytest.param(lambda: ucrz(0, 1, [0.1, 0.2]), "^controls must be a sequence", id="ucrz-controls-an-int"),
     pytest.param(lambda: Gate("RX", (0,), True), "^gate angle must", id="gate-bool-angle"),
     pytest.param(lambda: Circuit(1, 0, ["RX"]), "^gate must be a Gate", id="circuit-of-a-string"),
     pytest.param(lambda: Circuit(1).append("RX"), "^gate must be a Gate", id="append-a-string"),
@@ -1260,6 +1263,22 @@ EDITS = {
     "n_system": lambda c: setattr(c, "n_system", c.n_system + 1),
 }
 
+# each edit puts in the gate list, past append's check, what append refuses
+EDITS_APPEND_REFUSES = {
+    "assign a string": lambda c: setattr(c, "gates", ["RX"]),
+    "assign a wide gate": lambda c: setattr(c, "gates", [rx(3, 0.1)]),
+    "append to the list": lambda c: c.gates.append(rx(3, 0.1)),
+    "assign an entry": lambda c: c.gates.__setitem__(0, (0,)),
+    "shrink the register": lambda c: setattr(c, "n_ancilla", 0),
+}
+# every walk reads the fold, and count_two_qubit_gates the same gate list
+READ_THE_GATES = {
+    "apply_statevector": lambda c: apply_statevector(c, plus_state(c.width)),
+    "apply_density": lambda c: apply_density(c, density_from_state(plus_state(c.width)), NOISES[1]),
+    "circuit_unitary": circuit_unitary,
+    "count_two_qubit_gates": count_two_qubit_gates,
+}
+
 
 class TestFoldKept:
     """A circuit is folded once; every later walk reuses the fold while the
@@ -1303,6 +1322,19 @@ class TestFoldKept:
         edited, expected = walk_outputs(c, np.random.default_rng(304)), walk_outputs(fresh, np.random.default_rng(304))
         for name in expected:
             assert np.array_equal(edited[name], expected[name]), name
+
+    @pytest.mark.parametrize("read", READ_THE_GATES)
+    @pytest.mark.parametrize("structural", [False, True], ids=["native", "aphase"])
+    @pytest.mark.parametrize("edit", EDITS_APPEND_REFUSES)
+    def test_an_edit_append_refuses_is_refused_as_append_refuses_it(self, edit, structural, read):
+        c = Circuit(1, 1, [had(0), cz(0, 1)] + [aphase(0.4)] * structural)
+        apply_statevector(c, plus_state(c.width))  # the circuit keeps its fold
+        EDITS_APPEND_REFUSES[edit](c)
+        with pytest.raises(ValueError) as by_append:
+            Circuit(c.n_system, c.n_ancilla).extend(c.gates)
+        with pytest.raises(ValueError) as by_read:
+            READ_THE_GATES[read](c)
+        assert str(by_read.value) == str(by_append.value)
 
     @pytest.mark.parametrize("encoding", ["lcu", "variational"])
     def test_global_channel_counts_the_two_qubit_gates(self, encoding):

@@ -230,7 +230,8 @@ class TestGraySynthesis:
         lambda: ucry((0,), 1, ["0.1", "0.2"]),
     ])
     def test_malformed_synthesis_input_rejected(self, build):
-        with pytest.raises(ValueError, match="^(controls and target|qubits|alphas|phases) must"):
+        # ucrz checks its controls alone before it appends the target: a repeated control is refused as controls
+        with pytest.raises(ValueError, match="^(controls and target|controls|qubits|alphas|phases) must"):
             build()
 
     def test_ucry_of_zero_angles_is_empty(self):

@@ -75,12 +75,18 @@ def test_pauli_string_rejects_bad_letters(letters):
         PauliString(letters)
 
 
-# each input below raised AttributeError, or built a string of the wrong
-# width, before it was checked through an input rule of errors.py
+# each input below raised AttributeError or TypeError, or built a string of
+# the wrong width, before it was checked through an input rule
 REFUSED_BY_A_RULE = [
     pytest.param(lambda: PauliString.single(3, 1, ""), "^letter must", id="single-empty-letter"),
     pytest.param(lambda: PauliString.single(2, 0, "XX"), "^letter must", id="single-two-letters"),
     pytest.param(lambda: PauliSum(2, [(1.0, "XX")]), "^term must be a PauliString", id="sum-of-a-string"),
+    pytest.param(lambda: PauliString(3), "^Pauli letters must be a str", id="letters-an-int"),
+    pytest.param(lambda: PauliSum(1).add(1.0, 3), "^Pauli letters must be a str", id="add-letters-an-int"),
+    pytest.param(lambda: PauliSum(2, [1.0]), r"^term must be a \(coefficient, PauliString\) pair", id="term-a-float"),
+    pytest.param(lambda: PauliSum(1, [(1.0, PauliString("X"), 2)]), r"^term must be a \(coefficient, PauliString\) pair",
+                 id="term-a-triple"),
+    pytest.param(lambda: build_ising_chain(2, 1.0, 0.5, 0.1), "^fields_x must hold 2", id="fields-a-float"),
 ]
 
 

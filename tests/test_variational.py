@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qsp_lab.circuits import Circuit, circuit_unitary, count_two_qubit_gates, cz
 from qsp_lab.lcu import encoded_block
@@ -19,7 +20,6 @@ from qsp_lab.variational import (
     cost_and_gradient,
     epsilon_be_from_cost,
     hessian,
-    layer_sweep,
     optimize,
     variational_block_encoding,
 )
@@ -46,8 +46,6 @@ THETA_ENTRY_POINTS = [
     pytest.param(lambda th: cost_and_gradient(th, SMALL_H, SMALL), id="cost_and_gradient"),
     pytest.param(lambda th: hessian(th, SMALL_H, SMALL), id="hessian"),
     pytest.param(lambda th: ansatz_block(SMALL, th), id="ansatz_block"),
-    pytest.param(lambda th: optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1), [th]),
-                 id="optimize-warm-start"),
 ]
 ANGLES_RULE = f"^theta must hold {SMALL.n_parameters} finite angles"
 # targets no entry point takes
@@ -106,15 +104,11 @@ class TestAnsatz:
 
     @pytest.mark.parametrize("angle", [float("nan"), np.inf, -np.inf])
     @pytest.mark.parametrize("call", THETA_ENTRY_POINTS)
-    def test_non_finite_theta_every_entry_point(self, call, angle, monkeypatch):
-        calls = []
-        inner = variational.cost_and_gradient
-        monkeypatch.setattr(variational, "cost_and_gradient", lambda *args: calls.append(1) or inner(*args))
+    def test_non_finite_theta_every_entry_point(self, call, angle):
         theta = np.zeros(SMALL.n_parameters)
         theta[3] = angle
         with pytest.raises(ValueError, match=ANGLES_RULE):
             call(theta)
-        assert not calls  # optimize rejects the warm start before any evaluation
 
     @pytest.mark.parametrize("bad", BAD_SIZES + BAD_TARGETS)
     @pytest.mark.parametrize(
@@ -292,30 +286,6 @@ class TestOptimize:
         assert np.array_equal(dense_res.theta, res.theta)
 
 
-class TestLayerSweep:
-    def test_monotone_in_layers(self):
-        ht = ising3_rescaled()
-        results = layer_sweep(ht, a=2, layer_range=range(1, 5),
-                              config=OptimizerConfig(restarts=2, init_seed=21))
-        eps = [results[layer].epsilon_be for layer in range(1, 5)]
-        for lo, hi in zip(eps[1:], eps[:-1]):
-            assert lo <= hi + 1e-3
-
-    def test_skipped_depth_is_warm_started(self):
-        # the 2-site chain on a = 1: L = 3 starts from L = 1's optimum padded
-        # with two zero-angle layers, so it can only do better
-        h = build_ising_chain(2, 1.0, [0.7, 1.1], 0.3)
-        ht = rescale(h, triangle_bounds(h), 0.0, 1.0).h_tilde
-        results = layer_sweep(ht, a=1, layer_range=[1, 3], config=OptimizerConfig(restarts=1, max_iters=30))
-        assert results.keys() == {1, 3}
-        assert results[3].epsilon_be <= results[1].epsilon_be + 1e-12
-
-    @pytest.mark.parametrize("layer_range", [[2, 1], [1, 1]])
-    def test_layer_range_not_increasing_rejected(self, layer_range):
-        with pytest.raises(ValueError, match="layer_range"):
-            layer_sweep(ising3_rescaled(), a=1, layer_range=layer_range)
-
-
 class TestConfigValidation:
     def test_negative_restarts_rejected(self):
         with pytest.raises(ValueError):
@@ -325,12 +295,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
 
+    # restarts = 0 too: optimize runs only its seeded restarts, so a config without one could not run
     @pytest.mark.parametrize("field, value", [
-        ("restarts", 1.5), ("restarts", "2"), ("init_seed", 1.5), ("init_seed", -1), ("init_seed", None),
-        ("max_iters", 2.5), ("max_iters", 10.0),
+        ("restarts", 1.5), ("restarts", "2"), ("restarts", 0), ("init_seed", 1.5), ("init_seed", -1),
+        ("init_seed", None), ("max_iters", 2.5), ("max_iters", 10.0),
     ])
     def test_non_integer_or_negative_config_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must"):
             OptimizerConfig(**{field: value})
 
     def test_bool_max_iters_rejected(self):
@@ -385,15 +356,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="layers"):
             optimize(SMALL_H, SMALL.n, SMALL.a, -1, OptimizerConfig(restarts=1))
 
-    def test_no_starting_point_raises(self):
-        with pytest.raises(ValueError):
-            optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=0))
-
-    def test_zero_restarts_with_warm_start(self):
-        theta0 = np.zeros(SMALL.n_parameters)
-        res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=0, max_iters=5), [theta0])
-        assert res is not None
-        assert res.trace[0] == cost(theta0, SMALL_H, SMALL)  # the first evaluation is the warm start
+    def test_restart_r_starts_at_its_seeded_draw(self, monkeypatch):
+        thetas, firsts = [], []  # every evaluated theta; the index of each restart's first
+        inner = variational.cost_and_gradient
+        monkeypatch.setattr(variational, "cost_and_gradient",
+                            lambda theta, h, spec: thetas.append(np.copy(theta)) or inner(theta, h, spec))
+        minimize = scipy.optimize.minimize
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *args, **kw: firsts.append(len(thetas)) or minimize(*args, **kw))
+        optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=3, max_iters=5, init_seed=4))
+        assert len(firsts) == 3
+        for r, first in enumerate(firsts):
+            assert np.array_equal(thetas[first], np.random.default_rng(4 + r).uniform(-0.1, 0.1, SMALL.n_parameters))
 
     def test_trace_lists_the_cost_of_every_evaluation(self, monkeypatch):
         seen = []
