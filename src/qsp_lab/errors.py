@@ -6,6 +6,7 @@ list too) as np.asarray of it, which callers use in its place, or raise
 ValueError, angles returns a real vector as a float array or raises
 ValueError, and dense raises DimensionError."""
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -56,9 +57,9 @@ def integer(k, name: str, *, positive: bool = False):
 
 
 def qubits(qs, name: str, width: float = math.inf):
-    """qs, when it is a tuple, a list or a 1-D array of distinct integer qubit
-    indices (not bools) in [0, width)."""
-    is_sequence = isinstance(qs, (tuple, list)) or isinstance(qs, np.ndarray) and qs.ndim == 1
+    """qs, when it is a sequence (a tuple, list, range, ...) or a 1-D array of
+    distinct integer qubit indices (not bools) in [0, width)."""
+    is_sequence = isinstance(qs, Sequence) or isinstance(qs, np.ndarray) and qs.ndim == 1
     if not (is_sequence and all(_is_integer(q) and 0 <= q < width for q in qs) and len(set(qs)) == len(qs)):
         raise ValueError(f"{name} must be a sequence of distinct integers in [0, {width}), got {qs!r}")
     return qs

@@ -952,6 +952,8 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: Gate("RX", 0, 0.5), "^gate qubits must be a sequence", id="gate-qubit-not-in-a-sequence"),
     pytest.param(lambda: partial_trace(np.eye(4) / 4, 0, 2), "^keep must be a sequence", id="partial-trace-keep-an-int"),
     pytest.param(lambda: ucrz(0, 1, [0.1, 0.2]), "^controls must be a sequence", id="ucrz-controls-an-int"),
+    # ucrz checks its controls alone before it appends the target, so a repeated control is named as controls
+    pytest.param(lambda: ucrz((0, 0), 1, [0.1, 0.5, 0.2, 0.3]), "^controls must", id="ucrz-repeated-control"),
     pytest.param(lambda: Gate("RX", (0,), True), "^gate angle must", id="gate-bool-angle"),
     pytest.param(lambda: Circuit(1, 0, ["RX"]), "^gate must be a Gate", id="circuit-of-a-string"),
     pytest.param(lambda: Circuit(1).append("RX"), "^gate must be a Gate", id="append-a-string"),
@@ -1036,6 +1038,12 @@ class TestWalkInput:
         assert np.array_equal(partial_trace(rho, (0, 1), 2), rho)
         assert partial_trace(rho, (1, 0), 2)[2, 2] == 1.0
         assert partial_trace(rho, (1,), 2)[1, 1] == 1.0
+
+    def test_qubits_given_as_a_range(self):
+        # any sequence of qubit indices is taken, not only a tuple, list or array
+        rho = random_density(2, np.random.default_rng(5))
+        assert np.array_equal(partial_trace(rho, range(1, 2), 2), partial_trace(rho, (1,), 2))
+        assert Gate("RZZ", range(2), 0.5) == rzz(0, 1, 0.5)
 
     @pytest.mark.parametrize("keep", [(0, 0), (5,), (-1,), (2,), (1.0,)])
     def test_partial_trace_rejects_bad_qubits(self, keep):

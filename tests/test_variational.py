@@ -356,6 +356,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="layers"):
             optimize(SMALL_H, SMALL.n, SMALL.a, -1, OptimizerConfig(restarts=1))
 
+    def test_no_starting_point_raises(self):
+        with pytest.raises(ValueError):
+            optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=0))
+
     def test_restart_r_starts_at_its_seeded_draw(self, monkeypatch):
         thetas, firsts = [], []  # every evaluated theta; the index of each restart's first
         inner = variational.cost_and_gradient
