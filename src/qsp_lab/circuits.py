@@ -54,13 +54,11 @@ and the two pending runs) is multiplied out once, and a per-gate noisy walk
 turns each distinct folded operation into its transfer matrix once.  The
 copies share these read-only operations, and the program is bit-identical
 to one built gate by gate: the same arithmetic runs on the same inputs.
-The Circuit keeps its fold, made before _native (an APHASE circuit is
-decomposed once for all its walks), while its register sizes and frozen
-gates compare equal to those it was made from; append, extend, assigning
-gates or an entry, or a new register size fold again.  A fold checks each
-entry's type and each distinct gate as append does, so a gate list edited
-past append is refused with append's ValueError, as count_two_qubit_gates
-refuses it.
+A Circuit's gates are checked once, when construction, append or extend
+adds them; its registers are fixed and its gates a tuple, so no gate
+reaches a walk or a count unchecked, and neither reads them again.  The
+Circuit keeps its fold, made before _native (an APHASE circuit is
+decomposed once for all its walks), until the next append or extend.
 
 Fuse.  A complex walk of at least 2^_FUSE_QUBITS = 32 columns on a
 register wider than _FUSE_QUBITS = 5 (a dense unitary of 6 or more qubits)
@@ -166,24 +164,24 @@ def aphase(angle: float) -> Gate:
     return Gate("APHASE", (), angle)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """A gate list on n_ancilla + n_system qubits, ancillas first.  Its first
-    walk folds the gate list and keeps the fold, which later walks reuse
-    while the register sizes and gate list are unchanged (module docstring)."""
+    """A gate tuple on fixed registers of n_ancilla + n_system qubits,
+    ancillas first.  Only construction, append and extend set the gates,
+    each checked as it is added; any other write raises AttributeError.  Its
+    first walk folds the gates and keeps the fold, which later walks reuse
+    until the next append or extend (module docstring)."""
 
     n_system: int
     n_ancilla: int = 0
-    gates: list[Gate] = field(default_factory=list)
-    # (n_system, n_ancilla, tuple(gates)) and the _fold made from them
-    _folded: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    gates: tuple[Gate, ...] = ()
+    _folded: tuple | None = field(default=None, init=False, repr=False, compare=False)  # _fold's result
+    __hash__ = None  # append changes what == compares
 
     def __post_init__(self):
         integer(self.n_system, "n_system")
         integer(self.n_ancilla, "n_ancilla")
-        self.gates = list(self.gates)
-        for g in self.gates:
-            self._check_gate(g)
+        object.__setattr__(self, "gates", self._checked(self.gates))
 
     @property
     def width(self) -> int:
@@ -196,19 +194,22 @@ class Circuit:
     def system_qubit(self, i: int) -> int:
         return self.n_ancilla + i
 
-    def _check_gate(self, gate: Gate) -> None:
-        for q in entry(gate, Gate, "gate").qubits:
-            if not 0 <= q < self.width:
-                raise ValueError(f"qubit {q} out of range for width {self.width}")
+    def _checked(self, gates) -> tuple[Gate, ...]:
+        gates, w = tuple(gates), self.width
+        for g in gates:
+            for q in entry(g, Gate, "gate").qubits:
+                if not 0 <= q < w:
+                    raise ValueError(f"qubit {q} out of range for width {w}")
+        return gates
 
     def append(self, gate: Gate) -> "Circuit":
-        self._check_gate(gate)
-        self.gates.append(gate)
-        return self
+        return self.extend((gate,))
 
     def extend(self, gates) -> "Circuit":
-        for g in gates:
-            self.append(g)
+        """Add the gates in order, each checked as append checks it, or none
+        of them; the kept fold is dropped."""
+        object.__setattr__(self, "gates", self.gates + self._checked(gates))
+        object.__setattr__(self, "_folded", None)
         return self
 
     def __len__(self) -> int:
@@ -354,11 +355,10 @@ def _pauli_transfer(sup: np.ndarray) -> np.ndarray:
 
 def _fold(circuit: Circuit) -> tuple[tuple, complex]:
     """The folded, memoized unitary program of (read-only matrix, qubits) of
-    _native's gate list, and its scalar phase, kept on the circuit while its
-    register sizes and gate list are unchanged (module docstring)."""
-    made_from = (circuit.n_system, circuit.n_ancilla, tuple(circuit.gates))
-    if circuit._folded is not None and circuit._folded[0] == made_from:
-        return circuit._folded[1]
+    _native's gate list, and its scalar phase, kept on the circuit until its
+    next append or extend (module docstring)."""
+    if circuit._folded is not None:
+        return circuit._folded
     gate_ids: dict[tuple, int] = {}
     entries: list[tuple[np.ndarray | None, tuple[int, ...], complex]] = []  # _gate_local of each id
     folds: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
@@ -378,8 +378,7 @@ def _fold(circuit: Circuit) -> tuple[tuple, complex]:
     for g in _native(circuit).gates:
         key = (g.kind, g.qubits, g.angle)
         i = gate_ids.get(key)
-        if i is None:  # a distinct gate, checked once as append checks it
-            circuit._check_gate(g)
+        if i is None:
             i = gate_ids[key] = len(entries)
             entries.append(_gate_local(g))
         local, axes, scalar = entries[i]
@@ -396,8 +395,8 @@ def _fold(circuit: Circuit) -> tuple[tuple, complex]:
     program += [(product(run), (q,)) for q, run in pending.items()]
     for u, _ in program:
         u.setflags(write=False)
-    circuit._folded = made_from, (tuple(program), phase)
-    return circuit._folded[1]
+    object.__setattr__(circuit, "_folded", (tuple(program), phase))
+    return circuit._folded
 
 
 def _compile(
@@ -576,12 +575,8 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
 
 
 def count_two_qubit_gates(circuit: Circuit) -> int:
-    """Count RZZ and CZ gates, an APHASE gate's as decompose() expands it;
-    ValueError for a gate list _fold refuses."""
-    gates = _native(circuit).gates
-    for g in {g.qubits: g for g in gates}.values():  # append's check reads only a gate's type and qubits
-        circuit._check_gate(g)
-    return sum(1 for g in gates if g.kind in ("RZZ", "CZ"))
+    """Count RZZ and CZ gates, an APHASE gate's as decompose() expands it."""
+    return sum(1 for g in _native(circuit).gates if g.kind in ("RZZ", "CZ"))
 
 
 # ---------------------------------------------------------------------------
@@ -653,21 +648,14 @@ def _decompose_aphase(gate: Gate, circuit: Circuit) -> list[Gate]:
 
 def decompose(circuit: Circuit) -> Circuit:
     """Expand APHASE gates into the native gate set."""
-    out = Circuit(circuit.n_system, circuit.n_ancilla)
+    gates: list[Gate] = []
     for g in circuit.gates:
-        if g.kind == "APHASE":
-            out.extend(_decompose_aphase(g, circuit))
-        else:
-            out.append(g)
-    return out
+        gates += _decompose_aphase(g, circuit) if g.kind == "APHASE" else [g]
+    return Circuit(circuit.n_system, circuit.n_ancilla, gates)
 
 
 def _native(circuit: Circuit) -> Circuit:
-    """The circuit, or decompose(circuit) when it holds a structural gate;
-    append's ValueError for an entry of its gate list that is not a Gate."""
-    if not all(issubclass(t, Gate) for t in set(map(type, circuit.gates))):
-        for g in circuit.gates:
-            entry(g, Gate, "gate")
+    """The circuit, or decompose(circuit) when it holds a structural gate."""
     return decompose(circuit) if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates) else circuit
 
 

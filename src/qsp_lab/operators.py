@@ -113,6 +113,7 @@ class PauliSum:
         return PauliSum(self.n, [(c, PauliString(s)) for s, c in merged.items() if c != 0.0])
 
     def scaled(self, factor: float) -> "PauliSum":
+        real(factor, "factor")
         return PauliSum(self.n, [(factor * c, p) for c, p in self.terms])
 
     def coefficient_one_norm(self) -> float:

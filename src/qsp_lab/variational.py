@@ -250,17 +250,9 @@ def _block_of(y0: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y0.conj().T @ (z[:, None] * y0)
 
 
-@dataclass(frozen=True)
-class _Target:
-    matrix: np.ndarray  # a target _hamiltonian has checked: optimize checks it once, not per evaluation
-
-
-def _hamiltonian(h_tilde: PauliSum | np.ndarray | _Target, n: int | None = None) -> np.ndarray:
+def _hamiltonian(h_tilde: PauliSum | np.ndarray, n: int | None = None) -> np.ndarray:
     """h_tilde as a dense matrix, finite, Hermitian and (2^n, 2^n), any n when
-    n is None (of a _Target, only the shape is checked again); the gradient's
-    adjoint formula needs M = Wblk - H Hermitian."""
-    if isinstance(h_tilde, _Target):
-        return register_matrix(h_tilde.matrix, n, name="target")
+    n is None; the gradient's adjoint formula needs M = Wblk - H Hermitian."""
     h = h_tilde.to_matrix() if isinstance(h_tilde, PauliSum) else h_tilde
     return register_matrix(h, n, hermitian=True, name="target")
 
@@ -295,7 +287,12 @@ def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: A
     module docstring: per triplet column the Pauli projections of each
     run's R_b, per ladder s."""
     h = _hamiltonian(h_tilde, spec.n)
-    theta = angles(theta, "theta", spec.n_parameters)
+    return _cost_and_gradient(angles(theta, "theta", spec.n_parameters), h, spec)
+
+
+def _cost_and_gradient(theta: np.ndarray, h: np.ndarray, spec: AnsatzSpec) -> tuple[float, np.ndarray]:
+    """cost_and_gradient at a checked theta and target: optimize checks its
+    target once, not per evaluation."""
     triplets, ladders, zz, z, runs = _walk_tables(spec)
     blocks = _blocks(spec, theta)
     ys = _walk(spec, blocks)
@@ -387,7 +384,6 @@ def optimize(
     config = config or OptimizerConfig()
     spec = AnsatzSpec(n, a, layers)
     h = _hamiltonian(h_tilde, spec.n)
-    target = _Target(h)  # checked here, once for every evaluation
 
     best: OptimizeResult | None = None
     evals = 0
@@ -396,7 +392,7 @@ def optimize(
         trace: list[float] = []
 
         def fun_grad(theta):
-            f, g = cost_and_gradient(theta, target, spec)
+            f, g = _cost_and_gradient(theta, h, spec)
             if not np.isfinite(f):
                 raise OptimizationError("non-finite cost encountered")
             trace.append(f)

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def random_native_circuit(n_system, n_ancilla, n_gates, rng):
     return c
 
 
+def inserted(c, placed):
+    """A new Circuit of c's gates with each (index, gate) of placed inserted in turn."""
+    gates = list(c.gates)
+    for i, g in placed:
+        gates.insert(i, g)
+    return Circuit(c.n_system, c.n_ancilla, gates)
+
+
 class TestStatevector:
     def test_empty_circuit(self):
         s = random_state(3)
@@ -119,8 +128,8 @@ class TestUnitaryOracle:
         rng = np.random.default_rng(10)
         native = random_native_circuit(2, 1, 15, rng)
         mixed = random_native_circuit(2, 2, 15, rng)
-        for i, g in enumerate([gphase(0.8), aphase(-0.45), rx(1, 0.7), had(3), cz(0, 2), aphase(1.2)]):
-            mixed.gates.insert(3 * i, g)
+        mixed = inserted(mixed, [(3 * i, g) for i, g in enumerate(
+            [gphase(0.8), aphase(-0.45), rx(1, 0.7), had(3), cz(0, 2), aphase(1.2)])])
         for c in (native, mixed):
             u = circuit_unitary(c)
             v = circuit_unitary(c.inverse())
@@ -188,8 +197,7 @@ class TestStructuralGates:
         # noisy rho in both modes and the encoded block, bit for bit
         rng = np.random.default_rng(115 + n_ancilla)
         c = oracle_circuit(2, n_ancilla, 20, rng)
-        for i, phi in ((3, -1.3), (9, 0.61), (len(c.gates), 2.2)):
-            c.gates.insert(i, aphase(phi))
+        c = inserted(c, [(i, aphase(phi)) for i, phi in ((3, -1.3), (9, 0.61), (len(c.gates), 2.2))])
         native = decompose(c)
         assert count_two_qubit_gates(c) == count_two_qubit_gates(native)
         assert np.array_equal(encoded_block(c), encoded_block(native))
@@ -619,9 +627,9 @@ class TestRegisterInput:
         for name in reference:
             assert np.array_equal(outputs[name], reference[name]), name
 
-    def test_gates_stored_as_a_list(self):
-        c = Circuit(1, 0, (rx(0, 1.0),)).append(rz(0, 0.5))
-        assert c.gates == [rx(0, 1.0), rz(0, 0.5)]
+    def test_gates_stored_as_a_tuple(self):
+        c = Circuit(1, 0, [rx(0, 1.0)]).append(rz(0, 0.5))
+        assert c.gates == (rx(0, 1.0), rz(0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +724,10 @@ NOISES = [NoiseModel(), NoiseModel(0.07, "per_gate_depolarizing"), NoiseModel(0.
 
 def oracle_circuit(n_system, n_ancilla, n_gates, rng):
     """A random native circuit with global phases mixed in."""
-    c = random_native_circuit(n_system, n_ancilla, n_gates, rng)
+    gates = list(random_native_circuit(n_system, n_ancilla, n_gates, rng).gates)
     for _ in range(3):
-        c.gates.insert(int(rng.integers(len(c.gates) + 1)), gphase(rng.uniform(-np.pi, np.pi)))
-    return c
+        gates.insert(int(rng.integers(len(gates) + 1)), gphase(rng.uniform(-np.pi, np.pi)))
+    return Circuit(n_system, n_ancilla, gates)
 
 
 def assert_matches_oracle(c, rng):
@@ -799,9 +807,7 @@ class TestIndependentOracle:
     def test_noiseless_structural_gates(self):
         rng = np.random.default_rng(113)
         for a in (1, 2):
-            c = oracle_circuit(2, a, 12, rng)
-            c.gates.insert(4, aphase(-1.3))
-            c.gates.insert(8, aphase(0.61))
+            c = inserted(oracle_circuit(2, a, 12, rng), [(4, aphase(-1.3)), (8, aphase(0.61))])
             c.append(aphase(2.2))
             assert_matches_oracle(c, rng)
 
@@ -853,9 +859,7 @@ class TestEigenvectorPath:
 
     def test_noiseless_structural_gates(self):
         rng = np.random.default_rng(121)
-        c = oracle_circuit(2, 2, 12, rng)
-        c.gates.insert(3, aphase(1.1))
-        c.gates.insert(9, aphase(-0.37))
+        c = inserted(oracle_circuit(2, 2, 12, rng), [(3, aphase(1.1)), (9, aphase(-0.37))])
         for name, rho in self.inputs(c.width, rng).items():
             out = apply_density(c, rho)
             assert np.abs(out - ref_density(c, rho, NoiseModel())).max() < 1e-12, name
@@ -1261,36 +1265,46 @@ def lcu_qsp_circuit(phases):
     return qsp_circuit(build_lcu_circuit(lcu_plan(rescale(h, triangle_bounds(h)).h_tilde)).circuit, phases)
 
 
-# each edit keeps the circuit valid; the APHASE gates make the fold depend on n_ancilla
+# each edit keeps the circuit valid and folds it again
 EDITS = {
     "append": lambda c: c.append(rx(0, 0.3)),
     "extend": lambda c: c.extend([cz(0, 2), had(1)]),
-    "assign gates": lambda c: setattr(c, "gates", c.gates[::-1]),
-    "assign an entry": lambda c: c.gates.__setitem__(3, rzz(1, 2, -0.8)),
-    "n_ancilla": lambda c: setattr(c, "n_ancilla", c.n_ancilla + 1),
-    "n_system": lambda c: setattr(c, "n_system", c.n_system + 1),
 }
 
-# each edit puts in the gate list, past append's check, what append refuses
-EDITS_APPEND_REFUSES = {
+# each write past append and extend, refused where it is made: a valid gate list, one that
+# append refuses, a register size that changes the fold (the APHASE gate reads n_ancilla)
+# or leaves a gate out of range, and the kept fold itself
+WRITES_REFUSED = {
+    "assign gates": lambda c: setattr(c, "gates", c.gates[::-1]),
     "assign a string": lambda c: setattr(c, "gates", ["RX"]),
     "assign a wide gate": lambda c: setattr(c, "gates", [rx(3, 0.1)]),
-    "append to the list": lambda c: c.gates.append(rx(3, 0.1)),
-    "assign an entry": lambda c: c.gates.__setitem__(0, (0,)),
+    "delete gates": lambda c: delattr(c, "gates"),
+    "append to the gates": lambda c: c.gates.append(rx(3, 0.1)),
+    "insert into the gates": lambda c: c.gates.insert(0, aphase(0.2)),
+    "assign an entry": lambda c: operator.setitem(c.gates, 0, (0,)),
+    "grow the register": lambda c: setattr(c, "n_ancilla", c.n_ancilla + 1),
     "shrink the register": lambda c: setattr(c, "n_ancilla", 0),
+    "n_system": lambda c: setattr(c, "n_system", c.n_system + 1),
+    "drop the fold": lambda c: setattr(c, "_folded", None),
 }
-# every walk reads the fold, and count_two_qubit_gates the same gate list
+# every reader of the gates: the walks read the kept fold, the others the gates
 READ_THE_GATES = {
-    "apply_statevector": lambda c: apply_statevector(c, plus_state(c.width)),
-    "apply_density": lambda c: apply_density(c, density_from_state(plus_state(c.width)), NOISES[1]),
-    "circuit_unitary": circuit_unitary,
+    "walks": lambda c: walk_outputs(c, np.random.default_rng(308)),
     "count_two_qubit_gates": count_two_qubit_gates,
+    "decompose": lambda c: decompose(c).gates,
+    "inverse": lambda c: c.inverse().gates,
+}
+# each way of adding gates, given a valid gate and then one append refuses
+ADDERS = {
+    "construct": lambda c, gates: Circuit(c.n_system, c.n_ancilla, c.gates + tuple(gates)),
+    "append": lambda c, gates: [c.append(g) for g in gates],
+    "extend": lambda c, gates: c.extend(gates),
 }
 
 
 class TestFoldKept:
-    """A circuit is folded once; every later walk reuses the fold while the
-    register sizes and the gate list are unchanged."""
+    """A circuit is folded once; every later walk reuses the fold until the
+    next append or extend, the only writes a built circuit takes."""
 
     def test_one_fold_per_circuit(self, monkeypatch):
         built = []
@@ -1321,9 +1335,7 @@ class TestFoldKept:
     @pytest.mark.parametrize("edit", EDITS)
     def test_an_edit_folds_again(self, edit):
         rng = np.random.default_rng(302)
-        c = oracle_circuit(2, 1, 30, rng)
-        for i, phi in ((4, -0.9), (17, 0.5)):
-            c.gates.insert(i, aphase(phi))
+        c = inserted(oracle_circuit(2, 1, 30, rng), [(4, aphase(-0.9)), (17, aphase(0.5))])
         walk_outputs(c, np.random.default_rng(303))
         EDITS[edit](c)
         fresh = Circuit(c.n_system, c.n_ancilla, list(c.gates))
@@ -1333,16 +1345,35 @@ class TestFoldKept:
 
     @pytest.mark.parametrize("read", READ_THE_GATES)
     @pytest.mark.parametrize("structural", [False, True], ids=["native", "aphase"])
-    @pytest.mark.parametrize("edit", EDITS_APPEND_REFUSES)
-    def test_an_edit_append_refuses_is_refused_as_append_refuses_it(self, edit, structural, read):
-        c = Circuit(1, 1, [had(0), cz(0, 1)] + [aphase(0.4)] * structural)
+    @pytest.mark.parametrize("write", WRITES_REFUSED)
+    def test_a_write_past_append_is_refused_where_it_is_made(self, write, structural, read):
+        gates = [had(0), cz(0, 1)] + [aphase(0.4)] * structural
+        c, fresh = Circuit(1, 1, gates), Circuit(1, 1, gates)
         apply_statevector(c, plus_state(c.width))  # the circuit keeps its fold
-        EDITS_APPEND_REFUSES[edit](c)
-        with pytest.raises(ValueError) as by_append:
-            Circuit(c.n_system, c.n_ancilla).extend(c.gates)
-        with pytest.raises(ValueError) as by_read:
-            READ_THE_GATES[read](c)
-        assert str(by_read.value) == str(by_append.value)
+        with pytest.raises((AttributeError, TypeError)):
+            WRITES_REFUSED[write](c)
+        assert c == fresh and c._folded is not None
+        # the reader, decompose and inverse too, meets the gates as they were added
+        got, expected = READ_THE_GATES[read](c), READ_THE_GATES[read](fresh)
+        if read == "walks":
+            for name in expected:
+                assert np.array_equal(got[name], expected[name]), name
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("adder", ADDERS)
+    @pytest.mark.parametrize("gate, message", [
+        ("RX", "gate must be a Gate, got 'RX'"),
+        ((0,), "gate must be a Gate, got (0,)"),
+        (rx(2, 0.1), "qubit 2 out of range for width 2"),
+    ], ids=["a string", "a tuple", "a wide gate"])
+    def test_a_gate_append_refuses_is_refused_by_every_adder(self, adder, gate, message):
+        c = Circuit(1, 1, [had(0)])
+        with pytest.raises(ValueError) as refused:
+            ADDERS[adder](c, [cz(0, 1), gate])
+        assert str(refused.value) == message
+        # extend adds all of its gates or none, and append each one it takes
+        assert c.gates == (had(0),) + (cz(0, 1),) * (adder == "append")
 
     @pytest.mark.parametrize("encoding", ["lcu", "variational"])
     def test_global_channel_counts_the_two_qubit_gates(self, encoding):
@@ -1358,8 +1389,8 @@ class TestFoldKept:
 
     def test_later_walks_match_the_oracle(self, monkeypatch):
         rng = np.random.default_rng(306)
-        c = oracle_circuit(4, 2, 120, rng)  # width 6: the unitary and the 40-column batch are fused
-        c.gates.insert(50, aphase(0.7))
+        # width 6: the unitary and the 40-column batch are fused
+        c = inserted(oracle_circuit(4, 2, 120, rng), [(50, aphase(0.7))])
         walks = [walk_outputs(c, np.random.default_rng(307)) for _ in range(3)]
         monkeypatch.setattr(cir, "_walk", fresh_walk_oracle)
         oracle = walk_outputs(c, np.random.default_rng(307))

@@ -87,6 +87,9 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: PauliSum(1, [(1.0, PauliString("X"), 2)]), r"^term must be a \(coefficient, PauliString\) pair",
                  id="term-a-triple"),
     pytest.param(lambda: build_ising_chain(2, 1.0, 0.5, 0.1), "^fields_x must hold 2", id="fields-a-float"),
+    # a str or None factor raised TypeError from the product, and a bool was taken as a number
+    *(pytest.param(lambda factor=factor: ising3().scaled(factor), "^factor must", id=f"scaled-by-{name}")
+      for name, factor in [("a-str", "2"), ("none", None), ("a-bool", True), ("a-complex", 1j), ("nan", np.nan)]),
 ]
 
 
@@ -99,6 +102,13 @@ def test_input_refused_naming_the_argument(call, match):
 def test_terms_stored_as_a_list():
     h = PauliSum(1, ((0.5, PauliString("X")),)).add(0.25, "Z")
     assert h.terms == [(0.5, PauliString("X")), (0.25, PauliString("Z"))]
+
+
+def test_scaled_multiplies_each_coefficient():
+    h = ising3()
+    doubled = h.scaled(2.0)
+    assert doubled.n == h.n and doubled.terms == [(2.0 * c, p) for c, p in h.terms]
+    assert [p.letters for _, p in doubled.terms] == [p.letters for _, p in h.terms]
 
 
 class TestPauliStringSingle:

@@ -84,6 +84,18 @@ def test_scalar_unitary_rejects_non_real_signal(x):
         qsp_scalar_unitary(x, np.zeros(2))
 
 
+@pytest.mark.parametrize("x", [1.0 + 2e-12, -1.5])
+def test_scalar_unitary_rejects_signal_outside_the_interval(x):
+    with pytest.raises(ValueError, match=r"^signal value must be in \[-1, 1\]"):
+        qsp_scalar_unitary(x, np.array([0.3, -0.7, 1.1]))
+
+
+def test_scalar_unitary_clips_roundoff_past_one():
+    # within the 1e-12 tolerance a signal is clipped to the interval's end
+    phi = np.array([0.3, -0.7, 1.1])
+    assert np.array_equal(qsp_scalar_unitary(1.0 + 5e-13, phi), qsp_scalar_unitary(1.0, phi))
+
+
 @pytest.mark.parametrize("interval", [(0.5, 0.2), (0.3, 0.3), (-0.1, 1.0), (0.0, 1.1), (0.0, 1j), (np.nan, 1.0)])
 def test_optimize_phases_rejects_bad_interval(interval):
     with pytest.raises(ValueError, match="interval must hold two reals with 0 <= a < b <= 1"):
@@ -386,9 +398,9 @@ def test_qsp_circuit_block_is_f_of_the_encoded_block(d):
 def test_qsp_circuit_application_order():
     w = Circuit(1, 1).append(had(0))
     phases = np.array([0.1, 0.2, 0.3, 0.4])
-    expected = []
+    expected = ()
     for phi in (0.4, 0.3, 0.2, 0.1):
-        expected += [had(0), aphase(phi)]
+        expected += (had(0), aphase(phi))
     assert qsp_circuit(w, phases).gates == expected
     assert qsp_circuit(w, QSPPhases(phases, 1.0, (0.0, 1.0), 0.1)).gates == expected
-    assert w.gates == [had(0)]
+    assert w.gates == (had(0),)

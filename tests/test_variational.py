@@ -362,8 +362,8 @@ class TestConfigValidation:
 
     def test_restart_r_starts_at_its_seeded_draw(self, monkeypatch):
         thetas, firsts = [], []  # every evaluated theta; the index of each restart's first
-        inner = variational.cost_and_gradient
-        monkeypatch.setattr(variational, "cost_and_gradient",
+        inner = variational._cost_and_gradient
+        monkeypatch.setattr(variational, "_cost_and_gradient",
                             lambda theta, h, spec: thetas.append(np.copy(theta)) or inner(theta, h, spec))
         minimize = scipy.optimize.minimize
         monkeypatch.setattr(scipy.optimize, "minimize",
@@ -375,39 +375,39 @@ class TestConfigValidation:
 
     def test_trace_lists_the_cost_of_every_evaluation(self, monkeypatch):
         seen = []
-        inner = variational.cost_and_gradient
+        inner = variational._cost_and_gradient
 
         def recording(theta, h, spec):
             f, g = inner(theta, h, spec)
             seen.append(f)
             return f, g
 
-        monkeypatch.setattr(variational, "cost_and_gradient", recording)
+        monkeypatch.setattr(variational, "_cost_and_gradient", recording)
         res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1, max_iters=20, init_seed=3))
         assert res.trace == seen and len(seen) > 1
         assert res.epsilon_be in [epsilon_be_from_cost(f, SMALL_H) for f in seen]
 
     def test_evals_counts_every_start(self, monkeypatch):
         calls = []
-        inner = variational.cost_and_gradient
+        inner = variational._cost_and_gradient
 
         def counting(theta, h, spec):
             calls.append(1)
             return inner(theta, h, spec)
 
-        monkeypatch.setattr(variational, "cost_and_gradient", counting)
+        monkeypatch.setattr(variational, "_cost_and_gradient", counting)
         res = optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=4, max_iters=20, init_seed=11))
         assert res.evals == len(calls)
         assert len(res.trace) < res.evals  # the trace is the winning start's alone
 
     def test_non_finite_cost_raises(self, monkeypatch):
-        inner = variational.cost_and_gradient
+        inner = variational._cost_and_gradient
 
         def poisoned(theta, h, spec):
             f, g = inner(theta, h, spec)
             return np.nan, g
 
-        monkeypatch.setattr(variational, "cost_and_gradient", poisoned)
+        monkeypatch.setattr(variational, "_cost_and_gradient", poisoned)
         with pytest.raises(OptimizationError):
             optimize(SMALL_H, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1, max_iters=5))
 
