@@ -7,8 +7,9 @@ Everything is dense and exactly verifiable.  The modules are:
   Pauli-sum Hamiltonians (Ising chains), spectral bounds, rescaling into
   an interval [a, b] inside [0, 1], and dense propagators.
 - circuits: the gate-level circuit IR, decomposition into the native
-  gate set, statevector, unitary and density-matrix simulation under a
-  two-qubit depolarizing noise model, and Pauli measurement sampling.
+  gate set, statevector and unitary simulation, density-matrix
+  simulation under a NoiseModel (two-qubit depolarizing, per gate or
+  global: the only way noise enters), and Pauli measurement sampling.
 - lcu: block encoding by linear combination of unitaries, with a
   Gray-code compressed select oracle.
 - variational: block encoding by a variationally optimized reflection

@@ -13,13 +13,13 @@ circuit that holds one as its decomposition, bit for bit (_native).
 
 Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
-state by I/4.  Single-qubit gates are noiseless.
+state by I/4.  Single-qubit gates are noiseless.  Noise enters only
+through apply_density and its NoiseModel.
 
 apply_statevector, circuit_unitary, encoded_block and apply_density share
 one walk in two steps: _compile plans the circuit's fold (_fold, kept per
 circuit: Memoize) as a program of (matrix, axes) operations, and the one
-kernel, _replay, runs it.  depolarize_pair plans its one channel with
-_plan and runs it with _replay.
+kernel, _replay, runs it.
 
 Carried layout.  The walk's array is not put back into register order
 after each operation: it stays in whatever axis order the last operation
@@ -88,8 +88,8 @@ real Pauli coefficients r_P = Tr(P rho) (the Pauli-transfer form, e.g.
 Greenbaum, arXiv:1509.02921), its basis the matrices of the 1- and 2-qubit
 PauliStrings: rho = 2^-w sum_P r_P P, a unitary U becomes
 the real orthogonal matrix R[P, Q] = Tr(P U Q U^dag) / 2^k on the k qubits
-it touches, and the pair channel becomes diag(1, 1-p, ..., 1-p), which is
-multiplied into the R of its RZZ/CZ, so every gate is one real step.  The
+it touches, and the pair channel, diag(1, 1-p, ..., 1-p), scales rows
+1..15 of the R of its RZZ/CZ, so every gate is one real step.  The
 two Pauli indices of qubit q are axes 2q (row) and 2q+1 (column), so
 rho's own axis order (row0, ..., row_{w-1}, col0, ...) is the walk's start
 layout; w complex 4x4 basis changes, steps of the same program, turn rho
@@ -223,9 +223,10 @@ class Circuit:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Two-qubit depolarizing noise of strength p_tq, after every RZZ and CZ
-    (per_gate_depolarizing) or as one equivalent channel at the end
-    (global_depolarizing); p_tq = 0 is noiseless in either mode."""
+    """Two-qubit depolarizing noise of strength p_tq in [0, 1), the only noise
+    apply_density takes: after every RZZ and CZ (per_gate_depolarizing) or
+    as one equivalent channel at the end (global_depolarizing); p_tq = 0 is
+    noiseless in either mode."""
 
     p_tq: float = 0.0
     mode: str = "per_gate_depolarizing"  # per_gate_depolarizing | global_depolarizing
@@ -322,13 +323,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
-def _depolarizing(p: float) -> np.ndarray:
-    """rho <- (1-p) rho + p (I/4 on the pair) (x) Tr_pair rho as a 16x16 matrix on
-    the pair's (row, row, column, column) axes of vec(rho); e^T vec(rho) is Tr_pair rho."""
-    e = np.eye(4, dtype=complex).reshape(16)
-    return (1.0 - p) * np.eye(16, dtype=complex) + (p / 4.0) * np.outer(e, e)
-
-
 def _pauli_basis(strings) -> tuple[np.ndarray, np.ndarray]:
     """(T, T^-1) for the 4^k k-qubit PauliStrings, in the order given: T[P, r * 2^k + c] =
     P[c, r], so T vec(X) lists Tr(P X) over P, and T^-1 = T^dag / 2^k."""
@@ -410,19 +404,20 @@ def _compile(
     fused blocks (_fuse).  With p_pair > 0 the program
     walks rho's real Pauli vector: w complex basis changes from rho's own
     axis order, a folded unitary's real Pauli-transfer matrix on its
-    qubits' axis pairs per operation, the pair channel's multiplied in
-    after every RZZ/CZ, and w basis changes back; the phase is then 1.
+    qubits' axis pairs per operation, with rows 1..15 of each RZZ/CZ's
+    scaled by 1-p_pair (the pair channel), and w basis changes back; the
+    phase is then 1.
     """
     program, phase = _fold(circuit)
     w = circuit.width
     if p_pair > 0.0:
-        channel = _pauli_transfer(_depolarizing(p_pair))
         transfers: dict[int, tuple] = {}  # id of a fold operation (the copies of W share theirs) -> its step
         for op in program:
             if id(op) not in transfers:
                 u, qubits = op
                 r = _pauli_transfer(_kron(u, u.conj()))
-                r = channel @ r if len(qubits) == 2 else r
+                if len(qubits) == 2:  # the pair channel diag(1, 1-p, ..., 1-p) after the gate
+                    r[1:] *= 1.0 - p_pair
                 r.setflags(write=False)
                 transfers[id(op)] = r, tuple(a for q in qubits for a in (2 * q, 2 * q + 1))
         # rho's axes are (row0, ..., row_{w-1}, col0, ...): Pauli axes 2q and 2q+1
@@ -524,33 +519,13 @@ def encoded_block(circuit: Circuit) -> np.ndarray:
     return _identity_columns(circuit, dim)[:dim]
 
 
-def depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, width: int) -> np.ndarray:
-    """Two-qubit depolarizing channel: keep with 1-p, else I/4 on the pair.
-
-    Returns a new array; rho is left unchanged.
-    """
-    real(p, "p", 0.0, 1.0)
-    qubits((q0, q1), "qubits", integer(width, "width"))
-    rho = register_matrix(rho, width)
-    steps, finish = _plan([(_depolarizing(p), (q0, q1, width + q0, width + q1))], tuple(range(2 * width)))
-    out = np.array(rho, dtype=complex).reshape(-1)
-    return _replay(steps, finish, out, np.empty_like(out))[0].reshape(rho.shape)
-
-
-def global_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
-    """(1-p) rho + p I/dim on the full register."""
-    real(p, "p", 0.0, 1.0)
-    rho = register_matrix(rho)
-    dim = len(rho)
-    return (1.0 - p) * rho + p * np.eye(dim, dtype=complex) / dim
-
-
 def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseModel()) -> np.ndarray:
     """Evolve a Hermitian matrix rho through the circuit under the noise model.
 
-    per_gate_depolarizing attaches a two-qubit depolarizing channel after
-    every RZZ and CZ; global_depolarizing applies one channel at the end
-    with p = 1-(1-p_tq)^N_TQ; p_tq = 0 (the default NoiseModel()) is exact
+    per_gate_depolarizing attaches the two-qubit depolarizing channel after
+    every RZZ and CZ, as the Pauli-transfer diagonal _compile builds;
+    global_depolarizing applies (1-p) rho + p I/D once at the end, with
+    p = 1-(1-p_tq)^N_TQ; p_tq = 0 (the default NoiseModel()) is exact
     conjugation.  Every mode evolves an APHASE circuit as its decomposition.
 
     Per-gate noise walks rho's real Pauli coefficients Tr(P rho), so the
@@ -558,10 +533,11 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     basis change; otherwise the eigenvectors of rho are walked as one
     batch (module docstring).  Single-qubit gates are folded into
     two-qubit ones.  A rho that is not a finite Hermitian (2^w, 2^w)
-    matrix (errors.register_matrix) raises ValueError.
+    matrix (errors.register_matrix) or a noise that is not a NoiseModel
+    raises ValueError.
     """
     rho = register_matrix(rho, circuit.width, hermitian=True)
-    noisy = noise.p_tq > 0.0
+    noisy = entry(noise, NoiseModel, "noise").p_tq > 0.0
     if noisy and noise.mode == "per_gate_depolarizing":
         return _walk(circuit, rho, p_pair=noise.p_tq)
     lam, vecs = np.linalg.eigh(rho)
@@ -570,7 +546,8 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     out = (moved * lam[keep]) @ moved.conj().T
     if noisy:  # every RZZ and CZ is one pair operation of the fold
         n_tq = sum(len(qubits) == 2 for _, qubits in _fold(circuit)[0])
-        out = global_depolarize(out, 1.0 - (1.0 - noise.p_tq) ** n_tq)
+        p, dim = 1.0 - (1.0 - noise.p_tq) ** n_tq, len(out)
+        out = (1.0 - p) * out + p * np.eye(dim, dtype=complex) / dim
     return out
 
 
@@ -710,7 +687,7 @@ def sample_pauli_measurement(
     """
     integer(shots, "shots", positive=True)
     integer(seed, "seed")
-    n_system = observable.n
+    n_system = entry(observable, PauliString, "observable").n
     dim_a, dim_s = 2 ** integer(n_ancilla, "n_ancilla"), 2**n_system
     rho = register_matrix(rho, n_ancilla + n_system)
     # the ancilla-diagonal blocks B_b as (b, row, col); Tr(P B) = sum_j entries[j] B[j, rows[j]]

@@ -67,7 +67,8 @@ def qubits(qs, name: str, width: float = math.inf):
 
 def entry(x, kind: type, name: str):
     """x, when it is an instance of kind: a Circuit's gate, a PauliSum's Pauli
-    string or a Pauli string's letters."""
+    string, a Pauli string's letters, or a stage's structured argument (its
+    Hamiltonian, bounds, encoding, observable, noise model or config)."""
     if not isinstance(x, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {x!r}")
     return x

@@ -103,7 +103,7 @@ def lcu_plan(h_tilde: PauliSum, pad_equal_weights: bool = False) -> LCUPlan:
     ancilla; this requires the non-identity coefficients to share one
     magnitude that divides the identity coefficient evenly.
     """
-    terms = [(c, p) for c, p in h_tilde.terms if c != 0.0]
+    terms = [(c, p) for c, p in errors.entry(h_tilde, PauliSum, "h_tilde").terms if c != 0.0]
     if not terms:
         raise ValueError("cannot block-encode the zero operator")
     c_norm = h_tilde.coefficient_one_norm()

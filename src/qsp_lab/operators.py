@@ -196,8 +196,9 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
     The output is canonical (PauliSum.canonicalize), and its identity term
     carries the shift a - lambda_- (b-a)/(lambda_+ - lambda_-).
     """
+    entry(h, PauliSum, "h")
     a, b = spectral_interval((a, b))
-    span = bounds.lambda_plus - bounds.lambda_minus
+    span = entry(bounds, SpectralBounds, "bounds").lambda_plus - bounds.lambda_minus
     if span <= 0.0:
         raise DegenerateSpectrumError("spectral bounds coincide; cannot rescale")
     scale = (b - a) / span

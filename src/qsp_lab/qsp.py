@@ -44,7 +44,7 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import Circuit, aphase
-from .errors import angles, integer, real, spectral_interval
+from .errors import angles, entry, integer, real, spectral_interval
 
 # optimize_phases fits on _GRID_PER_DEGREE * (d + 1) Chebyshev nodes from
 # _RESTARTS starts (zero phases, then seeded random ones); each distinct
@@ -144,7 +144,7 @@ def qsp_circuit(encoding: Circuit, phases: QSPPhases | np.ndarray) -> Circuit:
     simulators and count_two_qubit_gates read them as decompose() does.
     """
     phi = angles(phases.phases if isinstance(phases, QSPPhases) else phases, "phases")
-    out = Circuit(encoding.n_system, encoding.n_ancilla)
+    out = Circuit(entry(encoding, Circuit, "encoding").n_system, encoding.n_ancilla)
     for p in phi[::-1]:
         out.extend(encoding.gates)
         out.append(aphase(float(p)))
@@ -255,10 +255,8 @@ def validate_qsp_polynomial(phases: QSPPhases) -> dict:
     parity_err = float(np.max(np.abs(_f_values(phi, -xs) - _f_values(phi, xs))))
     max_abs = float(np.max(np.abs(_f_values(phi, np.linspace(-1.0, 1.0, 1000)))))
     return {
-        "degree": phases.degree,
         "parity_error": parity_err,
         "parity_ok": parity_err < 1e-9,
         "max_abs_f": max_abs,
         "bounded_ok": max_abs <= 1.0 + 1e-9,
-        "epsilon_poly": phases.epsilon_poly,
     }

@@ -71,7 +71,7 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import Circuit, cz, rx, rz, rzz
-from .errors import OptimizationError, angles, dense, integer, real, register_matrix
+from .errors import OptimizationError, angles, dense, entry, integer, real, register_matrix
 from .lcu import BlockEncoding
 from .operators import PauliString, PauliSum
 
@@ -94,10 +94,6 @@ class AnsatzSpec:
     def n_parameters(self) -> int:
         w = self.width
         return 3 * w * (self.layers + 1) + self.layers * (w - 1)
-
-    @property
-    def rzz_per_application(self) -> int:
-        return (self.width - 1) * (2 * self.layers + 1)
 
 
 _GRAD_NORM_THRESHOLD = 1e-5  # converged below this gradient norm
@@ -379,9 +375,10 @@ def optimize(
 
     Runs config.restarts seeded random starts, restart r from
     default_rng(init_seed + r).uniform(-_INIT_SCALE, _INIT_SCALE, m), and
-    keeps the best epsilon_BE.
+    keeps the best epsilon_BE.  A config that is not an OptimizerConfig
+    raises ValueError.
     """
-    config = config or OptimizerConfig()
+    config = OptimizerConfig() if config is None else entry(config, OptimizerConfig, "config")
     spec = AnsatzSpec(n, a, layers)
     h = _hamiltonian(h_tilde, spec.n)
 

@@ -18,8 +18,6 @@ from qsp_lab.circuits import (
     cz,
     decompose,
     density_from_state,
-    depolarize_pair,
-    global_depolarize,
     gphase,
     had,
     mcphase,
@@ -36,7 +34,7 @@ from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
 from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan, ucrz
 from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import qsp_circuit
-from qsp_lab.variational import AnsatzSpec, build_ansatz
+from qsp_lab.variational import AnsatzSpec, build_ansatz, optimize
 
 RNG = np.random.default_rng(20240817)
 
@@ -289,27 +287,28 @@ class TestDensityAndNoise:
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out).min() > -1e-9
 
-    def test_global_depolarize_limits(self):
-        rng = np.random.default_rng(16)
-        rho = random_density(2, rng)
-        assert np.allclose(global_depolarize(rho, 0.0), rho)
-        assert np.allclose(global_depolarize(rho, 1.0), np.eye(4) / 4.0)
+    def test_global_mode_near_full_strength(self):
+        # one CZ, so the global channel's p is p_tq; p_tq = 0 is test_per_gate_zero_probability's
+        rho = random_density(2, np.random.default_rng(16))
+        out = apply_density(Circuit(2).append(cz(0, 1)), rho, NoiseModel(1.0 - 1e-9, "global_depolarizing"))
+        assert np.abs(out - np.eye(4) / 4.0).max() < 1e-8
 
-    def test_global_depolarize_purity(self):
+    def test_global_mode_purity(self):
+        # a pure state stays pure through the CZ; the one global channel then has p = p_tq
         p = 0.223
         psi = random_state(3, np.random.default_rng(17))
-        rho = global_depolarize(density_from_state(psi), p)
+        rho = apply_density(Circuit(3).append(cz(0, 2)), density_from_state(psi), NoiseModel(p, "global_depolarizing"))
         d = 8
         expected = (1 - p) ** 2 + 2 * (1 - p) * p / d + p**2 / d
         assert np.trace(rho @ rho).real == pytest.approx(expected, rel=1e-12)
 
-    def test_depolarize_pair_on_subsystem(self):
+    def test_per_gate_channel_on_a_subsystem(self):
+        # an identity RZZ on (0, 2) leaves only its channel, at p_tq just below 1
         rng = np.random.default_rng(18)
         rho = random_density(3, rng)
-        out = depolarize_pair(rho, 0, 2, 1.0, 3)
-        red = partial_trace(out, (0, 2), 3)
-        assert np.allclose(red, np.eye(4) / 4.0, atol=1e-12)
-        assert np.allclose(partial_trace(out, (1,), 3), partial_trace(rho, (1,), 3), atol=1e-12)
+        out = apply_density(Circuit(3).append(rzz(0, 2, 0.0)), rho, NoiseModel(1.0 - 1e-9, "per_gate_depolarizing"))
+        assert np.abs(partial_trace(out, (0, 2), 3) - np.eye(4) / 4.0).max() < 1e-8
+        assert np.abs(partial_trace(out, (1,), 3) - partial_trace(rho, (1,), 3)).max() < 1e-12
 
     @staticmethod
     def record_steps(monkeypatch, record):
@@ -416,7 +415,10 @@ class TestPauliTransfer:
 
     @pytest.mark.parametrize("p", [0.0, 1e-4, 2.577e-3, 0.3, 1.0 - 1e-9])
     def test_channel_is_diagonal(self, p):
-        r = cir._pauli_transfer(cir._depolarizing(p))
+        # an identity RZZ leaves the walk's pair channel alone, read off on the 16 Pauli strings
+        c, noise = Circuit(2).append(rzz(0, 1, 0.0)), NoiseModel(p, "per_gate_depolarizing")
+        ps = [PauliString("".join(s)).to_matrix() for s in itertools.product("IXYZ", repeat=2)]
+        r = np.array([[np.trace(a @ apply_density(c, b, noise)).real / 4 for b in ps] for a in ps])
         assert np.abs(r - np.diag([1.0] + [1.0 - p] * 15)).max() < 1e-15
 
     def test_long_noisy_walk_keeps_trace_and_hermiticity(self):
@@ -819,16 +821,17 @@ class TestIndependentOracle:
         psi = zero_state(2)
         assert np.abs(apply_statevector(c, psi) - ref_unitary(c) @ psi).max() < 1e-12
 
-    def test_depolarize_pair_leaves_input_unchanged(self):
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_apply_density_leaves_input_unchanged(self, noise):
         rng = np.random.default_rng(114)
         for width, pair in ((2, (0, 1)), (3, (2, 0)), (4, (1, 3))):
+            c = Circuit(width).extend([had(pair[0]), rzz(*pair, 0.3), rx(pair[1], -0.8)])
             rho = random_density(width, rng)
             before = rho.copy()
-            for p in (0.0, 0.3):
-                out = depolarize_pair(rho, pair[0], pair[1], p, width)
-                assert not np.shares_memory(out, rho)
-                assert np.array_equal(rho, before)
-                assert np.abs(out - ref_depolarize(rho, pair[0], pair[1], p, width)).max() < 1e-12
+            out = apply_density(c, rho, noise)
+            assert not np.shares_memory(out, rho)
+            assert np.array_equal(rho, before)
+            assert np.abs(out - ref_density(c, rho, noise)).max() < 1e-12
 
 
 class TestEigenvectorPath:
@@ -873,32 +876,9 @@ class TestEigenvectorPath:
 class TestChannelAndReadoutInput:
     RHO = np.eye(4, dtype=complex) / 4.0
 
-    def test_depolarize_pair_rejects_repeated_qubit(self):
-        with pytest.raises(ValueError):
-            depolarize_pair(self.RHO, 0, 0, 0.5, 2)
-
-    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), 1j])
-    def test_depolarize_pair_rejects_probability_outside_unit_interval(self, p):
-        with pytest.raises(ValueError):
-            depolarize_pair(self.RHO, 0, 1, p, 2)
-
-    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), 1j, 0.5 + 0j])
-    def test_global_depolarize_rejects_probability_outside_unit_interval(self, p):
-        with pytest.raises(ValueError, match=r"p must be a real number in \[0, 1\]"):
-            global_depolarize(self.RHO, p)
-
-    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0)])
-    def test_depolarize_pair_rejects_qubit_out_of_range(self, pair):
-        with pytest.raises(ValueError):
-            depolarize_pair(self.RHO, *pair, 0.5, 2)
-
-    @pytest.mark.parametrize("shape", [(16,), (4, 16), (4, 4, 4)])
-    def test_depolarize_pair_rejects_rho_of_wrong_shape(self, shape):
-        with pytest.raises(ValueError):
-            depolarize_pair(np.ones(shape, dtype=complex), 0, 1, 0.5, 2)
-
     @pytest.mark.parametrize("p_tq, mode", [
         (0.1, "none"), (0.0, "none"), (0.1, "global"), (1.0, "global_depolarizing"),
+        (1.5, "per_gate_depolarizing"), (-0.1, "global_depolarizing"),
         (1j, "per_gate_depolarizing"), (0.1 + 0j, "per_gate_depolarizing"),
         (float("nan"), "global_depolarizing"), ("0.1", "per_gate_depolarizing"),
     ])
@@ -906,10 +886,16 @@ class TestChannelAndReadoutInput:
         with pytest.raises(ValueError):
             NoiseModel(p_tq, mode)
 
+    @pytest.mark.parametrize("mode", ["per_gate_depolarizing", "global_depolarizing"])
+    @pytest.mark.parametrize("p_tq", [1.0, 1.5, -0.1, float("nan"), 1j, 0.5 + 0j])
+    def test_one_probability_rule_in_both_modes(self, p_tq, mode):
+        with pytest.raises(ValueError, match=r"^p_tq must be a real number in \[0, 1\)"):
+            NoiseModel(p_tq, mode)
+
     def test_noise_model_accepts_numpy_float_probability(self):
         assert NoiseModel(np.float64(1e-3)).p_tq == 1e-3
 
-    @pytest.mark.parametrize("shape", [(4, 16), (4, 4, 4)])
+    @pytest.mark.parametrize("shape", [(16,), (4, 16), (4, 4, 4)])
     def test_apply_density_rejects_non_square_rho(self, shape):
         c = Circuit(2).extend([had(0), cz(0, 1)])
         with pytest.raises(ValueError):
@@ -947,10 +933,8 @@ class TestChannelAndReadoutInput:
 # entry point checked its arguments through the one rule of their kind in errors.py
 REFUSED_BY_A_RULE = [
     pytest.param(lambda: plus_state(1.5), "^n must", id="plus_state-fractional-n"),
-    pytest.param(lambda: depolarize_pair(np.eye(4) / 4, 0.5, 1, 0.1, 2), "^qubits must", id="pair-fractional-qubit"),
-    pytest.param(lambda: depolarize_pair(np.eye(4) / 4, True, 0, 0.1, 2), "^qubits must", id="pair-bool-qubit"),
-    pytest.param(lambda: global_depolarize(np.ones(4), 0.1), r"^density matrix of shape \(4,\)", id="global-1d-rho"),
-    pytest.param(lambda: global_depolarize(np.eye(3), 0.1), r"^density matrix of shape \(3, 3\)", id="global-3x3-rho"),
+    pytest.param(lambda: apply_density(Circuit(2), np.ones(4)), r"^density matrix of shape \(4,\)", id="density-1d-rho"),
+    pytest.param(lambda: apply_density(Circuit(2), np.eye(3)), r"^density matrix of shape \(3, 3\)", id="density-3x3-rho"),
     pytest.param(lambda: partial_trace(np.eye(4) / 4, (True,), 2), "^keep must", id="partial-trace-bool-qubit"),
     pytest.param(lambda: Gate("RX", (True,), 0.1), "^gate qubits must", id="gate-bool-qubit"),
     pytest.param(lambda: Gate("RX", 0, 0.5), "^gate qubits must be a sequence", id="gate-qubit-not-in-a-sequence"),
@@ -974,6 +958,14 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: apply_density(Circuit(1), [["a", "b"], ["c", "d"]]), "^density matrix must hold numbers",
                  id="density-of-strings"),
     pytest.param(lambda: apply_statevector(Circuit(1), ["a", "b"]), "^state must hold numbers", id="state-of-strings"),
+    # an object of another type for a stage's structured argument raised AttributeError
+    pytest.param(lambda: apply_density(Circuit(1), np.eye(2) / 2, "x"), "^noise must be a NoiseModel", id="noise-a-str"),
+    pytest.param(lambda: sample_pauli_measurement(np.eye(4) / 4, "x", 10, 0, 1), "^observable must be a PauliString",
+                 id="sampling-observable-a-str"),
+    pytest.param(lambda: qsp_circuit("x", [0.1, 0.2]), "^encoding must be a Circuit", id="qsp-encoding-a-str"),
+    pytest.param(lambda: lcu_plan("x"), "^h_tilde must be a PauliSum", id="lcu-plan-of-a-str"),
+    pytest.param(lambda: optimize(np.eye(2) / 2, 1, 1, 0, "x"), "^config must be",
+                 id="optimize-config-a-str"),
 ]
 
 
@@ -988,8 +980,6 @@ AS_ARRAY = [
     pytest.param(lambda rho: partial_trace(rho, (0,), 2), id="partial_trace"),
     pytest.param(lambda rho: sample_pauli_measurement(rho, PauliString("Z"), 10, 0, 1), id="sample_pauli_measurement"),
     pytest.param(lambda rho: apply_density(Circuit(1, 1).extend([had(0), cz(0, 1)]), rho), id="apply_density"),
-    pytest.param(lambda rho: global_depolarize(rho, 0.1), id="global_depolarize"),
-    pytest.param(lambda rho: depolarize_pair(rho, 0, 1, 0.1, 2), id="depolarize_pair"),
     pytest.param(lambda rho: density_from_state(rho[1]), id="density_from_state"),
 ]
 
@@ -1162,13 +1152,6 @@ def walk_oracle(circuit, initial, p_pair=0.0):
     return out
 
 
-def depolarize_pair_oracle(rho, q0, q1, p, width):
-    out = np.array(rho, dtype=complex, order="C")
-    work = np.empty(2 * out.size, dtype=complex)
-    tensor_apply_oracle(out, cir._depolarizing(p), (q0, q1, width + q0, width + q1), work)
-    return out
-
-
 def walk_outputs(c, rng):
     """Every simulator's output on c: statevector, batches below and at the
     fusion width, the dense unitary, encoded_block, and rho under each noise."""
@@ -1216,13 +1199,6 @@ class TestPlannedReplay:
         c = decompose(qsp_circuit(w, np.array([0.4, -1.3])))
         assert c.width == 7 and count_two_qubit_gates(c) > 200
         self.assert_bit_identical(c, 7, monkeypatch)
-
-    def test_depolarize_pair(self):
-        rng = np.random.default_rng(201)
-        for width, pair in ((2, (1, 0)), (4, (1, 2)), (5, (3, 1))):
-            rho = random_density(width, rng)
-            out = depolarize_pair(rho, *pair, 0.3, width)
-            assert np.array_equal(out, depolarize_pair_oracle(rho, *pair, 0.3, width))
 
     def test_leading_axes_make_no_copy(self, monkeypatch):
         # the walk starts in the register's own order: (0, 1) leads twice, (1, 0)
@@ -1384,7 +1360,8 @@ class TestFoldKept:
         rho = random_density(c.width, rng)
         n_tq = count_two_qubit_gates(c)
         assert sum(len(qubits) == 2 for _, qubits in cir._fold(c)[0]) == n_tq
-        expected = global_depolarize(apply_density(c, rho), 1.0 - (1.0 - 1e-3) ** n_tq)
+        p, dim = 1.0 - (1.0 - 1e-3) ** n_tq, len(rho)
+        expected = (1.0 - p) * apply_density(c, rho) + p * np.eye(dim, dtype=complex) / dim
         assert np.array_equal(apply_density(c, rho, NoiseModel(1e-3, "global_depolarizing")), expected)
 
     def test_later_walks_match_the_oracle(self, monkeypatch):

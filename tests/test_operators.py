@@ -90,6 +90,9 @@ REFUSED_BY_A_RULE = [
     # a str or None factor raised TypeError from the product, and a bool was taken as a number
     *(pytest.param(lambda factor=factor: ising3().scaled(factor), "^factor must", id=f"scaled-by-{name}")
       for name, factor in [("a-str", "2"), ("none", None), ("a-bool", True), ("a-complex", 1j), ("nan", np.nan)]),
+    # an object of another type raised AttributeError
+    pytest.param(lambda: rescale("x", triangle_bounds(ising3())), "^h must be a PauliSum", id="rescale-h-a-str"),
+    pytest.param(lambda: rescale(ising3(), "x"), "^bounds must be a SpectralBounds", id="rescale-bounds-a-str"),
 ]
 
 

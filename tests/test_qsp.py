@@ -52,6 +52,7 @@ def test_jacobian_matches_central_differences(phi, xs):
 def test_optimized_phases_pass_validation():
     phases = optimize_phases(2, 1.0)
     report = validate_qsp_polynomial(phases)
+    assert set(report) == {"parity_error", "parity_ok", "max_abs_f", "bounded_ok"}
     assert report["parity_ok"]
     assert report["bounded_ok"]
     assert phases.degree == 2 and len(phases.phases) == 2

@@ -61,10 +61,10 @@ BAD_TARGETS = [
 
 class TestAnsatz:
     def test_rzz_count_formula(self):
-        spec = AnsatzSpec(3, 2, 3)
-        assert spec.rzz_per_application == 28
-        c = build_ansatz(3, 2, 3, np.zeros(spec.n_parameters))
-        assert count_two_qubit_gates(c) == 28
+        # n + a - 1 RZZ in each of the L layers of V and of V^dag, and n + a - 1 CZ between them
+        for n, a, layers in ((3, 2, 3), (4, 2, 8), (1, 1, 0)):
+            c = build_ansatz(n, a, layers, np.zeros(AnsatzSpec(n, a, layers).n_parameters))
+            assert count_two_qubit_gates(c) == (n + a - 1) * (2 * layers + 1)
 
     def test_reflection_property(self):
         rng = np.random.default_rng(2)
