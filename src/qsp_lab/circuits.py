@@ -497,7 +497,7 @@ def _walk(circuit: Circuit, initial: np.ndarray, p_pair: float = 0.0) -> np.ndar
 def apply_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Noiseless statevector evolution of a (2^w,) state or (2^w, B) batch;
     any other shape raises ValueError."""
-    return _walk(circuit, register_state(state, circuit.width, batch=True))
+    return _walk(circuit, register_state(state, entry(circuit, Circuit, "circuit").width, batch=True))
 
 
 def _identity_columns(circuit: Circuit, k: int) -> np.ndarray:
@@ -509,13 +509,13 @@ def _identity_columns(circuit: Circuit, k: int) -> np.ndarray:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (desk-scale oracle): all 2^w
     identity columns, fused above _FUSE_QUBITS (module docstring)."""
-    return _identity_columns(circuit, 2**circuit.width)
+    return _identity_columns(circuit, 2 ** entry(circuit, Circuit, "circuit").width)
 
 
 def encoded_block(circuit: Circuit) -> np.ndarray:
     """(<0^a| x I) U (|0^a> x I) as a dense matrix: only the 2^n ancilla-zero
     columns of U are walked.  Widths above the dense cap raise DimensionError."""
-    dim = 2**circuit.n_system
+    dim = 2 ** entry(circuit, Circuit, "circuit").n_system
     return _identity_columns(circuit, dim)[:dim]
 
 
@@ -536,7 +536,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     matrix (errors.register_matrix) or a noise that is not a NoiseModel
     raises ValueError.
     """
-    rho = register_matrix(rho, circuit.width, hermitian=True)
+    rho = register_matrix(rho, entry(circuit, Circuit, "circuit").width, hermitian=True)
     noisy = entry(noise, NoiseModel, "noise").p_tq > 0.0
     if noisy and noise.mode == "per_gate_depolarizing":
         return _walk(circuit, rho, p_pair=noise.p_tq)
@@ -553,7 +553,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
 
 def count_two_qubit_gates(circuit: Circuit) -> int:
     """Count RZZ and CZ gates, an APHASE gate's as decompose() expands it."""
-    return sum(1 for g in _native(circuit).gates if g.kind in ("RZZ", "CZ"))
+    return sum(1 for g in _native(entry(circuit, Circuit, "circuit")).gates if g.kind in ("RZZ", "CZ"))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +626,7 @@ def _decompose_aphase(gate: Gate, circuit: Circuit) -> list[Gate]:
 def decompose(circuit: Circuit) -> Circuit:
     """Expand APHASE gates into the native gate set."""
     gates: list[Gate] = []
-    for g in circuit.gates:
+    for g in entry(circuit, Circuit, "circuit").gates:
         gates += _decompose_aphase(g, circuit) if g.kind == "APHASE" else [g]
     return Circuit(circuit.n_system, circuit.n_ancilla, gates)
 

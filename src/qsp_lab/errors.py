@@ -68,9 +68,11 @@ def qubits(qs, name: str, width: float = math.inf):
 def entry(x, kind: type, name: str):
     """x, when it is an instance of kind: a Circuit's gate, a PauliSum's Pauli
     string, a Pauli string's letters, or a stage's structured argument (its
-    Hamiltonian, bounds, encoding, observable, noise model or config)."""
+    Hamiltonian, bounds, encoding, plan, circuit, observable, noise model or
+    config).  The message writes "an" before a type name that starts with a vowel."""
     if not isinstance(x, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {x!r}")
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {x!r}")
     return x
 
 

@@ -345,7 +345,7 @@ def build_lcu_circuit(plan: LCUPlan) -> BlockEncoding:
     The ancilla-zero block equals the plan's Pauli sum divided by the
     one-norm c; scale records that divisor when it is not 1.
     """
-    n, a = plan.n_system, plan.a
+    n, a = errors.entry(plan, LCUPlan, "plan").n_system, plan.a
     select = multiplexor_compile(plan)
     circuit = Circuit(n, a)
     prep = prep_gates(plan)

@@ -178,7 +178,7 @@ def build_ising_chain(n: int, coupling: float, fields_x: list[float], field_z: f
 
 def triangle_bounds(h: PauliSum) -> SpectralBounds:
     """lambda_pm = +- sum_k |c_k|; Pauli strings have unit spectral norm."""
-    if not h.terms:
+    if not entry(h, PauliSum, "h").terms:
         raise ValueError("empty Hamiltonian")
     bound = h.coefficient_one_norm()
     return SpectralBounds(-bound, bound)
@@ -186,7 +186,7 @@ def triangle_bounds(h: PauliSum) -> SpectralBounds:
 
 def exact_extremes(h: PauliSum) -> SpectralBounds:
     """Extreme eigenvalues by dense diagonalization (desk-scale oracle)."""
-    eigvals = np.linalg.eigvalsh(h.to_matrix())
+    eigvals = np.linalg.eigvalsh(entry(h, PauliSum, "h").to_matrix())
     return SpectralBounds(float(eigvals[0]), float(eigvals[-1]))
 
 
@@ -217,5 +217,5 @@ def exact_propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition; ground truth everywhere.
     A t that is not a finite real number raises ValueError."""
     real(t, "time")
-    eigvals, eigvecs = np.linalg.eigh(h.to_matrix())
+    eigvals, eigvecs = np.linalg.eigh(entry(h, PauliSum, "h").to_matrix())
     return (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T

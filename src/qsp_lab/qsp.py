@@ -4,25 +4,27 @@ The signal operator is the reflection W(x) = [[x, s], [s, -x]],
 s = sqrt(1-x^2), and the processed unitary is prod_k S(phi_k) W(x) with
 S(phi) = diag(e^{i phi}, e^{-i phi}); its top-left entry is the designed
 polynomial f(x).  qsp_circuit builds the same product at gate level from a
-block encoding W, with APHASE for S.  One kernel, _carry, carries a row
-through the product over a grid of g values of x.  The rows r_k = (u_k, v_k) =
-r_0 S(phi_0) W ... S(phi_{k-1}) W are one (d+1, 2, g) complex array, and
-W's two rows over the grid, W_0 = [x, s] and W_1 = [s, -x], are built once
-per grid (_signal_rows, shape (2, 2, g)).  Each step scales the row,
-a_k = r_k S(phi_k) = (u_k e^{i phi_k}, v_k e^{-i phi_k}), forms both
-a_k[i] W_i in one broadcast product and sums them,
-r_{k+1} = a_k[0] W_0 + a_k[1] W_1: three numpy calls into preallocated
-buffers.  f is the carry of (1, 0).  As dS/dphi = iZ S, df/dphi_k =
-i (a_k[0] c_k[0] - a_k[1] c_k[1]), with c_k column 0 of
-W S(phi_{k+1}) W ... S(phi_{d-1}) W.  W and S are symmetric, so that
-column is the carry of the reversed phases from row 0 of W, (x, s): the
-Jacobian is one backward carry of the same kernel, and every a_k comes
-from the kept rows in one product.  The carry keeps only the rows, not the
-scaled rows: at g = 1000 the extra (d, 2, g) array made each validation
-slower than the products it saves.  The bits equal those of the two-array
-form that carries u and v apart (the oracle in tests/test_qsp.py):
-a x + b s is the same sum, and a s + b (-x) rounds exactly as a s - b x,
-since negation is exact.
+block encoding W, with APHASE for S.  One kernel, the carry _kernel
+builds, carries a row through the product over a grid of g values of x:
+the rows r_k = (u_k, v_k) = r_0 S(phi_0) W ... S(phi_{k-1}) W, one
+(d+1, 2, g) complex array.  W's rows W_0 = [x, s] and W_1 = [s, -x] are
+built once per grid (_signal_rows, shape (2, 2, g)), and each call folds
+every S(phi_k) into them in one broadcast product, B_k[i] = e^{+-i phi_k} W_i,
+so a step is two numpy calls into buffers the kernel keeps from call to
+call: prod[i] = r_k[i] B_k[i], and r_{k+1} = prod[0] + prod[1].  f is the
+carry of (1, 0).  On long grids the fold costs more than the calls it saves:
+validate_qsp_polynomial's g = 1000 is 1.15-1.65x slower (d = 2 to 10).
+
+The Jacobian takes no second carry.  For x in [-1, 1] the prefix
+P_k = S(phi_0) W ... S(phi_{k-1}) W is unitary with determinant (-1)^k, so
+its first row r_k fixes it: its second row is (-1)^{k+1} (conj v_k,
+-conj u_k).  As dS/dphi = iZ S, df/dphi_k = i [P_k Z P_k^dag P_d]_{00} =
+i [(|u_k|^2 - |v_k|^2) u_d + 2 (-1)^{k+d} u_k v_k conj v_d], a few products
+of the rows the residual computed (_jacobian).  The bits equal those of
+the two-array form that carries u and v apart (the oracle in
+tests/test_qsp.py).  |u_k|^2 is summed from real squares: numpy's complex
+product leaves a residue in the zero imaginary part of u conj(u) whose sign
+follows the operand order, which numpy may swap for a large temporary.
 
 Phase factors for exp(-i x t) on [a, b] in [0, 1] are fitted by least
 squares on Chebyshev nodes with a Lawson reweighting polish toward
@@ -34,7 +36,9 @@ from phase vectors of one polynomial end at nearly the same error (within
 polished once.  Each fit is MINPACK's lmder through scipy.optimize.leastsq
 with the arguments least_squares(method="lm") passes to it: the same
 search, without least_squares' wrapping of every callback and its extra
-Jacobian per solve; full_output=True keeps the evaluation cap quiet.
+Jacobian per solve; full_output=True keeps the evaluation cap quiet.  The
+weighted residual and Jacobian reach it as real views of the complex ones,
+(Re, Im) per node, the Jacobian as its (d, 2m) transpose (col_deriv=1).
 """
 from __future__ import annotations
 
@@ -82,6 +86,7 @@ class QSPPhases:
 
 # the start row (1, 0) at every grid point: f is entry 0 of its last row
 _F_START = np.array([[1.0], [0.0]])
+_PLUS_MINUS_I = np.array([1j, -1j])
 
 
 def _signal_rows(xs: np.ndarray) -> np.ndarray:
@@ -91,36 +96,37 @@ def _signal_rows(xs: np.ndarray) -> np.ndarray:
     return np.array([[x, s], [s, -x]], dtype=complex)
 
 
-def _phase_factors(phi: np.ndarray) -> np.ndarray:
-    """S(phi_k)'s diagonal (e^{i phi_k}, e^{-i phi_k}) for each k: shape (d, 2, 1)."""
-    e = np.exp(1j * np.asarray(phi, dtype=float))
-    ee = np.empty((len(e), 2, 1), dtype=complex)
-    ee[:, 0, 0] = e
-    np.conjugate(e, out=ee[:, 1, 0])
-    return ee
-
-
-def _carry(ee: np.ndarray, w: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """The rows r_k, k = 0..d, from the start row r0 (broadcast to (2, g)) over
-    the grid of w = _signal_rows(xs), shape (d+1, 2, g); ee = _phase_factors(phi)."""
-    d, g = len(ee), w.shape[-1]
-    r = np.empty((d + 1, 2, g), dtype=complex)
-    a = np.empty((2, g), dtype=complex)
-    prod = np.empty((2, 2, g), dtype=complex)
-    a_column, (p0, p1) = a[:, None], prod
+def _kernel(w: np.ndarray, r0: np.ndarray, d: int):
+    """The carry over the grid of w = _signal_rows(xs) from the start row r0
+    (broadcast to (2, g)): a function of d phases that returns the rows r_k,
+    k = 0..d, of prod_k S(phi_k) W, shape (d+1, 2, g), in one buffer that
+    each call overwrites."""
+    b = np.empty((d,) + w.shape, dtype=complex)
+    r = np.empty((d + 1, 2, w.shape[-1]), dtype=complex)
+    prod = np.empty(w.shape, dtype=complex)
+    p0, p1 = prod
     r[0] = r0
-    for rk, ek, rk1 in zip(r, ee, r[1:]):
-        np.multiply(rk, ek, a)  # a_k = r_k S(phi_k)
-        np.multiply(a_column, w, prod)  # prod[i] = a_k[i] W_i
-        np.add(p0, p1, rk1)
-    return r
+    steps = list(zip(r[:, :, None], b, r[1:]))
+
+    def carry(phi: np.ndarray) -> np.ndarray:
+        # b[k, i] = e^{+-i phi_k} W_i: S(phi_k) folded into W's rows
+        np.multiply(np.exp(np.multiply.outer(phi, _PLUS_MINUS_I))[:, :, None, None], w, b)
+        for rk, bk, rk1 in steps:
+            np.multiply(rk, bk, prod)  # prod[i] = r_k[i] B_k[i]
+            np.add(p0, p1, rk1)
+        return r
+
+    return carry
 
 
-def _jacobian(ee: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """df/dphi_k, shape (d, g), from the rows r of the forward _carry."""
-    a = r[:-1] * ee  # every a_k in one call, the products the carry formed
-    c = _carry(ee[:0:-1], w, w[0])[::-1]
-    return 1j * (a[:, 0] * c[:, 0] - a[:, 1] * c[:, 1])
+def _jacobian(r: np.ndarray) -> np.ndarray:
+    """df/dphi_k, shape (d, g), from the rows r of a carry from (1, 0), x in [-1, 1]."""
+    u, v, (ud, vd) = r[:-1, 0], r[:-1, 1], r[-1]
+    sq = np.square(r[:-1].view(float))  # (d, 2, 2g): the squared parts of u_k, then of v_k
+    p = sq[:, 0] - sq[:, 1]
+    uv = u * v
+    np.negative(uv[-1::-2], out=uv[-1::-2])  # (-1)^(k+d) u_k v_k
+    return (p[:, ::2] + p[:, 1::2]) * (1j * ud) + uv * (2j * vd.conj())
 
 
 def qsp_scalar_unitary(x: float, phases: QSPPhases | np.ndarray) -> np.ndarray:
@@ -130,7 +136,7 @@ def qsp_scalar_unitary(x: float, phases: QSPPhases | np.ndarray) -> np.ndarray:
         raise ValueError(f"signal value must be in [-1, 1], got {x!r}")
     # grid point j carries row j of the identity, so the last rows are U's transpose
     w = _signal_rows(np.full(2, float(np.clip(x, -1.0, 1.0))))
-    return _carry(_phase_factors(phi), w, np.eye(2))[-1].T
+    return _kernel(w, np.eye(2), len(phi))(phi)[-1].T
 
 
 def qsp_circuit(encoding: Circuit, phases: QSPPhases | np.ndarray) -> Circuit:
@@ -153,19 +159,18 @@ def qsp_circuit(encoding: Circuit, phases: QSPPhases | np.ndarray) -> Circuit:
 
 def _f_values(phi: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Vectorized f(x) over a grid."""
-    return _carry(_phase_factors(phi), _signal_rows(xs), _F_START)[-1, 0]
+    return _kernel(_signal_rows(xs), _F_START, len(phi))(phi)[-1, 0]
 
 
 def _f_and_jacobian(phi: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(x) and df/dphi_k over the grid, shape (g, d)."""
-    ee, w = _phase_factors(phi), _signal_rows(xs)
-    r = _carry(ee, w, _F_START)
-    return r[-1, 0], _jacobian(ee, w, r).T
+    r = _kernel(_signal_rows(xs), _F_START, len(phi))(phi)
+    return r[-1, 0], _jacobian(r).T
 
 
 def _lm(resid, jac, phi0: np.ndarray) -> np.ndarray:
-    """MINPACK lmder with the arguments least_squares(method="lm") passes."""
-    return scipy.optimize.leastsq(resid, phi0, Dfun=jac, ftol=1e-14, xtol=1e-14, gtol=1e-8,
+    """MINPACK lmder with the arguments least_squares(method="lm") passes; jac gives J^T."""
+    return scipy.optimize.leastsq(resid, phi0, Dfun=jac, col_deriv=1, ftol=1e-14, xtol=1e-14, gtol=1e-8,
                                   maxfev=100 * len(phi0), factor=100.0, full_output=True)[0]
 
 
@@ -186,37 +191,32 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
         raise ValueError(f"degree must be even, got {d!r}")
     m = _GRID_PER_DEGREE * (d + 1)
     xv = np.linspace(a, b, 10 * m)
-    wv, target_v = _signal_rows(xv), np.exp(-1j * xv * t_tilde)
+    fine, target_v = _kernel(_signal_rows(xv), _F_START, d), np.exp(-1j * xv * t_tilde)
 
     def max_error(phi: np.ndarray) -> float:
-        return float(np.max(np.abs(_carry(_phase_factors(phi), wv, _F_START)[-1, 0] - target_v)))
+        return float(np.max(np.abs(fine(phi)[-1, 0] - target_v)))
 
     if d == 0:
         return QSPPhases(np.zeros(0), t_tilde, (a, b), max_error(np.zeros(0)))
     xs = (a + b) / 2.0 + (b - a) / 2.0 * np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-    w, target = _signal_rows(xs), np.exp(-1j * xs * t_tilde)
+    carry, target = _kernel(_signal_rows(xs), _F_START, d), np.exp(-1j * xs * t_tilde)
     rng = np.random.default_rng(_RESTART_SEED)
-    last = [b"", None]  # the bytes of the last phi and its forward carry: lmder asks for J there
+    last = [b"", None]  # the bytes of the last phi and its rows: lmder asks for J there
 
-    def forward(phi: np.ndarray):
-        """(phase factors, rows) of phi on the nodes."""
+    def rows(phi: np.ndarray) -> np.ndarray:
         key = phi.tobytes()
         if key != last[0]:
-            ee = _phase_factors(phi)
-            last[:] = key, (ee, _carry(ee, w, _F_START))
+            last[:] = key, carry(phi)
         return last[1]
 
     def solve(phi0: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        sw = np.sqrt(weights)
+        sw = np.repeat(np.sqrt(weights), 2)  # one weight per real and imaginary part
 
         def resid(phi):
-            r = (forward(phi)[1][-1, 0] - target) * sw
-            return np.concatenate([r.real, r.imag])
+            return (rows(phi)[-1, 0] - target).view(float) * sw
 
         def jac(phi):
-            ee, rows = forward(phi)
-            jw = _jacobian(ee, w, rows) * sw
-            return np.concatenate([jw.real, jw.imag], axis=1).T
+            return _jacobian(rows(phi)).view(float) * sw
 
         return _lm(resid, jac, phi0)
 
@@ -231,13 +231,13 @@ def optimize_phases(d: int, t_tilde: float, interval: tuple[float, float] = (0.0
             abs(eps - best_eps) <= 1e-15 and np.linalg.norm(phi) < np.linalg.norm(best_phi)
         ):
             best_phi, best_eps = phi, eps
-        f = forward(phi)[1][-1, 0]
+        f = rows(phi)[-1, 0]
         if any(np.max(np.abs(f - g)) <= _SAME_FIT for g in first_fits):
             continue  # an earlier start reached this polynomial and polished it
-        first_fits.append(f)
+        first_fits.append(f.copy())
         # Lawson polish: push the residual profile toward equioscillation
         for _ in range(_LAWSON_ROUNDS):
-            r = np.abs(forward(phi)[1][-1, 0] - target)
+            r = np.abs(rows(phi)[-1, 0] - target)
             if r.max() <= 1e-15:
                 break
             weights = weights * np.maximum(r, 1e-15)

@@ -964,8 +964,15 @@ REFUSED_BY_A_RULE = [
                  id="sampling-observable-a-str"),
     pytest.param(lambda: qsp_circuit("x", [0.1, 0.2]), "^encoding must be a Circuit", id="qsp-encoding-a-str"),
     pytest.param(lambda: lcu_plan("x"), "^h_tilde must be a PauliSum", id="lcu-plan-of-a-str"),
-    pytest.param(lambda: optimize(np.eye(2) / 2, 1, 1, 0, "x"), "^config must be",
+    pytest.param(lambda: optimize(np.eye(2) / 2, 1, 1, 0, "x"), "^config must be an OptimizerConfig",
                  id="optimize-config-a-str"),
+    pytest.param(lambda: apply_statevector("x", np.ones(2)), "^circuit must be a Circuit", id="statevector-of-a-str"),
+    pytest.param(lambda: apply_density("x", np.eye(2) / 2), "^circuit must be a Circuit", id="density-of-a-str"),
+    pytest.param(lambda: circuit_unitary("x"), "^circuit must be a Circuit", id="unitary-of-a-str"),
+    pytest.param(lambda: encoded_block("x"), "^circuit must be a Circuit", id="encoded-block-of-a-str"),
+    pytest.param(lambda: count_two_qubit_gates("x"), "^circuit must be a Circuit", id="count-of-a-str"),
+    pytest.param(lambda: decompose("x"), "^circuit must be a Circuit", id="decompose-a-str"),
+    pytest.param(lambda: build_lcu_circuit("x"), "^plan must be a LCUPlan", id="lcu-circuit-of-a-str"),
 ]
 
 

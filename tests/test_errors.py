@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import qsp_lab
+from qsp_lab.errors import entry
 
 PACKAGE = Path(qsp_lab.__file__).parent
 
@@ -36,3 +37,21 @@ def test_the_check_sees_the_rules_in_errors_py():
     assert {idiom for _, idiom in inline_rules(PACKAGE / "errors.py")} == {
         "isinstance(..., np.integer)", "math.isfinite",
     }
+
+
+class Apple:
+    """A type whose name starts with a vowel."""
+
+
+class Pear:
+    """A type whose name starts with a consonant."""
+
+
+@pytest.mark.parametrize("kind, message", [
+    (Apple, "fruit must be an Apple, got 'x'"),
+    (Pear, "fruit must be a Pear, got 'x'"),
+], ids=["an-before-a-vowel", "a-before-a-consonant"])
+def test_entry_writes_the_article_of_the_type_name(kind, message):
+    with pytest.raises(ValueError) as refused:
+        entry("x", kind, "fruit")
+    assert str(refused.value) == message

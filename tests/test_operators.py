@@ -93,6 +93,9 @@ REFUSED_BY_A_RULE = [
     # an object of another type raised AttributeError
     pytest.param(lambda: rescale("x", triangle_bounds(ising3())), "^h must be a PauliSum", id="rescale-h-a-str"),
     pytest.param(lambda: rescale(ising3(), "x"), "^bounds must be a SpectralBounds", id="rescale-bounds-a-str"),
+    pytest.param(lambda: triangle_bounds("x"), "^h must be a PauliSum", id="triangle-bounds-of-a-str"),
+    pytest.param(lambda: exact_extremes("x"), "^h must be a PauliSum", id="exact-extremes-of-a-str"),
+    pytest.param(lambda: exact_propagator("x", 1.0), "^h must be a PauliSum", id="propagator-of-a-str"),
 ]
 
 

@@ -183,24 +183,25 @@ def test_carry_matches_loop_reference(phi, extra):
 
 def _two_array_carry(phi, x, s, r0, r1):
     """The row carry as two (d+1, g) arrays, one per column: rows j = 0..d
-    from the start row (r0, r1) over grids x and s = sqrt(1-x^2).  The
+    from the start row (r0, r1) over grids x and s = sqrt(1-x^2), with
+    S(phi_k) multiplied into W's entries before the row meets them.  The
     stacked kernel must match it bit for bit."""
     u = np.empty((len(phi) + 1, len(x)), dtype=complex)
     v = np.empty_like(u)
     u[0], v[0] = r0, r1
-    for k, e in enumerate(np.exp(1j * np.asarray(phi, dtype=float))):
-        a, b = u[k] * e, v[k] * e.conjugate()
-        u[k + 1] = a * x + b * s
-        v[k + 1] = a * s - b * x
+    for k, (e, e_bar) in enumerate(zip(np.exp(1j * phi), np.exp(-1j * phi))):
+        u[k + 1] = u[k] * (e * x) + v[k] * (e_bar * s)
+        v[k + 1] = u[k] * (e * s) + v[k] * (e_bar * -x)
     return u, v
 
 
-def _two_array_jacobian(phi, x, s, u, v):
-    """df/dphi_k, shape (d, g), from the two-array rows: a second carry of
-    the reversed phases from (x, s), with u e and v e-bar formed again."""
-    e = np.exp(1j * phi)[:, None]
-    c0, c1 = _two_array_carry(phi[:0:-1], x, s, x, s)
-    return 1j * (u[:-1] * e * c0[::-1] - v[:-1] * e.conj() * c1[::-1])
+def _two_array_jacobian(u, v):
+    """df/dphi_k, shape (d, g), from the two-array rows alone:
+    i (|u_k|^2 - |v_k|^2) u_d + 2i (-1)^(k+d) u_k v_k conj(v_d)."""
+    uv = u[:-1] * v[:-1]
+    uv[-1::-2] = -uv[-1::-2]
+    p = (u[:-1].real ** 2 - v[:-1].real ** 2) + (u[:-1].imag ** 2 - v[:-1].imag ** 2)
+    return p * (1j * u[-1]) + uv * (2j * v[-1].conj())
 
 
 @FEW
@@ -213,17 +214,52 @@ def test_kernel_bit_identical_to_two_array_carry(phi, xs):
     Jacobian and unitary, bit for bit, at every grid size."""
     s = np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
     u, v = _two_array_carry(phi, xs, s, 1.0, 0.0)
-    jac = _two_array_jacobian(phi, xs, s, u, v)
-    ee, w = qsp._phase_factors(phi), qsp._signal_rows(xs)
-    rows = qsp._carry(ee, w, qsp._F_START)
+    jac = _two_array_jacobian(u, v)
+    rows = qsp._kernel(qsp._signal_rows(xs), qsp._F_START, len(phi))(phi)
     assert np.array_equal(rows[:, 0], u) and np.array_equal(rows[:, 1], v)
-    assert np.array_equal(qsp._jacobian(ee, w, rows), jac)
+    assert np.array_equal(qsp._jacobian(rows), jac)
     f, jac_t = _f_and_jacobian(phi, xs)
     assert np.array_equal(f, u[-1]) and np.array_equal(jac_t, jac.T)
     assert np.array_equal(_f_values(phi, xs), u[-1])
     x2 = np.full(2, xs[0])
     u2, v2 = _two_array_carry(phi, x2, s[:1].repeat(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert np.array_equal(qsp_scalar_unitary(xs[0], phi), np.stack([u2[-1], v2[-1]], axis=1))
+
+
+@pytest.fixture
+def carry_runs(monkeypatch):
+    """A list that gets one entry each time a carry kernel runs."""
+    runs, kernel = [], qsp._kernel
+
+    def counting_kernel(*args):
+        carry = kernel(*args)
+        return lambda phi: runs.append(len(phi)) or carry(phi)
+
+    monkeypatch.setattr(qsp, "_kernel", counting_kernel)
+    return runs
+
+
+def test_f_and_jacobian_run_one_carry(carry_runs):
+    _f_and_jacobian(np.array([0.3, -1.2, 0.7]), np.linspace(-1.0, 1.0, 9))
+    assert carry_runs == [3]
+
+
+def test_designer_residual_and_jacobian_at_one_phi_run_one_carry(carry_runs, monkeypatch):
+    """lmder asks for the Jacobian at the phi of its last residual: that pair
+    of callbacks runs the kernel once, from every start and Lawson round."""
+    runs_per_pair = []
+
+    def probing(resid, jac, phi0):
+        phi = phi0 + 0.25  # no callback has seen it yet
+        before = len(carry_runs)
+        resid(phi)
+        jac(phi)
+        runs_per_pair.append(len(carry_runs) - before)
+        return _lm(resid, jac, phi0)
+
+    monkeypatch.setattr(qsp, "_lm", probing)
+    optimize_phases(2, 1.0)
+    assert runs_per_pair == [1] * (6 + 8)
 
 
 @pytest.mark.parametrize("d, t, interval", [(4, 1.0, (0.0, 1.0)), (2, 3.3, (0.2, 0.9))])
@@ -284,26 +320,28 @@ def test_evaluation_cap_is_quiet():
 @pytest.mark.parametrize("d, seed, status", [(6, 3, 0), (4, 2, 1)])
 def test_lm_call_matches_least_squares(d, seed, status):
     """The designer's MINPACK call takes the same steps as
-    least_squares(method="lm") on a fixed weighted fit; the two fits end
-    at the evaluation cap (status 0) and on the gradient test (status 1)."""
+    least_squares(method="lm") on a fixed weighted fit, with the residual
+    and Jacobian laid out as the designer lays them out: complex values
+    viewed as (Re, Im) pairs, and the Jacobian transposed for _lm.  The two
+    fits end at the evaluation cap (status 0) and on the gradient test
+    (status 1)."""
     m = 4 * (d + 1)
     xs = 0.55 + 0.35 * np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
     target = np.exp(-1j * xs * 1.7)
     rng = np.random.default_rng(seed)
-    sw = np.sqrt(rng.uniform(0.5, 2.0, m))
+    sw = np.repeat(np.sqrt(rng.uniform(0.5, 2.0, m)), 2)
 
     def resid(phi):
-        r = (_f_values(phi, xs) - target) * sw
-        return np.concatenate([r.real, r.imag])
+        return (_f_values(phi, xs) - target).view(float) * sw
 
-    def jac(phi):
-        j = _f_and_jacobian(phi, xs)[1] * sw[:, None]
-        return np.concatenate([j.real, j.imag])
+    def jac_rows(phi):
+        return _f_and_jacobian(phi, xs)[1].T.view(float) * sw
 
     phi0 = rng.uniform(-0.3, 0.3, d)
-    ref = scipy.optimize.least_squares(resid, phi0, jac=jac, method="lm", xtol=1e-14, ftol=1e-14)
+    ref = scipy.optimize.least_squares(resid, phi0, jac=lambda phi: jac_rows(phi).T, method="lm",
+                                       xtol=1e-14, ftol=1e-14)
     assert ref.status == status
-    assert np.array_equal(_lm(resid, jac, phi0), ref.x)
+    assert np.array_equal(_lm(resid, jac_rows, phi0), ref.x)
 
 
 # epsilon_poly of the least_squares designer with the stacked 2x2 product,
