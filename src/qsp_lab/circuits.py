@@ -524,8 +524,8 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
 
     per_gate_depolarizing attaches the two-qubit depolarizing channel after
     every RZZ and CZ, as the Pauli-transfer diagonal _compile builds;
-    global_depolarizing applies (1-p) rho + p I/D once at the end, with
-    p = 1-(1-p_tq)^N_TQ; p_tq = 0 (the default NoiseModel()) is exact
+    global_depolarizing applies (1-p) rho + p Tr(rho) I/D once at the end,
+    with p = 1-(1-p_tq)^N_TQ; p_tq = 0 (the default NoiseModel()) is exact
     conjugation.  Every mode evolves an APHASE circuit as its decomposition.
 
     Per-gate noise walks rho's real Pauli coefficients Tr(P rho), so the
@@ -547,7 +547,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
     if noisy:  # every RZZ and CZ is one pair operation of the fold
         n_tq = sum(len(qubits) == 2 for _, qubits in _fold(circuit)[0])
         p, dim = 1.0 - (1.0 - noise.p_tq) ** n_tq, len(out)
-        out = (1.0 - p) * out + p * np.eye(dim, dtype=complex) / dim
+        out = (1.0 - p) * out + p * np.trace(rho).real * np.eye(dim, dtype=complex) / dim
     return out
 
 

@@ -236,7 +236,7 @@ def multiplexor_compile(plan: LCUPlan) -> Circuit:
     branches); naive_select_gate_count prices it in closed form, so the
     naive gates are built only when they win.
     """
-    n, a = plan.n_system, plan.a
+    n, a = errors.entry(plan, LCUPlan, "plan").n_system, plan.a
     circuit = Circuit(n, a)
     ancillas = circuit.ancilla_qubits
     bx, bz, anc_phase = _branch_tables(plan)
@@ -275,7 +275,7 @@ def naive_select_circuit(plan: LCUPlan) -> Circuit:
     Pauli that anticommutes with it.  A -I branch is a multi-controlled
     phase on the ancillas alone; a +I branch emits nothing.
     """
-    n, a = plan.n_system, plan.a
+    n, a = errors.entry(plan, LCUPlan, "plan").n_system, plan.a
     circuit = Circuit(n, a)
     ancillas = circuit.ancilla_qubits
     for idx, (p, s) in enumerate(zip(plan.paulis, plan.signs)):
@@ -305,14 +305,14 @@ def naive_select_gate_count(plan: LCUPlan) -> int:
     global phase at a = 0; the flips and basis changes are one-qubit gates.
     mcphase costs cost(0) = 0, cost(1) = 1 and cost(m) = 2 + 3 cost(m - 1).
     """
-    cost = [0, 1]
-    while len(cost) <= plan.a:
+    a, cost = errors.entry(plan, LCUPlan, "plan").a, [0, 1]
+    while len(cost) <= a:
         cost.append(2 + 3 * cost[-1])
     total = 0
     for p, s in zip(plan.paulis, plan.signs):
-        total += len(p.support) * cost[plan.a]
-        if not p.support and s == -1 and plan.a > 0:
-            total += cost[plan.a - 1]
+        total += len(p.support) * cost[a]
+        if not p.support and s == -1 and a > 0:
+            total += cost[a - 1]
     return total
 
 
@@ -322,7 +322,7 @@ def prep_gates(plan: LCUPlan) -> list[Gate]:
     Equal amplitudes reduce to a Hadamard on every ancilla; otherwise a
     binary tree of uniformly controlled Y rotations loads the profile.
     """
-    a, ancillas = plan.a, tuple(range(plan.a))
+    a, ancillas = errors.entry(plan, LCUPlan, "plan").a, tuple(range(plan.a))
     if a == 0:
         return []
     full = np.zeros(2**a)

@@ -146,16 +146,16 @@ class SpectralBounds:
 class RescaledHamiltonian:
     """Affinely rescaled Hamiltonian with spectrum inside [interval_a, interval_b].
 
-    time_factor converts physical time t to the effective evolution time,
-    and global_phase_rate gives the accumulated global phase per unit t:
-    exp(-i * time_factor*t * H_rescaled) = exp(-i*t*global_phase_rate) * exp(-i*t*H).
+    time_factor converts physical time t to the effective evolution time:
+    exp(-i * time_factor*t * H_rescaled) = exp(-i*t*H) up to a global phase,
+    which post-selected states, reduced density matrices and fidelities do
+    not carry.
     """
 
     h_tilde: PauliSum
     interval_a: float
     interval_b: float
     time_factor: float
-    global_phase_rate: float
 
 
 def build_ising_chain(n: int, coupling: float, fields_x: list[float], field_z: float) -> PauliSum:
@@ -209,7 +209,6 @@ def rescale(h: PauliSum, bounds: SpectralBounds, a: float = 0.0, b: float = 1.0)
         interval_a=a,
         interval_b=b,
         time_factor=span / (b - a),
-        global_phase_rate=(a * bounds.lambda_plus - b * bounds.lambda_minus) / (b - a),
     )
 
 

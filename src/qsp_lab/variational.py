@@ -19,10 +19,10 @@ consecutive qubits; B_2l+1 is ladder l, the diagonal
 exp(-i/2 sum_k theta_k zz_k) with zz_k that of Z_k Z_k+1.  The walk keeps
 Y_k = (B_2L ... B_k)^dag Pi^T, D x 2^n (D = 2^w, w = n + a), at the 2L+2
 block boundaries, from Y_2L+1 = Pi^T by Y_k = B_k^dag Y_k+1.  Y_0 = U^dag,
-so Wblk = Y_0^dag (z * Y_0) with z = diag Z.  cost, ansatz_block and
-cost_and_gradient read this one walk: F from cost and from
-cost_and_gradient are the same bits.  _forward is the one block step: this
-walk runs it on the blocks' adjoints, the forward walks below on the blocks.
+so Wblk = Y_0^dag (z * Y_0) with z = diag Z.  cost_and_gradient is this
+walk's one reader; the block of a built ansatz is lcu.encoded_block of
+build_ansatz.  _forward is the one block step: this walk runs it on the
+blocks' adjoints, the forward walks below on the blocks.
 
 The gradient is exact (adjoint differentiation, Jones & Gacon,
 arXiv:2009.02823).  With M = Wblk - H, a forward walk from L_0 = Z U^dag M
@@ -253,22 +253,6 @@ def _hamiltonian(h_tilde: PauliSum | np.ndarray, n: int | None = None) -> np.nda
     return register_matrix(h, n, hermitian=True, name="target")
 
 
-def _block_cost(block: np.ndarray, h: np.ndarray) -> float:
-    return float(np.vdot(block, block).real - 2.0 * np.einsum("ij,ji->", h, block).real)
-
-
-def ansatz_block(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """The block of W from the block walk."""
-    y0 = _walk(spec, _blocks(spec, angles(theta, "theta", spec.n_parameters)))[0]
-    return _block_of(y0, _walk_tables(spec)[3])
-
-
-def cost(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> float:
-    """F(theta) = ||Wblk||_F^2 - 2 Re Tr(H Wblk)."""
-    h = _hamiltonian(h_tilde, spec.n)
-    return _block_cost(ansatz_block(spec, theta), h)
-
-
 def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> float:
     """epsilon_BE^2 = F + Tr(H^2); clipped at zero against roundoff.  An F
     that is not a finite real number raises ValueError."""
@@ -279,10 +263,10 @@ def epsilon_be_from_cost(f_value: float, h_tilde: PauliSum | np.ndarray) -> floa
 
 
 def cost_and_gradient(theta: np.ndarray, h_tilde: PauliSum | np.ndarray, spec: AnsatzSpec) -> tuple[float, np.ndarray]:
-    """F and its gradient from the block walk and the forward walk of the
-    module docstring: per triplet column the Pauli projections of each
-    run's R_b, per ladder s."""
-    h = _hamiltonian(h_tilde, spec.n)
+    """F(theta) = ||Wblk||_F^2 - 2 Re Tr(H Wblk) and its gradient from the
+    block walk and the forward walk of the module docstring: per triplet
+    column the Pauli projections of each run's R_b, per ladder s."""
+    h = _hamiltonian(h_tilde, entry(spec, AnsatzSpec, "spec").n)
     return _cost_and_gradient(angles(theta, "theta", spec.n_parameters), h, spec)
 
 
@@ -293,7 +277,7 @@ def _cost_and_gradient(theta: np.ndarray, h: np.ndarray, spec: AnsatzSpec) -> tu
     blocks = _blocks(spec, theta)
     ys = _walk(spec, blocks)
     block = _block_of(ys[0], z)
-    f = _block_cost(block, h)
+    f = float(np.vdot(block, block).real - 2.0 * np.einsum("ij,ji->", h, block).real)
     p = z[:, None] * (ys[0] @ (block - h))
     projections = np.empty(triplets.shape, dtype=complex)  # Tr(sigma_s on q, R) per column
     s = np.empty((spec.layers, len(z)), dtype=complex)

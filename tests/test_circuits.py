@@ -31,10 +31,19 @@ from qsp_lab.circuits import (
     with_ancilla_zero,
 )
 from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
-from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan, ucrz
+from qsp_lab.lcu import (
+    build_lcu_circuit,
+    encoded_block,
+    lcu_plan,
+    multiplexor_compile,
+    naive_select_circuit,
+    naive_select_gate_count,
+    prep_gates,
+    ucrz,
+)
 from qsp_lab.operators import PauliString, build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import qsp_circuit
-from qsp_lab.variational import AnsatzSpec, build_ansatz, optimize
+from qsp_lab.variational import AnsatzSpec, build_ansatz, cost_and_gradient, optimize
 
 RNG = np.random.default_rng(20240817)
 
@@ -717,7 +726,7 @@ def ref_density(circuit, rho, noise):
     if noise.mode == "global_depolarizing":
         n_tq = sum(g.kind in ("RZZ", "CZ") for g in circuit.gates)
         p = 1.0 - (1.0 - noise.p_tq) ** n_tq
-        rho = (1.0 - p) * rho + p * np.eye(rho.shape[0]) / rho.shape[0]
+        rho = (1.0 - p) * rho + p * np.trace(rho).real * np.eye(rho.shape[0]) / rho.shape[0]
     return rho
 
 
@@ -833,6 +842,21 @@ class TestIndependentOracle:
             assert np.array_equal(rho, before)
             assert np.abs(out - ref_density(c, rho, noise)).max() < 1e-12
 
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_apply_density_is_linear(self, noise):
+        # every mode is a linear channel: it keeps the trace of any Hermitian
+        # input, an indefinite one of trace other than 1 too, and zero is zero
+        rng = np.random.default_rng(115)
+        c = oracle_circuit(2, 1, 30, rng)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho1, rho2 = random_density(3, rng), (a + a.conj().T) / 2.0
+        combined = 0.3 * rho1 - 1.7 * rho2
+        out = apply_density(c, combined, noise)
+        expected = 0.3 * apply_density(c, rho1, noise) - 1.7 * apply_density(c, rho2, noise)
+        assert np.abs(out - expected).max() < 1e-12
+        assert abs(np.trace(out) - np.trace(combined)) < 1e-12
+        assert np.array_equal(apply_density(c, np.zeros((8, 8)), noise), np.zeros((8, 8)))
+
 
 class TestEigenvectorPath:
     """Without per-gate noise apply_density walks rho's eigenvectors; it must
@@ -857,8 +881,7 @@ class TestEigenvectorPath:
             out = apply_density(c, rho, noise)
             assert np.abs(out - ref_density(c, rho, noise)).max() < 1e-12, name
             assert np.abs(out - out.conj().T).max() < 1e-13, name
-            p = 1.0 - (1.0 - noise.p_tq) ** count_two_qubit_gates(c)
-            assert abs(np.trace(out) - ((1.0 - p) * np.trace(rho) + p)) < 1e-12, name
+            assert abs(np.trace(out) - np.trace(rho)) < 1e-12, name
 
     def test_noiseless_structural_gates(self):
         rng = np.random.default_rng(121)
@@ -973,6 +996,12 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: count_two_qubit_gates("x"), "^circuit must be a Circuit", id="count-of-a-str"),
     pytest.param(lambda: decompose("x"), "^circuit must be a Circuit", id="decompose-a-str"),
     pytest.param(lambda: build_lcu_circuit("x"), "^plan must be a LCUPlan", id="lcu-circuit-of-a-str"),
+    pytest.param(lambda: multiplexor_compile("x"), "^plan must be a LCUPlan", id="multiplexor-of-a-str"),
+    pytest.param(lambda: naive_select_circuit("x"), "^plan must be a LCUPlan", id="naive-select-of-a-str"),
+    pytest.param(lambda: naive_select_gate_count("x"), "^plan must be a LCUPlan", id="naive-count-of-a-str"),
+    pytest.param(lambda: prep_gates("x"), "^plan must be a LCUPlan", id="prep-gates-of-a-str"),
+    pytest.param(lambda: cost_and_gradient(np.zeros(AnsatzSpec(1, 1, 0).n_parameters), np.eye(2) / 2, "x"),
+                 "^spec must be an AnsatzSpec", id="cost-and-gradient-spec-a-str"),
 ]
 
 
@@ -1368,7 +1397,7 @@ class TestFoldKept:
         n_tq = count_two_qubit_gates(c)
         assert sum(len(qubits) == 2 for _, qubits in cir._fold(c)[0]) == n_tq
         p, dim = 1.0 - (1.0 - 1e-3) ** n_tq, len(rho)
-        expected = (1.0 - p) * apply_density(c, rho) + p * np.eye(dim, dtype=complex) / dim
+        expected = (1.0 - p) * apply_density(c, rho) + p * np.trace(rho).real * np.eye(dim, dtype=complex) / dim
         assert np.array_equal(apply_density(c, rho, NoiseModel(1e-3, "global_depolarizing")), expected)
 
     def test_later_walks_match_the_oracle(self, monkeypatch):

@@ -14,9 +14,7 @@ from qsp_lab.variational import (
     AnsatzSpec,
     OptimizerConfig,
     _czbar_diagonal,
-    ansatz_block,
     build_ansatz,
-    cost,
     cost_and_gradient,
     epsilon_be_from_cost,
     hessian,
@@ -42,10 +40,8 @@ BAD_SIZES = [pytest.param(np.array([[0.3]]), id="1x1"), pytest.param(np.eye(4) /
 # every entry point that takes theta, and the one message of errors.angles they raise
 THETA_ENTRY_POINTS = [
     pytest.param(lambda th: build_ansatz(SMALL.n, SMALL.a, SMALL.layers, th), id="build_ansatz"),
-    pytest.param(lambda th: cost(th, SMALL_H, SMALL), id="cost"),
     pytest.param(lambda th: cost_and_gradient(th, SMALL_H, SMALL), id="cost_and_gradient"),
     pytest.param(lambda th: hessian(th, SMALL_H, SMALL), id="hessian"),
-    pytest.param(lambda th: ansatz_block(SMALL, th), id="ansatz_block"),
 ]
 ANGLES_RULE = f"^theta must hold {SMALL.n_parameters} finite angles"
 # targets no entry point takes
@@ -114,12 +110,11 @@ class TestAnsatz:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda h: cost(np.zeros(SMALL.n_parameters), h, SMALL),
             lambda h: cost_and_gradient(np.zeros(SMALL.n_parameters), h, SMALL),
             lambda h: hessian(np.zeros(SMALL.n_parameters), h, SMALL),
             lambda h: optimize(h, SMALL.n, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1, max_iters=2)),
         ],
-        ids=["cost", "cost_and_gradient", "hessian", "optimize"],
+        ids=["cost_and_gradient", "hessian", "optimize"],
     )
     def test_bad_target_every_entry_point(self, call, bad):
         with pytest.raises(ValueError):
@@ -132,12 +127,17 @@ class TestAnsatz:
 
     @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)] + COLUMN_WALK_EDGES)
     def test_circuit_matches_dense_block(self, n, a, layers):
-        # the dense walk's rotation identity against the circuit gate table
+        # F of the block walk against the block of the circuit gate table, at
+        # H = 0 (||Wblk||^2 alone) and at a random full Hermitian H, whose
+        # off-diagonal entries read every entry of Wblk
         spec = AnsatzSpec(n, a, layers)
-        theta = np.random.default_rng(3).uniform(-np.pi, np.pi, spec.n_parameters)
-        blk_dense = ansatz_block(spec, theta)
-        blk_circ = encoded_block(build_ansatz(n, a, layers, theta))
-        assert np.abs(blk_dense - blk_circ).max() < 1e-10
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-np.pi, np.pi, spec.n_parameters)
+        blk = encoded_block(build_ansatz(n, a, layers, theta))
+        g = rng.normal(size=blk.shape) + 1j * rng.normal(size=blk.shape)
+        for h in (np.zeros(blk.shape), (g + g.conj().T) / 4):
+            expected = np.vdot(blk, blk).real - 2 * np.trace(h @ blk).real
+            assert abs(cost_and_gradient(theta, h, spec)[0] - expected) < 1e-10
 
 
 class TestCostAndDerivatives:
@@ -162,9 +162,9 @@ class TestCostAndDerivatives:
         h = ising3_rescaled().to_matrix()
         for _ in range(3):
             theta = rng.uniform(-1, 1, spec.n_parameters)
-            blk = ansatz_block(spec, theta)
+            blk = encoded_block(build_ansatz(spec.n, spec.a, spec.layers, theta))
             brute = np.trace(blk.conj().T @ blk).real - 2 * np.trace(h @ blk).real
-            assert cost(theta, h, spec) == pytest.approx(brute, abs=1e-9)
+            assert cost_and_gradient(theta, h, spec)[0] == pytest.approx(brute, abs=1e-9)
 
     def test_frobenius_identity(self):
         # eps^2 from the cost identity equals the direct Frobenius norm
@@ -173,8 +173,8 @@ class TestCostAndDerivatives:
         hs = build_ising_chain(2, 0.3, [0.2, -0.1], 0.15).to_matrix()
         for _ in range(5):
             theta = rng.uniform(-1, 1, spec.n_parameters)
-            eps = epsilon_be_from_cost(cost(theta, hs, spec), hs)
-            direct = np.linalg.norm(ansatz_block(spec, theta) - hs)
+            eps = epsilon_be_from_cost(cost_and_gradient(theta, hs, spec)[0], hs)
+            direct = np.linalg.norm(encoded_block(build_ansatz(spec.n, spec.a, spec.layers, theta)) - hs)
             assert eps == pytest.approx(direct, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
@@ -186,7 +186,8 @@ class TestCostAndDerivatives:
             for i in range(len(theta)):
                 e = np.zeros_like(theta)
                 e[i] = 1e-5
-                fd[i] = (cost(theta + e, SMALL_H, SMALL) - cost(theta - e, SMALL_H, SMALL)) / 2e-5
+                fd[i] = (cost_and_gradient(theta + e, SMALL_H, SMALL)[0]
+                         - cost_and_gradient(theta - e, SMALL_H, SMALL)[0]) / 2e-5
             assert np.abs(g - fd).max() < 1e-6
 
     def test_gradient_single_parameter_closed_form(self):
@@ -198,7 +199,7 @@ class TestCostAndDerivatives:
         def f_scalar(t0):
             theta = np.zeros(spec.n_parameters)
             theta[0] = t0
-            return cost(theta, h, spec)
+            return cost_and_gradient(theta, h, spec)[0]
 
         t0 = 0.7
         theta = np.zeros(spec.n_parameters)
@@ -247,7 +248,7 @@ class TestOptimize:
         res = optimize(h, 1, 1, 1, OptimizerConfig(restarts=4, init_seed=12))
         spec = SMALL
         baseline = min(
-            epsilon_be_from_cost(cost(rng.uniform(-np.pi, np.pi, spec.n_parameters), h, spec), h)
+            epsilon_be_from_cost(cost_and_gradient(rng.uniform(-np.pi, np.pi, spec.n_parameters), h, spec)[0], h)
             for _ in range(2000)
         )
         assert res.epsilon_be <= baseline + 1e-3
@@ -483,7 +484,7 @@ def shift_rule_gradient(theta, h, spec):
         for s, c in zip(shifts, coeffs):
             step = np.zeros(spec.n_parameters)
             step[k] = s
-            out[k] += c * cost(theta + step, h, spec)
+            out[k] += c * cost_and_gradient(theta + step, h, spec)[0]
     return out
 
 
@@ -497,11 +498,3 @@ class TestGradientOracle:
         theta = np.random.default_rng(40 + n).uniform(-np.pi, np.pi, spec.n_parameters)
         _, g = cost_and_gradient(theta, h, spec)
         assert np.abs(g - shift_rule_gradient(theta, h, spec)).max() < 1e-10
-
-    def test_cost_is_the_same_bits(self):
-        spec = AnsatzSpec(3, 2, 2)
-        h = ising3_rescaled().to_matrix()
-        rng = np.random.default_rng(44)
-        for _ in range(3):
-            theta = rng.uniform(-np.pi, np.pi, spec.n_parameters)
-            assert cost_and_gradient(theta, h, spec)[0] == cost(theta, h, spec)
