@@ -125,6 +125,22 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             epsilon_be_from_cost(0.0, bad)
 
+    @pytest.mark.parametrize("bad", BAD_TARGETS)
+    def test_bad_target_variational_block_encoding(self, bad):
+        # the wrapper reads n from the target, so only a target no entry point
+        # takes is wrong for it whatever its size
+        with pytest.raises(ValueError):
+            variational_block_encoding(bad, SMALL.a, SMALL.layers, OptimizerConfig(restarts=1, max_iters=2))
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(None, id="none"),
+        pytest.param((SMALL.n, SMALL.a, SMALL.layers), id="tuple"),
+        pytest.param(dataclasses.asdict(SMALL), id="dict"),
+    ])
+    def test_wrong_typed_spec_refused(self, spec):
+        with pytest.raises(ValueError, match="^spec must be an AnsatzSpec"):
+            cost_and_gradient(np.zeros(SMALL.n_parameters), SMALL_H, spec)
+
     @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)] + COLUMN_WALK_EDGES)
     def test_circuit_matches_dense_block(self, n, a, layers):
         # F of the block walk against the block of the circuit gate table, at
@@ -138,6 +154,16 @@ class TestAnsatz:
         for h in (np.zeros(blk.shape), (g + g.conj().T) / 4):
             expected = np.vdot(blk, blk).real - 2 * np.trace(h @ blk).real
             assert abs(cost_and_gradient(theta, h, spec)[0] - expected) < 1e-10
+
+    @pytest.mark.parametrize("n, a, layers", [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 1), (2, 2, 2)] + COLUMN_WALK_EDGES)
+    def test_block_is_a_hermitian_contraction(self, n, a, layers):
+        # W = V^dag CZbar V is Hermitian and unitary, so its ancilla-zero block
+        # is Hermitian with spectral norm at most 1: the shape of a block
+        # encoding of a Hermitian H, for which F's Re Tr(H Wblk) is Tr(H Wblk)
+        theta = np.random.default_rng(4).uniform(-np.pi, np.pi, AnsatzSpec(n, a, layers).n_parameters)
+        blk = encoded_block(build_ansatz(n, a, layers, theta))
+        assert np.abs(blk - blk.conj().T).max() < 1e-12
+        assert np.linalg.norm(blk, 2) <= 1.0 + 1e-12
 
 
 class TestCostAndDerivatives:
