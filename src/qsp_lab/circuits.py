@@ -9,7 +9,7 @@ RZZ, CZ, HAD, plus a bookkeeping GPHASE that carries the global phase exact
 synthesis requires.  APHASE, the ancilla-register phase
 exp(i*phi*(2|0..0><0..0| - 1)), is the one structural gate: decompose()
 is its only definition, and every walk and count_two_qubit_gates read a
-circuit that holds one as its decomposition, bit for bit (_native).
+circuit through decompose(), which returns a circuit without APHASE as it is.
 
 Noise follows the two-qubit depolarizing model: every RZZ and CZ is
 followed by a channel that with probability p_tq replaces the pair's
@@ -57,7 +57,7 @@ to one built gate by gate: the same arithmetic runs on the same inputs.
 A Circuit's gates are checked once, when construction, append or extend
 adds them; its registers are fixed and its gates a tuple, so no gate
 reaches a walk or a count unchecked, and neither reads them again.  The
-Circuit keeps its fold, made before _native (an APHASE circuit is
+Circuit keeps its fold, made from decompose() of it (an APHASE circuit is
 decomposed once for all its walks), until the next append or extend.
 
 Fuse.  A complex walk of at least 2^_FUSE_QUBITS = 32 columns on a
@@ -101,6 +101,7 @@ r_I = Tr(rho) is carried untouched.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -109,7 +110,6 @@ from .errors import dense, entry, integer, qubits, real, register_matrix, regist
 from .operators import PauliString
 
 NATIVE_KINDS = ("RX", "RZ", "RZZ", "CZ", "HAD", "GPHASE")
-STRUCTURAL_KINDS = ("APHASE",)
 # gate kind -> the length of its qubit list; GPHASE and APHASE act on whole registers
 _ARITY = {"RX": 1, "RZ": 1, "HAD": 1, "RZZ": 2, "CZ": 2, "GPHASE": 0, "APHASE": 0}
 
@@ -195,7 +195,7 @@ class Circuit:
         return self.n_ancilla + i
 
     def _checked(self, gates) -> tuple[Gate, ...]:
-        gates, w = tuple(gates), self.width
+        gates, w = tuple(entry(gates, Iterable, "gates")), self.width
         for g in gates:
             for q in entry(g, Gate, "gate").qubits:
                 if not 0 <= q < w:
@@ -349,7 +349,7 @@ def _pauli_transfer(sup: np.ndarray) -> np.ndarray:
 
 def _fold(circuit: Circuit) -> tuple[tuple, complex]:
     """The folded, memoized unitary program of (read-only matrix, qubits) of
-    _native's gate list, and its scalar phase, kept on the circuit until its
+    decompose()'s gate list, and its scalar phase, kept on the circuit until its
     next append or extend (module docstring)."""
     if circuit._folded is not None:
         return circuit._folded
@@ -369,7 +369,7 @@ def _fold(circuit: Circuit) -> tuple[tuple, complex]:
 
     phase = 1.0
     program = []
-    for g in _native(circuit).gates:
+    for g in decompose(circuit).gates:
         key = (g.kind, g.qubits, g.angle)
         i = gate_ids.get(key)
         if i is None:
@@ -553,7 +553,7 @@ def apply_density(circuit: Circuit, rho: np.ndarray, noise: NoiseModel = NoiseMo
 
 def count_two_qubit_gates(circuit: Circuit) -> int:
     """Count RZZ and CZ gates, an APHASE gate's as decompose() expands it."""
-    return sum(1 for g in _native(entry(circuit, Circuit, "circuit")).gates if g.kind in ("RZZ", "CZ"))
+    return sum(1 for g in decompose(circuit).gates if g.kind in ("RZZ", "CZ"))
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +582,11 @@ def mcphase(controls: tuple[int, ...], target: int, theta: float) -> list[Gate]:
     """Multi-controlled phase (phase theta iff all controls and target are 1).
 
     Textbook ancilla-free recursion; two-qubit cost satisfies
-    cost(m) = 2 + 3*cost(m-1) with cost(1) = 1.
+    cost(m) = 2 + 3*cost(m-1) with cost(1) = 1.  ValueError unless the
+    controls are a sequence and the qubits distinct, and theta is real.
     """
+    qubits((*qubits(controls, "controls"), target), "controls and target")
+    real(theta, "theta")
     if not controls:
         return _phase1q(target, theta)
     if len(controls) == 1:
@@ -599,6 +602,8 @@ def mcphase(controls: tuple[int, ...], target: int, theta: float) -> list[Gate]:
 
 
 def mcx(controls: tuple[int, ...], target: int) -> list[Gate]:
+    """Multi-controlled X; ValueError unless the controls are a sequence and the qubits distinct."""
+    qubits((*qubits(controls, "controls"), target), "controls and target")
     if not controls:
         return _pauli_x(target)
     if len(controls) == 1:
@@ -624,16 +629,14 @@ def _decompose_aphase(gate: Gate, circuit: Circuit) -> list[Gate]:
 
 
 def decompose(circuit: Circuit) -> Circuit:
-    """Expand APHASE gates into the native gate set."""
+    """A new Circuit with each APHASE gate expanded into the native gate set,
+    or the circuit itself, not a copy, when it holds no APHASE."""
+    if all(g.kind != "APHASE" for g in entry(circuit, Circuit, "circuit").gates):
+        return circuit
     gates: list[Gate] = []
-    for g in entry(circuit, Circuit, "circuit").gates:
+    for g in circuit.gates:
         gates += _decompose_aphase(g, circuit) if g.kind == "APHASE" else [g]
     return Circuit(circuit.n_system, circuit.n_ancilla, gates)
-
-
-def _native(circuit: Circuit) -> Circuit:
-    """The circuit, or decompose(circuit) when it holds a structural gate."""
-    return decompose(circuit) if any(g.kind in STRUCTURAL_KINDS for g in circuit.gates) else circuit
 
 
 # ---------------------------------------------------------------------------

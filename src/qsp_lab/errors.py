@@ -86,7 +86,7 @@ def spectral_interval(iv) -> tuple:
 def angles(x, name: str, m: int | None = None) -> np.ndarray:
     """x as a float array, when it is a 1-D array of finite real numbers (an
     integer or float dtype, never bool, str or complex), of length m when m
-    is given: a parameter vector, phases or an angle table."""
+    is given: a parameter vector, phases, an angle table or an LCU plan's amplitudes."""
     v = np.asarray(x)
     if v.dtype.kind not in "iuf" or v.ndim != 1 or (m is not None and len(v) != m) or not np.isfinite(v).all():
         want = "be a finite 1-D array of real angles" if m is None else f"hold {m} finite angles"

@@ -33,10 +33,11 @@ class LCUPlan:
     """Branch data for W = A_dag B A; c is the coefficient one-norm.
 
     Building a plan raises ValueError unless it has K >= 1 branches, at
-    most 2^a of them, with one amplitude and one sign of +1 or -1 each, and
-    Pauli strings that all act on one register.  A built plan cannot be
-    changed: it holds its signs and Paulis as tuples and its amplitudes as
-    a read-only copy.
+    most 2^a of them, with one sign of +1 or -1 each, Pauli strings that
+    all act on one register, K finite real amplitudes (errors.angles) whose
+    squares sum to 1 within 1e-12, and a finite real c > 0.  A built plan
+    cannot be changed: it holds its signs and Paulis as tuples and its
+    amplitudes as a read-only float copy.
     """
 
     a: int
@@ -46,20 +47,24 @@ class LCUPlan:
     c: float
 
     def __post_init__(self):
-        amplitudes = np.array(self.prep_amplitudes)
-        amplitudes.setflags(write=False)
-        object.__setattr__(self, "prep_amplitudes", amplitudes)
         object.__setattr__(self, "signs", tuple(self.signs))
         object.__setattr__(self, "paulis", tuple(self.paulis))
         k = len(self.paulis)
         if not 1 <= k <= 2 ** errors.integer(self.a, "a"):
             raise ValueError(f"need 1 <= K <= 2^a branches, got K = {k}, a = {self.a}")
-        if len(self.signs) != k or np.shape(self.prep_amplitudes) != (k,):
-            raise ValueError(f"{k} branches need {k} signs and a ({k},) array of amplitudes")
+        if len(self.signs) != k:
+            raise ValueError(f"{k} branches need {k} signs, got {self.signs}")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError(f"signs must be +1 or -1, got {self.signs}")
         if not all(isinstance(p, PauliString) and p.n == self.paulis[0].n for p in self.paulis):
             raise ValueError(f"the Paulis must be PauliStrings on one register, got {self.paulis}")
+        amplitudes = np.array(errors.angles(self.prep_amplitudes, "prep_amplitudes", k))
+        if abs(amplitudes @ amplitudes - 1.0) > 1e-12:
+            raise ValueError(f"the squares of prep_amplitudes must sum to 1, got {amplitudes @ amplitudes!r}")
+        amplitudes.setflags(write=False)
+        object.__setattr__(self, "prep_amplitudes", amplitudes)
+        if not errors.real(self.c, "c") > 0.0:
+            raise ValueError(f"c must be a finite real number > 0, got {self.c!r}")
 
     @property
     def k(self) -> int:
@@ -345,14 +350,8 @@ def build_lcu_circuit(plan: LCUPlan) -> BlockEncoding:
     The ancilla-zero block equals the plan's Pauli sum divided by the
     one-norm c; scale records that divisor when it is not 1.
     """
-    n, a = errors.entry(plan, LCUPlan, "plan").n_system, plan.a
-    select = multiplexor_compile(plan)
-    circuit = Circuit(n, a)
-    prep = prep_gates(plan)
-    prep_circuit = Circuit(n, a, list(prep))
-    circuit.extend(prep)
-    circuit.extend(select.gates)
-    circuit.extend(prep_circuit.inverse().gates)
+    prep = Circuit(errors.entry(plan, LCUPlan, "plan").n_system, plan.a, prep_gates(plan))
+    circuit = Circuit(plan.n_system, plan.a, prep.gates + multiplexor_compile(plan).gates + prep.inverse().gates)
     scale = 1.0 if abs(plan.c - 1.0) <= 1e-9 else plan.c
     target = plan.encoded_operator().to_matrix() * (plan.c / scale)
     eps = float(np.linalg.norm(encoded_block(circuit) - target))

@@ -162,12 +162,6 @@ def _f_values(phi: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return _kernel(_signal_rows(xs), _F_START, len(phi))(phi)[-1, 0]
 
 
-def _f_and_jacobian(phi: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(x) and df/dphi_k over the grid, shape (g, d)."""
-    r = _kernel(_signal_rows(xs), _F_START, len(phi))(phi)
-    return r[-1, 0], _jacobian(r).T
-
-
 def _lm(resid, jac, phi0: np.ndarray) -> np.ndarray:
     """MINPACK lmder with the arguments least_squares(method="lm") passes; jac gives J^T."""
     return scipy.optimize.leastsq(resid, phi0, Dfun=jac, col_deriv=1, ftol=1e-14, xtol=1e-14, gtol=1e-8,

@@ -32,6 +32,7 @@ from qsp_lab.circuits import (
 )
 from qsp_lab.errors import MAX_DENSE_QUBITS, DimensionError
 from qsp_lab.lcu import (
+    LCUPlan,
     build_lcu_circuit,
     encoded_block,
     lcu_plan,
@@ -172,11 +173,22 @@ class TestStructuralGates:
             dec = decompose(c)
             assert np.allclose(circuit_unitary(dec), ref_unitary(c), atol=1e-10)
 
+    def test_decompose_copies_only_an_aphase_circuit(self):
+        native = Circuit(2, 2).extend([had(0), rzz(1, 2, 0.4), cz(0, 3)])
+        assert decompose(native) is native
+        c = Circuit(2, 2).extend([had(0), aphase(-0.7), cz(0, 3)])
+        gates = c.gates
+        dec = decompose(c)
+        assert isinstance(dec, Circuit) and dec is not c and (dec.n_system, dec.n_ancilla) == (2, 2)
+        assert c.gates is gates and [g.kind for g in gates] == ["HAD", "APHASE", "CZ"]
+        assert {g.kind for g in dec.gates} <= set(NATIVE_KINDS)
+        assert dec.gates[0] == had(0) and dec.gates[-1] == cz(0, 3)
+
     def test_simulators_see_only_native_gates(self, monkeypatch):
         # every walk builds its gates through _gate_local, and every walk and
-        # the count read their gate list through _native
+        # the count read their gate list through decompose
         seen, listed = [], []
-        gate_local, native = cir._gate_local, cir._native
+        gate_local, native = cir._gate_local, cir.decompose
 
         def recording(gate):
             seen.append(gate.kind)
@@ -188,7 +200,7 @@ class TestStructuralGates:
             return out
 
         monkeypatch.setattr(cir, "_gate_local", recording)
-        monkeypatch.setattr(cir, "_native", listing)
+        monkeypatch.setattr(cir, "decompose", listing)
         c = Circuit(2, 2).extend([had(0), aphase(-0.7), rzz(1, 2, 0.4), aphase(0.3), cz(0, 3)])
         circuit_unitary(c)
         apply_statevector(c, zero_state(4))
@@ -952,6 +964,11 @@ class TestChannelAndReadoutInput:
             sample_pauli_measurement(np.zeros((4, 4), dtype=complex), PauliString("Z"), 10, 0, 1)
 
 
+def x_minus_z_plan(amplitudes=(0.5**0.5, 0.5**0.5), c=1.0):
+    """The one-qubit two-branch plan of X - Z, with its amplitudes or its c replaced."""
+    return LCUPlan(1, amplitudes, [1, -1], [PauliString("X"), PauliString("Z")], c)
+
+
 # each input below was accepted, or refused with a TypeError or by accident, before every
 # entry point checked its arguments through the one rule of their kind in errors.py
 REFUSED_BY_A_RULE = [
@@ -969,6 +986,22 @@ REFUSED_BY_A_RULE = [
     pytest.param(lambda: Circuit(1, 0, ["RX"]), "^gate must be a Gate", id="circuit-of-a-string"),
     pytest.param(lambda: Circuit(1).append("RX"), "^gate must be a Gate", id="append-a-string"),
     pytest.param(lambda: Circuit(1).extend([rx(0, 0.1), (0,)]), "^gate must be a Gate", id="extend-by-a-tuple"),
+    pytest.param(lambda: Circuit(2).extend(5), "^gates must be an Iterable", id="extend-by-an-int"),
+    pytest.param(lambda: Circuit(2, 0, 5), "^gates must be an Iterable", id="circuit-of-an-int"),
+    # an int for controls built an uncontrolled gate (0) or raised TypeError (1)
+    pytest.param(lambda: mcphase(0, 1, 0.1), "^controls must be a sequence", id="mcphase-controls-zero"),
+    pytest.param(lambda: mcphase(1, 2, 0.1), "^controls must be a sequence", id="mcphase-controls-an-int"),
+    pytest.param(lambda: mcx(0, 1), "^controls must be a sequence", id="mcx-controls-zero"),
+    pytest.param(lambda: mcphase((0,), 0, 0.1), "^controls and target must", id="mcphase-target-a-control"),
+    pytest.param(lambda: mcphase((0, 1), 2, "x"), "^theta must", id="mcphase-theta-a-str"),
+    # a plan's numbers: complex or unnormalized amplitudes built a wrong encoding, and c <= 0 a wrong scale
+    pytest.param(lambda: x_minus_z_plan([0.5j, 0.5]), "^prep_amplitudes must", id="plan-complex-amplitudes"),
+    pytest.param(lambda: x_minus_z_plan([0.6, 0.6]), "^the squares of prep_amplitudes must sum to 1",
+                 id="plan-unnormalized-amplitudes"),
+    pytest.param(lambda: x_minus_z_plan(c=0.0), "^c must", id="plan-zero-c"),
+    pytest.param(lambda: x_minus_z_plan(c=-2.0), "^c must", id="plan-negative-c"),
+    pytest.param(lambda: x_minus_z_plan(c=float("nan")), "^c must", id="plan-nan-c"),
+    pytest.param(lambda: x_minus_z_plan(c="x"), "^c must", id="plan-c-a-str"),
     pytest.param(lambda: with_ancilla_zero(np.ones(2), True), "^n_ancilla must", id="bool-ancilla-count"),
     pytest.param(lambda: sample_pauli_measurement(np.eye(4) / 4, PauliString("Z"), 10, 0, 1.0), "^n_ancilla must",
                  id="sampling-float-ancilla-count"),

@@ -11,7 +11,6 @@ from qsp_lab.lcu import build_lcu_circuit, encoded_block, lcu_plan
 from qsp_lab.operators import build_ising_chain, rescale, triangle_bounds
 from qsp_lab.qsp import (
     QSPPhases,
-    _f_and_jacobian,
     _f_values,
     _lm,
     optimize_phases,
@@ -39,7 +38,8 @@ def test_scalar_unitary_corner_is_f(phi, x):
 @FEW
 @given(phi=phase_vectors, xs=arrays(np.float64, 5, elements=st.floats(-0.99, 0.99)))
 def test_jacobian_matches_central_differences(phi, xs):
-    f, jac = _f_and_jacobian(phi, xs)
+    rows = qsp._kernel(qsp._signal_rows(xs), qsp._F_START, len(phi))(phi)
+    f, jac = rows[-1, 0], qsp._jacobian(rows).T
     assert np.allclose(f, _f_values(phi, xs), atol=1e-13)
     h = 1e-6
     for k in range(len(phi)):
@@ -169,7 +169,8 @@ long_phase_vectors = st.integers(0, 20).flatmap(
 )
 def test_carry_matches_loop_reference(phi, extra):
     xs = np.array([-1.0, 0.0, 1.0] + extra)
-    f, jac = _f_and_jacobian(phi, xs)
+    rows = qsp._kernel(qsp._signal_rows(xs), qsp._F_START, len(phi))(phi)
+    f, jac = rows[-1, 0], qsp._jacobian(rows).T
     assert jac.shape == (len(xs), len(phi))
     fv = _f_values(phi, xs)
     for i, x in enumerate(xs):
@@ -218,8 +219,6 @@ def test_kernel_bit_identical_to_two_array_carry(phi, xs):
     rows = qsp._kernel(qsp._signal_rows(xs), qsp._F_START, len(phi))(phi)
     assert np.array_equal(rows[:, 0], u) and np.array_equal(rows[:, 1], v)
     assert np.array_equal(qsp._jacobian(rows), jac)
-    f, jac_t = _f_and_jacobian(phi, xs)
-    assert np.array_equal(f, u[-1]) and np.array_equal(jac_t, jac.T)
     assert np.array_equal(_f_values(phi, xs), u[-1])
     x2 = np.full(2, xs[0])
     u2, v2 = _two_array_carry(phi, x2, s[:1].repeat(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -237,11 +236,6 @@ def carry_runs(monkeypatch):
 
     monkeypatch.setattr(qsp, "_kernel", counting_kernel)
     return runs
-
-
-def test_f_and_jacobian_run_one_carry(carry_runs):
-    _f_and_jacobian(np.array([0.3, -1.2, 0.7]), np.linspace(-1.0, 1.0, 9))
-    assert carry_runs == [3]
 
 
 def test_designer_residual_and_jacobian_at_one_phi_run_one_carry(carry_runs, monkeypatch):
@@ -330,12 +324,13 @@ def test_lm_call_matches_least_squares(d, seed, status):
     target = np.exp(-1j * xs * 1.7)
     rng = np.random.default_rng(seed)
     sw = np.repeat(np.sqrt(rng.uniform(0.5, 2.0, m)), 2)
+    carry = qsp._kernel(qsp._signal_rows(xs), qsp._F_START, d)
 
     def resid(phi):
         return (_f_values(phi, xs) - target).view(float) * sw
 
     def jac_rows(phi):
-        return _f_and_jacobian(phi, xs)[1].T.view(float) * sw
+        return qsp._jacobian(carry(phi)).view(float) * sw
 
     phi0 = rng.uniform(-0.3, 0.3, d)
     ref = scipy.optimize.least_squares(resid, phi0, jac=lambda phi: jac_rows(phi).T, method="lm",
